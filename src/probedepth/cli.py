@@ -39,8 +39,7 @@ def _read_expressions(path: str) -> ex.ExpressionSet:
 
 def cmd_depth(args) -> int:
     s = _read_expressions(args.exprfile)
-    report = strategy.optimal_depth(s, budget=args.budget, cap=_cap(),
-                                    threads=args.threads)
+    report = strategy.optimal_depth(s, budget=args.budget, cap=_cap())
     if args.json:
         print(json.dumps({"depth": report.depth, "n": report.n,
                           "evasive": report.evasive,
@@ -253,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("depth", help="exact minimum worst-case probe count")
     p.add_argument("exprfile")
     p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_depth)
 
@@ -272,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="run a probing session")
     p.add_argument("exprfile")
     p.add_argument("--answers", help="JSON file mapping variables to booleans")
-    p.add_argument("--interactive", action="store_true")
     p.add_argument("--greedy", action="store_true")
     p.set_defaults(func=cmd_probe)
 

@@ -390,37 +390,38 @@ def parse_expressions(text: str) -> ExpressionSet:
     A ``vars:`` header fixes the universe explicitly; otherwise the universe
     is the union of occurring variables in first-occurrence order.
     """
-    header, asts = _Parser(text).parse_file()
-    if header is not None:
-        universe = VariableUniverse(header)
-    else:
-        order: list[str] = []
-        seen: set[str] = set()
-        for ast in asts:
-            _collect_names(ast, order, seen)
-        universe = VariableUniverse(tuple(order))
-    members = tuple(Expression(universe, _ast_to_node(ast, universe)) for ast in asts)
+    parser = _Parser(text)
+    try:
+        header, asts = parser.parse_file()
+        if header is not None:
+            universe = VariableUniverse(header)
+        else:
+            order: list[str] = []
+            seen: set[str] = set()
+            for ast in asts:
+                _collect_names(ast, order, seen)
+            universe = VariableUniverse(tuple(order))
+        members = tuple(Expression(universe, _ast_to_node(ast, universe)) for ast in asts)
+    except RecursionError:
+        raise parser.error("expression nested too deeply") from None
     return ExpressionSet(universe, members)
 
 
 # --- printing ---------------------------------------------------------------
 
 def format_node(node: Node, universe: VariableUniverse) -> str:
-    """Print a node with fully parenthesized binary operators."""
+    """Print a node with n-ary operators flat; only nested ``&``/``|`` and
+    negated compounds get parentheses."""
     if isinstance(node, Const):
         return "1" if node.value else "0"
     if isinstance(node, Var):
         return universe.names[node.index]
     if isinstance(node, Not):
         inner = format_node(node.child, universe)
-        if isinstance(node.child, (Const, Var)):
-            return f"!{inner}"
-        return f"!{inner}" if inner.startswith("(") else f"!({inner})"
+        return f"!({inner})" if isinstance(node.child, (And, Or)) else f"!{inner}"
     op = "&" if isinstance(node, And) else "|"
-    out = format_node(node.children[0], universe)
-    for child in node.children[1:]:
-        out = f"({out}{op}{format_node(child, universe)})"
-    return out
+    return op.join(f"({format_node(c, universe)})" if isinstance(c, (And, Or))
+                   else format_node(c, universe) for c in node.children)
 
 
 def format_expression_set(s: ExpressionSet) -> str:

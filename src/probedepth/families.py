@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import And, Expression, ExpressionSet, Node, Or, Var, VariableUniverse
+from .expr import (And, Expression, ExpressionSet, Node, Or, Var, VariableUniverse,
+                   _ast_to_node)
 from .strategy import DecisionDiagram, DiagramNode, Leaf, Probe
 
 MAX_PSI_LEVEL = 6
@@ -63,21 +64,12 @@ def _rename_ast(ast: tuple, suffix: str) -> tuple:
     return (kind, [_rename_ast(c, suffix) for c in ast[1]])
 
 
-def _ast_to_node(ast: tuple, index: dict[str, int]) -> Node:
-    kind = ast[0]
-    if kind == "var":
-        return Var(index[ast[1]])
-    children = tuple(_ast_to_node(c, index) for c in ast[1])
-    return And(children) if kind == "and" else Or(children)
-
-
 def generate(spec: FamilySpec) -> ExpressionSet:
     """Build the expression set for a family instance."""
     if spec.kind == "psi":
         names, ast = _psi_ast(spec.parameter)
         universe = VariableUniverse(tuple(names))
-        index = {n: i for i, n in enumerate(names)}
-        member = Expression(universe, _ast_to_node(ast, index))
+        member = Expression(universe, _ast_to_node(ast, universe))
         return ExpressionSet(universe, (member,))
     n = spec.parameter
     if spec.kind == "path":

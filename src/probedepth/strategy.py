@@ -1,18 +1,18 @@
 """Minimum-depth probing strategies for expression sets.
 
-The exact search is a memoized minimax over partial assignments of the
-combined support: the depth of a state is 0 when every member is constant,
-and otherwise ``1 + min over probes of the worse branch``.  Variables outside
-every member's support never help, so the search runs over the combined
-support only; a universe variable absent from all members immediately makes
-the set non-evasive.
+The depth of a state is 0 when every member is constant, and otherwise
+``1 + min over probes of the worse branch``.  One memoized, depth-bounded
+search decides "depth at most k?" over partial assignments of the combined
+support and keeps the winning probe of each state it proves.  The exact depth
+comes from descending deepening over that search, and the witness diagram
+from its memo.  Variables outside every member's support never help, so the
+search runs over the combined support only; a universe variable absent from
+all members immediately makes the set non-evasive.
 """
 
 from __future__ import annotations
 
 import json
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
@@ -118,13 +118,22 @@ def diagram_depth(d: DecisionDiagram) -> int:
     return visit(d.root)
 
 
-class _Search:
-    """Shared machinery for exact depth and depth-budget decision searches."""
+# witness-memo entries that are not a winning probe
+_LEAF = -1
+_REFUTED = -2
 
-    def __init__(self, s: ExpressionSet, cap: int):
+
+class _Search:
+    """Depth-bounded minimax search over partial assignments of the support.
+
+    A state is ``(amask, avals)``: the bitmask of probed support positions and
+    their answers.  ``explored`` counts decided states over every round run on
+    this instance, and ``budget`` caps that count.
+    """
+
+    def __init__(self, s: ExpressionSet, cap: int, budget: Optional[int] = None):
         if s.n > cap:
             raise UniverseTooLarge(f"universe size {s.n} exceeds cap {cap}")
-        self.set = s
         support = s.support_indices()
         self.names = tuple(s.universe.names[i] for i in support)
         self.m = len(support)
@@ -133,13 +142,7 @@ class _Search:
         self.full = (1 << (1 << self.m)) - 1
         self.tables = tuple(table_bits(m.root, positions, self.m) for m in s.members)
         self.explored = 0
-        self.budget: Optional[int] = None
-        self.lock = threading.Lock()
-
-    def _tick(self):
-        self.explored += 1
-        if self.budget is not None and self.explored > self.budget:
-            raise BudgetExceeded(f"state budget {self.budget} exhausted")
+        self.budget = budget
 
     def is_constant_state(self, care: int) -> bool:
         for t in self.tables:
@@ -148,109 +151,20 @@ class _Search:
                 return False
         return True
 
-    def exact(self, budget: Optional[int] = None) -> tuple[int, dict]:
-        """Exact minimax depth of the full set; returns (depth, memo)."""
-        self.budget = budget
-        memo: dict[tuple[int, int], tuple[int, Optional[int]]] = {}
+    def within(self, k: int) -> Optional[dict[tuple[int, int], int]]:
+        """Is the minimax depth at most ``k``?  Returns the witness memo if so,
+        else ``None``.
+
+        The memo maps each decided state to its winning probe, to ``_LEAF``
+        when the state is constant, or to ``_REFUTED``.  The budget left at a
+        state is always ``k - popcount(amask)``, so the key needs no depth.
+        States where every remaining variable fits the budget are skipped.
+        """
+        memo: dict[tuple[int, int], int] = {}
         masks = self.masks
         full = self.full
         m = self.m
-
-        def rec(amask: int, avals: int, care: int) -> int:
-            key = (amask, avals)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit[0]
-            self._tick()
-            if self.is_constant_state(care):
-                memo[key] = (0, None)
-                return 0
-            best = m + 1
-            best_p = None
-            for p in range(m):
-                bit = 1 << p
-                if amask & bit:
-                    continue
-                d_true = rec(amask | bit, avals | bit, care & masks[p])
-                d_false = rec(amask | bit, avals, care & ~masks[p] & full)
-                d = 1 + (d_true if d_true >= d_false else d_false)
-                if d < best:
-                    best, best_p = d, p
-                    if best == 1:  # a non-constant state cannot do better
-                        break
-            memo[key] = (best, best_p)
-            return best
-
-        depth = rec(0, 0, full)
-        return depth, memo
-
-    def exact_threaded(self, workers: int, budget: Optional[int] = None) -> tuple[int, dict]:
-        """Exact depth with the two branches of each root probe evaluated
-        concurrently.  Memo insertion is get-or-insert and idempotent, so the
-        reported depth matches the single-threaded result."""
-        self.budget = budget
-        memo: dict[tuple[int, int], tuple[int, Optional[int]]] = {}
-        masks = self.masks
-        full = self.full
-        m = self.m
-        lock = self.lock
-
-        def rec(amask: int, avals: int, care: int) -> int:
-            key = (amask, avals)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit[0]
-            with lock:
-                self._tick()
-            if self.is_constant_state(care):
-                with lock:
-                    memo.setdefault(key, (0, None))
-                return 0
-            best = m + 1
-            best_p = None
-            for p in range(m):
-                bit = 1 << p
-                if amask & bit:
-                    continue
-                d_true = rec(amask | bit, avals | bit, care & masks[p])
-                d_false = rec(amask | bit, avals, care & ~masks[p] & full)
-                d = 1 + max(d_true, d_false)
-                if d < best:
-                    best, best_p = d, p
-                    if best == 1:
-                        break
-            with lock:
-                memo.setdefault(key, (best, best_p))
-            return memo[key][0]
-
-        if m == 0:
-            return rec(0, 0, full), memo
-        self._tick()
-        if self.is_constant_state(full):
-            memo[(0, 0)] = (0, None)
-            return 0, memo
-        with ThreadPoolExecutor(max_workers=max(2, workers)) as pool:
-            best = m + 1
-            best_p = None
-            for p in range(m):
-                bit = 1 << p
-                f_true = pool.submit(rec, bit, bit, full & masks[p])
-                f_false = pool.submit(rec, bit, 0, full & ~masks[p])
-                d = 1 + max(f_true.result(), f_false.result())
-                if d < best:
-                    best, best_p = d, p
-                    if best == 1:
-                        break
-        memo[(0, 0)] = (best, best_p)
-        return best, memo
-
-    def within(self, k: int, budget: Optional[int] = None) -> bool:
-        """Depth-budgeted search: is the minimax depth at most ``k``?"""
-        self.budget = budget
-        memo: dict[tuple[int, int], bool] = {}
-        masks = self.masks
-        full = self.full
-        m = self.m
+        budget = self.budget
 
         def rec(amask: int, avals: int, care: int, k: int) -> bool:
             if k >= m - amask.bit_count():
@@ -258,33 +172,37 @@ class _Search:
             key = (amask, avals)
             hit = memo.get(key)
             if hit is not None:
-                return hit
-            self._tick()
+                return hit != _REFUTED
+            self.explored += 1
+            if budget is not None and self.explored > budget:
+                raise BudgetExceeded(f"state budget {budget} exhausted")
             if self.is_constant_state(care):
-                memo[key] = True
+                memo[key] = _LEAF
                 return True
+            memo[key] = _REFUTED
             if k <= 0:
-                memo[key] = False
                 return False
-            ok = False
             for p in range(m):
                 bit = 1 << p
                 if amask & bit:
                     continue
                 if rec(amask | bit, avals | bit, care & masks[p], k - 1) and \
                    rec(amask | bit, avals, care & ~masks[p] & full, k - 1):
-                    ok = True
-                    break
-            memo[key] = ok
-            return ok
+                    memo[key] = p
+                    return True
+            return False
 
-        return rec(0, 0, full, k)
+        return memo if rec(0, 0, full, k) else None
 
     def leaf_labels(self, care: int) -> tuple[bool, ...]:
         return tuple((t & care) != 0 for t in self.tables)
 
-    def build_diagram(self, memo: dict) -> DecisionDiagram:
-        """Materialize the memoized optimal choices into a shared-node DAG."""
+    def build_diagram(self, memo: dict[tuple[int, int], int]) -> DecisionDiagram:
+        """Materialize a witness memo of ``within`` into a shared-node DAG.
+
+        A state the search skipped probes its lowest unassigned position until
+        it is constant, which stays within the budget that let it be skipped.
+        """
         nodes: list[DiagramNode] = []
         cache: dict[tuple[int, int], int] = {}
         masks = self.masks
@@ -294,8 +212,10 @@ class _Search:
             key = (amask, avals)
             if key in cache:
                 return cache[key]
-            _, choice = memo[key]
-            if choice is None:
+            choice = memo.get(key)
+            if choice is None and not self.is_constant_state(care):
+                choice = (~amask & (amask + 1)).bit_length() - 1
+            if choice is None or choice == _LEAF:
                 node: DiagramNode = Leaf(self.leaf_labels(care))
             else:
                 bit = 1 << choice
@@ -311,17 +231,22 @@ class _Search:
 
 
 def optimal_depth(s: ExpressionSet, budget: Optional[int] = None,
-                  cap: int = DEFAULT_TABLE_CAP, threads: int = 1) -> DepthReport:
+                  cap: int = DEFAULT_TABLE_CAP) -> DepthReport:
     """Exact minimum worst-case probe count for ``s`` with a witness diagram.
 
-    ``budget`` caps the number of explored search states; exceeding it raises
+    Descending deepening: ``within(k)`` for k = m - 1, m - 2, ... until the
+    first refutation; depth m always holds.  A successful round stops at its
+    first winning probe, so only the last round searches fully.  ``budget``
+    caps the explored states of all rounds together; exceeding it raises
     ``BudgetExceeded`` rather than returning an approximation.
     """
-    search = _Search(s, cap)
-    if threads > 1:
-        depth, memo = search.exact_threaded(threads, budget)
-    else:
-        depth, memo = search.exact(budget)
+    search = _Search(s, cap, budget)
+    depth, memo = search.m, {}
+    while depth > 0:
+        witness = search.within(depth - 1)
+        if witness is None:
+            break
+        depth, memo = depth - 1, witness
     diagram = search.build_diagram(memo)
     return DepthReport(depth=depth, n=s.n, evasive=(depth == s.n),
                        diagram=diagram, explored_states=search.explored)
@@ -332,8 +257,7 @@ def decide_depth_at_most(s: ExpressionSet, k: int, budget: Optional[int] = None,
     """DEC-BDD-DEPTH: is the depth of ``s`` at most ``k``?"""
     if k < 0:
         raise StrategyError("k must be non-negative")
-    search = _Search(s, cap)
-    return search.within(k, budget)
+    return _Search(s, cap, budget).within(k) is not None
 
 
 def is_evasive(s: ExpressionSet, budget: Optional[int] = None,

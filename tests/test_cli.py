@@ -37,12 +37,6 @@ class TestDepth:
         jsonschema.validate(doc, load_schema("depth_report.schema.json"))
         assert doc["depth"] == 2 and doc["evasive"] is True
 
-    def test_threads_agree(self, tmp_path, capsys):
-        f = write(tmp_path, "e.txt", "(a&b)|(c&d)\n")
-        _, single_out, _ = run(capsys, "depth", f, "--json")
-        _, threaded_out, _ = run(capsys, "depth", f, "--json", "--threads", "4")
-        assert json.loads(single_out)["depth"] == json.loads(threaded_out)["depth"]
-
     def test_budget_failure_is_domain_error(self, tmp_path, capsys):
         f = write(tmp_path, "e.txt", "(a&b)|(c&d)|(e&f)\n")
         code, _, err = run(capsys, "depth", f, "--budget", "2")
@@ -51,6 +45,12 @@ class TestDepth:
 
     def test_parse_error_is_usage_error(self, tmp_path, capsys):
         f = write(tmp_path, "e.txt", "a &\n")
+        code, _, err = run(capsys, "depth", f)
+        assert code == 2
+        assert "parse error" in err
+
+    def test_deep_nesting_is_usage_error(self, tmp_path, capsys):
+        f = write(tmp_path, "e.txt", "(" * 3000 + "a" + ")" * 3000 + "\n")
         code, _, err = run(capsys, "depth", f)
         assert code == 2
         assert "parse error" in err
@@ -226,6 +226,14 @@ class TestFamilyAndFactor:
     def test_family_strategy_dot_rejected_for_path(self, capsys):
         code, _, err = run(capsys, "family", "path", "3", "--strategy-dot")
         assert code == 1
+
+    def test_family_path_output_feeds_evasive(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "family", "path", "400")
+        assert code == 0
+        f = write(tmp_path, "path400.txt", out)
+        code, out, _ = run(capsys, "evasive", f)
+        assert code == 0
+        assert out.startswith("evasive=true method=acyclic")
 
     def test_family_bad_parameter(self, capsys):
         code, _, err = run(capsys, "family", "and", "0")

@@ -165,6 +165,7 @@ def test_parse_print_roundtrip(e):
     assert reparsed.universe == s.universe
     for before, after in zip(s.members, reparsed.members):
         assert ex.truth_table(before) == ex.truth_table(after)
+        assert after.root == before.root
 
 
 # --- monotone DNF -----------------------------------------------------------

@@ -128,15 +128,32 @@ class TestSoundness:
             assert strategy.check_soundness(s, d, v)
 
 
-class TestThreaded:
-    def test_threaded_matches_single(self, rng):
-        for _ in range(10):
+class TestBoundedSearch:
+    def test_decide_matches_naive_depth(self, rng):
+        for _ in range(40):
             n = rng.randint(1, 6)
             universe = VariableUniverse(tuple(f"x{i}" for i in range(n)))
-            e = Expression(universe, random_expression(rng, universe))
-            s = ExpressionSet(universe, (e,))
-            assert (strategy.optimal_depth(s, threads=4).depth
-                    == strategy.optimal_depth(s).depth)
+            members = tuple(Expression(universe, random_expression(rng, universe))
+                            for _ in range(rng.randint(2, 3)))
+            s = ExpressionSet(universe, members)
+            d = naive_depth(s)
+            assert strategy.decide_depth_at_most(s, d)
+            assert d == 0 or not strategy.decide_depth_at_most(s, d - 1)
+
+    def test_budget_is_exact(self):
+        s = single("vars: a b c d e f\n(a&b)|(c&d)|(e&f)\n!a | (c & !e)\n")
+        explored = strategy.optimal_depth(s).explored_states
+        assert explored > 0
+        assert strategy.optimal_depth(s, budget=explored).explored_states == explored
+        with pytest.raises(strategy.BudgetExceeded):
+            strategy.optimal_depth(s, budget=explored - 1)
+
+    def test_explored_states_repeat(self):
+        s = single("vars: a b c d e f g\n(a&b)|(b&c)|(c&d)|(d&e)|(e&f)|(f&g)\n")
+        first = strategy.optimal_depth(s)
+        second = strategy.optimal_depth(s)
+        assert first.explored_states == second.explored_states
+        assert first.diagram == second.diagram
 
 
 class TestDiagramPlumbing:
