@@ -67,17 +67,20 @@ def cmd_evasive(args) -> int:
     s = _read_expressions(args.exprfile)
     method = args.method
     pattern: Optional[graphdnf.Pattern] = None
+    parts = None
     if method == "auto":
         try:
-            _acyclic_parts(s)
+            parts = _acyclic_parts(s)
             method = "acyclic"
         except (DomainFailure, ex.ExprError, graphdnf.GraphDnfError):
             method = "brute"
     if method == "acyclic":
-        try:
-            combined, g = _acyclic_parts(s)
-        except ex.ExprError as exc:
-            raise DomainFailure(str(exc)) from None
+        if parts is None:
+            try:
+                parts = _acyclic_parts(s)
+            except ex.ExprError as exc:
+                raise DomainFailure(str(exc)) from None
+        combined, g = parts
         evasive = graphdnf.decide_evasive_acyclic(combined, s.universe)
         if not evasive:
             if g.free_variables():

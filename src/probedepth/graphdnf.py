@@ -198,8 +198,10 @@ def find_pattern(g: GraphDnf) -> Optional[Pattern]:
         # it appears in a term, so neither pattern case applies
         return None
 
+    adj = _adjacency(g)
+    order = {n: i for i, n in enumerate(g.universe.names)}
     for root in variables:
-        witness = pattern_rooted_at(g, root)
+        witness = _pattern_at(adj, order, root)
         if witness is not None:
             return witness
     return None
@@ -211,7 +213,11 @@ def pattern_rooted_at(g: GraphDnf, root: str) -> Optional[Pattern]:
     adj = _adjacency(g)
     if root not in adj:
         raise GraphDnfError(f"variable {root!r} occurs in no edge")
-    order = {n: i for i, n in enumerate(g.universe.names)}
+    return _pattern_at(adj, {n: i for i, n in enumerate(g.universe.names)}, root)
+
+
+def _pattern_at(adj: dict[str, list[str]], order: dict[str, int],
+                root: str) -> Optional[Pattern]:
     bfs, children = _rooted_tree(adj, root)
     special: dict[str, bool] = {}
     for v in reversed(bfs):

@@ -7,7 +7,8 @@ support and keeps the winning probe of each state it proves.  The exact depth
 comes from descending deepening over that search, and the witness diagram
 from its memo.  Variables outside every member's support never help, so the
 search runs over the combined support only; a universe variable absent from
-all members immediately makes the set non-evasive.
+all members immediately makes the set non-evasive.  The greedy fallback keeps
+one table per member, so only each member's support must fit the cap.
 """
 
 from __future__ import annotations
@@ -271,61 +272,104 @@ def is_evasive(s: ExpressionSet, budget: Optional[int] = None,
 # --- greedy fallback --------------------------------------------------------
 
 def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionDiagram:
-    """One-step lookahead heuristic for universes beyond the exact-search cap.
+    """One-step lookahead heuristic for sets the exact search cannot afford.
 
-    At each node picks the variable minimizing, over both answers, the worse
-    count of variables still occurring in non-constant restricted members.
+    Each member's own support must have at most ``cap`` variables (else
+    ``SupportTooLarge``); the combined support may exceed it.  A variable is
+    live when some non-constant member depends on it under the answers so
+    far.  Each state probes the live variable minimizing, over both answers,
+    the worse live count, the lowest universe index winning ties.  Equal
+    states share one diagram node.
     """
-    from .expr import is_constant, restrict_set
+    support = s.support_indices()
+    position = {idx: p for p, idx in enumerate(support)}
+    names = tuple(s.universe.names[i] for i in support)
+    # per member: truth table over its own support, combined-position mask of
+    # that support, and (table mask, table shift, combined bit) per variable
+    tables: list[int] = []
+    spans: list[int] = []
+    locals_: list[tuple[tuple[int, int, int], ...]] = []
+    touching: list[list[tuple[int, int]]] = [[] for _ in support]
+    for i, m in enumerate(s.members):
+        local = m.support_indices()
+        if len(local) > cap:
+            raise SupportTooLarge(f"support size {len(local)} exceeds cap {cap}")
+        masks = variable_masks(len(local))
+        tables.append(table_bits(m.root, {idx: q for q, idx in enumerate(local)}, len(local)))
+        spans.append(sum(1 << position[idx] for idx in local))
+        locals_.append(tuple((masks[q], 1 << q, 1 << position[idx])
+                             for q, idx in enumerate(local)))
+        for q, idx in enumerate(local):
+            touching[position[idx]].append((i, masks[q]))
+    # (constant or None, live mask) per member, keyed by its slice of the state
+    classified: list[dict[tuple[int, int], tuple[Optional[bool], int]]] = \
+        [{} for _ in s.members]
+
+    def classify(i: int, amask: int, avals: int, care: int) -> tuple[Optional[bool], int]:
+        key = (amask & spans[i], avals & spans[i])
+        hit = classified[i].get(key)
+        if hit is None:
+            tc = tables[i] & care
+            if tc == 0 or tc == care:
+                hit = (tc != 0, 0)
+            else:
+                live = 0
+                for mask, shift, bit in locals_[i]:
+                    if not amask & bit and (tc & mask) >> shift != tc & ~mask:
+                        live |= bit
+                hit = (None, live)
+            classified[i][key] = hit
+        return hit
 
     nodes: list[DiagramNode] = []
+    node_at: dict[tuple[int, int], int] = {}
 
-    def member_constants(cur: ExpressionSet) -> Optional[tuple[bool, ...]]:
-        out = []
-        for m in cur.members:
-            c = is_constant(m, cap)
-            if c is None:
-                return None
-            out.append(c)
+    def child_cares(cares: tuple[int, ...], p: int, value: bool) -> tuple[int, ...]:
+        out = list(cares)
+        for i, mask in touching[p]:
+            out[i] = cares[i] & mask if value else cares[i] & ~mask
         return tuple(out)
 
-    def live_variable_count(cur: ExpressionSet) -> int:
-        live: set[str] = set()
-        for m in cur.members:
-            if is_constant(m, cap) is None:
-                live.update(m.support())
-        return len(live)
+    # cares[i]: the rows of member i's table that agree with the answers so far
+    def build(amask: int, avals: int, cares: tuple[int, ...]) -> int:
+        key = (amask, avals)
+        if key in node_at:
+            return node_at[key]
+        states = [classify(i, amask, avals, c) for i, c in enumerate(cares)]
+        live = 0
+        for _, member_live in states:
+            live |= member_live
+        if not live:
+            node: DiagramNode = Leaf(tuple(const for const, _ in states))
+        else:
+            best, best_score = -1, len(names) + 1
+            rest = live
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                p = bit.bit_length() - 1
+                untouched = 0
+                for i, (_, member_live) in enumerate(states):
+                    if not spans[i] & bit:
+                        untouched |= member_live
+                score = 0
+                for value in (bit, 0):
+                    branch_live = untouched
+                    for i, mask in touching[p]:
+                        care = cares[i] & mask if value else cares[i] & ~mask
+                        branch_live |= classify(i, amask | bit, avals | value, care)[1]
+                    score = max(score, branch_live.bit_count())
+                if score < best_score:
+                    best, best_score = p, score
+            bit = 1 << best
+            t = build(amask | bit, avals | bit, child_cares(cares, best, True))
+            f = build(amask | bit, avals, child_cares(cares, best, False))
+            node = Probe(names[best], t, f)
+        nodes.append(node)
+        node_at[key] = len(nodes) - 1
+        return node_at[key]
 
-    def build(cur: ExpressionSet) -> int:
-        labels = member_constants(cur)
-        if labels is not None:
-            nodes.append(Leaf(labels))
-            return len(nodes) - 1
-        candidates: list[str] = []
-        seen: set[str] = set()
-        for m in cur.members:
-            if is_constant(m, cap) is None:
-                for name in m.support():
-                    if name not in seen:
-                        seen.add(name)
-                        candidates.append(name)
-        candidates.sort(key=cur.universe.index)
-        best_name = None
-        best_score = None
-        branches = None
-        for name in candidates:
-            on_true = restrict_set(cur, name, True)
-            on_false = restrict_set(cur, name, False)
-            score = max(live_variable_count(on_true), live_variable_count(on_false))
-            if best_score is None or score < best_score:
-                best_name, best_score = name, score
-                branches = (on_true, on_false)
-        t = build(branches[0])
-        f = build(branches[1])
-        nodes.append(Probe(best_name, t, f))
-        return len(nodes) - 1
-
-    root = build(s)
+    root = build(0, 0, tuple((1 << (1 << len(l))) - 1 for l in locals_))
     return DecisionDiagram(tuple(nodes), root)
 
 

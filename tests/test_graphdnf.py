@@ -117,6 +117,17 @@ class TestPatternDetection:
             for label in p.labels():
                 assert graphdnf.pattern_rooted_at(g, label) is not None
 
+    def test_find_pattern_is_first_rooted_pattern(self):
+        for n in range(2, 8):
+            for edges in treegen.all_labeled_trees(n):
+                g = treegen.tree_graph_dnf(edges, n)
+                expected = None
+                for root in g.universe.names:
+                    expected = graphdnf.pattern_rooted_at(g, root)
+                    if expected is not None:
+                        break
+                assert graphdnf.find_pattern(g) == expected
+
     def test_component_rule(self, rng):
         for _ in range(60):
             dnf, universe = treegen.random_forest_dnf(rng, max_vars=8)

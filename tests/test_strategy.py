@@ -128,6 +128,36 @@ class TestSoundness:
             assert strategy.check_soundness(s, d, v)
 
 
+class TestGreedy:
+    def test_probes_only_live_variables(self):
+        # the member reduces to !b & !c: a occurs but is irrelevant, d is free
+        s = single("vars: a b c d\n!(c|b)|!(b|a|c)\n")
+        d = strategy.greedy_strategy(s)
+        assert strategy.diagram_depth(d) == 2 == strategy.optimal_depth(s).depth
+        probed = {n.variable for n in d.nodes if isinstance(n, Probe)}
+        assert not probed & {"a", "d"}
+
+    def test_random_soundness_and_depth_bounds(self, rng):
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            universe = VariableUniverse(tuple(f"x{i}" for i in range(n)))
+            members = tuple(Expression(universe, random_expression(rng, universe))
+                            for _ in range(rng.randint(1, 3)))
+            s = ExpressionSet(universe, members)
+            d = strategy.greedy_strategy(s)
+            for v in all_valuations(universe):
+                assert strategy.check_soundness(s, d, v)
+            assert naive_depth(s) <= strategy.diagram_depth(d) <= s.n
+
+    def test_cap_applies_per_member(self):
+        s = single("vars: a b c d e f\na & (b | c)\nd | (e & f)\n")
+        d = strategy.greedy_strategy(s, cap=4)
+        for v in all_valuations(s.universe):
+            assert strategy.check_soundness(s, d, v)
+        with pytest.raises(ex.SupportTooLarge):
+            strategy.greedy_strategy(single("a & b & c & d & e"), cap=4)
+
+
 class TestBoundedSearch:
     def test_decide_matches_naive_depth(self, rng):
         for _ in range(40):
