@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain failure (e.g. cyclic input to the acyclic
 method), 2 usage or parse error.  ``--json`` emits exactly one JSON document
 on stdout.  The environment variable ``PROBEDEPTH_CAP`` overrides the
-universe cap of the exact search.
+table cap: on the combined support of the set for the exact search, on each
+member's support for the greedy strategy.
 """
 
 from __future__ import annotations
@@ -27,14 +28,30 @@ class DomainFailure(Exception):
     pass
 
 
+class UsageError(Exception):
+    pass
+
+
 def _cap() -> int:
     raw = os.environ.get("PROBEDEPTH_CAP")
-    return int(raw) if raw else ex.DEFAULT_TABLE_CAP
+    if not raw:
+        return ex.DEFAULT_TABLE_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise UsageError(f"PROBEDEPTH_CAP must be an integer, got {raw!r}") from None
+
+
+def _read_text(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise UsageError(f"{path} is not UTF-8 text") from None
 
 
 def _read_expressions(path: str) -> ex.ExpressionSet:
-    with open(path, encoding="utf-8") as fh:
-        return ex.parse_expressions(fh.read())
+    return ex.parse_expressions(_read_text(path))
 
 
 def cmd_depth(args) -> int:
@@ -50,47 +67,29 @@ def cmd_depth(args) -> int:
     return EXIT_OK
 
 
-def _acyclic_parts(s: ex.ExpressionSet):
+def _acyclic_pattern(s: ex.ExpressionSet) -> Optional[graphdnf.Pattern]:
+    """The acyclic detector's witness for a single monotone 2-DNF member;
+    ``None`` means evasive."""
     if len(s.members) != 1:
         raise DomainFailure("acyclic method applies to a single expression")
     dnf = ex.to_monotone_dnf(s.members[0])  # raises on negation
-    combined = ex.MonotoneDnf(s.universe, dnf.terms)
-    if any(len(t) > 2 for t in combined.terms):
-        raise DomainFailure("acyclic method needs monotone 2-DNF members")
-    g = graphdnf.from_monotone_dnf(combined)
-    if not graphdnf.is_acyclic(g):
-        raise DomainFailure("acyclic method needs an acyclic term graph")
-    return combined, g
+    return graphdnf.find_pattern(graphdnf.from_monotone_dnf(dnf))
 
 
 def cmd_evasive(args) -> int:
     s = _read_expressions(args.exprfile)
     method = args.method
     pattern: Optional[graphdnf.Pattern] = None
-    parts = None
-    if method == "auto":
+    if method != "brute":
         try:
-            parts = _acyclic_parts(s)
+            pattern = _acyclic_pattern(s)
             method = "acyclic"
         except (DomainFailure, ex.ExprError, graphdnf.GraphDnfError):
+            if method == "acyclic":
+                raise
             method = "brute"
     if method == "acyclic":
-        if parts is None:
-            try:
-                parts = _acyclic_parts(s)
-            except ex.ExprError as exc:
-                raise DomainFailure(str(exc)) from None
-        combined, g = parts
-        evasive = graphdnf.decide_evasive_acyclic(combined, s.universe)
-        if not evasive:
-            if g.free_variables():
-                pattern = graphdnf.Pattern(g.free_variables()[0])
-            else:
-                comps, _ = graphdnf.components(g)
-                for comp in comps:
-                    pattern = graphdnf.find_pattern(comp)
-                    if pattern is not None:
-                        break
+        evasive = pattern is None
     else:
         evasive = strategy.is_evasive(s, cap=_cap())
     if args.json:
@@ -132,8 +131,12 @@ def cmd_probe(args) -> int:
     s = _read_expressions(args.exprfile)
     diagram = _choose_diagram(s, args.greedy)
     if args.answers:
-        with open(args.answers, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            raw = json.loads(_read_text(args.answers))
+        except json.JSONDecodeError as exc:
+            raise DomainFailure(f"answers file is not JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise DomainFailure("answers file must hold a JSON object")
         answers = {k: _parse_answer(v) if isinstance(v, str) else bool(v)
                    for k, v in raw.items()}
 
@@ -164,10 +167,8 @@ def cmd_probe(args) -> int:
 
 def cmd_prov(args) -> int:
     if args.prov_command == "eval":
-        with open(args.db, encoding="utf-8") as fh:
-            db = provenance.load_database(fh.read())
-        with open(args.query, encoding="utf-8") as fh:
-            q = provenance.query_from_json(fh.read())
+        db = provenance.load_database(_read_text(args.db))
+        q = provenance.query_from_json(_read_text(args.query))
         result = provenance.eval_query(db, q)
         print(provenance.result_to_json(result))
         return EXIT_OK
@@ -210,34 +211,33 @@ def cmd_factor(args) -> int:
     return EXIT_OK
 
 
-def cmd_crosscheck(args) -> int:
-    if args.max_nodes > 8:
-        raise DomainFailure("crosscheck is capped at 8 nodes")
-    trees = 0
-    forests = 0
-    disagreements = 0
-    for n in range(1, args.max_nodes + 1):
+def _crosscheck_cases(max_nodes: int, trials: int, seed: int):
+    """``(kind, label, dnf, universe)`` for every labeled tree on up to
+    ``max_nodes`` nodes, then ``trials`` seeded random forests."""
+    for n in range(1, max_nodes + 1):
         for edges in treegen.all_labeled_trees(n):
             g = treegen.tree_graph_dnf(edges, n)
-            dnf = g.to_monotone_dnf()
-            fast = graphdnf.decide_evasive_acyclic(dnf, g.universe)
-            oracle_set = ex.ExpressionSet(g.universe, (dnf.to_expression(),))
-            slow = strategy.is_evasive(oracle_set)
-            trees += 1
-            if fast != slow:
-                disagreements += 1
-                print(f"DISAGREEMENT on tree n={n} edges={edges}", file=sys.stderr)
-    rng = random.Random(args.seed)
-    for _ in range(args.trials):
-        dnf, universe = treegen.random_forest_dnf(rng, max_vars=args.max_nodes)
+            yield "tree", f"n={n} edges={edges}", g.to_monotone_dnf(), g.universe
+    rng = random.Random(seed)
+    for _ in range(trials):
+        dnf, universe = treegen.random_forest_dnf(rng, max_vars=max_nodes)
+        yield "forest", str(sorted(map(sorted, dnf.terms))), dnf, universe
+
+
+def cmd_crosscheck(args) -> int:
+    if not 1 <= args.max_nodes <= 8:
+        raise DomainFailure(f"crosscheck needs 1 to 8 nodes, got {args.max_nodes}")
+    checked = {"tree": 0, "forest": 0}
+    disagreements = 0
+    for kind, label, dnf, universe in _crosscheck_cases(args.max_nodes, args.trials,
+                                                        args.seed):
         fast = graphdnf.decide_evasive_acyclic(dnf, universe)
-        oracle_set = ex.ExpressionSet(universe, (dnf.to_expression(),))
-        slow = strategy.is_evasive(oracle_set)
-        forests += 1
+        slow = strategy.is_evasive(ex.ExpressionSet(universe, (dnf.to_expression(),)))
+        checked[kind] += 1
         if fast != slow:
             disagreements += 1
-            print(f"DISAGREEMENT on forest {sorted(map(sorted, dnf.terms))}",
-                  file=sys.stderr)
+            print(f"DISAGREEMENT on {kind} {label}", file=sys.stderr)
+    trees, forests = checked["tree"], checked["forest"]
     if args.json:
         print(json.dumps({"trees_checked": trees, "forests_checked": forests,
                           "disagreements": disagreements}))
@@ -316,6 +316,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ex.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DomainFailure, ex.ExprError, strategy.StrategyError,
             graphdnf.GraphDnfError, provenance.ProvenanceError,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Iterator, Optional, Union
 
 DEFAULT_TABLE_CAP = 20
@@ -614,16 +613,13 @@ def equivalent(a: Expression, b: Expression, cap: int = DEFAULT_TABLE_CAP) -> bo
     names = sorted(set(a.support()) | set(b.support()))
     if len(names) > cap:
         raise SupportTooLarge(f"combined support {len(names)} exceeds cap {cap}")
-    for values in product((False, True), repeat=len(names)):
-        assignment = dict(zip(names, values))
+    at = {n: p for p, n in enumerate(names)}
 
-        def under(e: Expression) -> bool:
-            full = {n: assignment.get(n, False) for n in e.universe.names}
-            return evaluate(e, Valuation.from_dict(e.universe, full))
+    def bits(e: Expression) -> int:
+        positions = {i: at[e.universe.names[i]] for i in e.support_indices()}
+        return table_bits(e.root, positions, len(names))
 
-        if under(a) != under(b):
-            return False
-    return True
+    return bits(a) == bits(b)
 
 
 # --- monotone DNF -----------------------------------------------------------

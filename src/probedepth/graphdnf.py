@@ -2,9 +2,10 @@
 
 A monotone 2-DNF is viewed as a graph: one edge per binary term, plus marks
 for singleton terms.  For acyclic graphs, non-evasiveness is equivalent to
-the existence of a recursively defined pattern; detection roots the tree at
-every variable and computes a bottom-up "special" flag per node, which is
-O(n^2) overall.
+the existence of a recursively defined pattern.  ``find_pattern`` is the one
+detector: it builds the adjacency once, checks that the graph is a forest,
+and roots each edge component at every variable in turn, computing a
+bottom-up "special" flag per node, which is O(n^2) overall.
 """
 
 from __future__ import annotations
@@ -95,8 +96,12 @@ def from_monotone_dnf(d: MonotoneDnf) -> GraphDnf:
     return GraphDnf(d.universe, frozenset(edges), frozenset(singletons))
 
 
+def _order(g: GraphDnf) -> dict[str, int]:
+    return {n: i for i, n in enumerate(g.universe.names)}
+
+
 def _adjacency(g: GraphDnf) -> dict[str, list[str]]:
-    order = {n: i for i, n in enumerate(g.universe.names)}
+    order = _order(g)
     adj: dict[str, list[str]] = {v: [] for v in g.term_variables()}
     for e in g.edges:
         a, b = sorted(e, key=order.get)
@@ -107,51 +112,44 @@ def _adjacency(g: GraphDnf) -> dict[str, list[str]]:
     return adj
 
 
-def is_acyclic(g: GraphDnf) -> bool:
-    """Standard acyclicity of the edge set (the graph is a forest)."""
-    adj = _adjacency(g)
+def _edge_components(adj: dict[str, list[str]], order: dict[str, int]) -> list[list[str]]:
+    """Vertex lists, in universe order, of the components that hold an edge,
+    listed by their lowest variable (``adj`` keys are in universe order)."""
+    out: list[list[str]] = []
     seen: set[str] = set()
     for start in adj:
-        if start in seen:
+        if start in seen or not adj[start]:
             continue
-        stack = [(start, None)]
+        comp = [start]
         seen.add(start)
-        while stack:
-            v, parent = stack.pop()
+        for v in comp:  # grows while it is walked: a breadth-first search
             for w in adj[v]:
-                if w == parent:
-                    parent = None  # skip the tree edge back exactly once
-                    continue
-                if w in seen:
-                    return False
-                seen.add(w)
-                stack.append((w, v))
-    return True
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        out.append(sorted(comp, key=order.get))
+    return out
+
+
+def _is_forest(g: GraphDnf, comps: list[list[str]]) -> bool:
+    # a simple graph is a forest iff each component has one edge fewer than
+    # it has vertices
+    return len(g.edges) == sum(len(c) - 1 for c in comps)
+
+
+def is_acyclic(g: GraphDnf) -> bool:
+    """Standard acyclicity of the edge set (the graph is a forest)."""
+    return _is_forest(g, _edge_components(_adjacency(g), _order(g)))
 
 
 def components(g: GraphDnf) -> tuple[list[GraphDnf], tuple[str, ...]]:
     """Edge-connected components plus singleton-term components; variables in
     no term are returned separately as the free-variable set."""
-    adj = _adjacency(g)
-    order = {n: i for i, n in enumerate(g.universe.names)}
     out: list[GraphDnf] = []
-    seen: set[str] = set(g.singletons)
-    for start in g.term_variables():
-        if start in seen or start in g.singletons:
-            continue
-        comp = {start}
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    queue.append(w)
-        universe = VariableUniverse(tuple(sorted(comp, key=order.get)))
-        edges = frozenset(e for e in g.edges if e <= comp)
-        out.append(GraphDnf(universe, edges, frozenset()))
+    for comp in _edge_components(_adjacency(g), _order(g)):
+        members = set(comp)
+        edges = frozenset(e for e in g.edges if e <= members)
+        out.append(GraphDnf(VariableUniverse(tuple(comp)), edges, frozenset()))
     for v in g.singletons:
         out.append(GraphDnf(VariableUniverse((v,)), frozenset(), frozenset([v])))
     return out, g.free_variables()
@@ -177,33 +175,30 @@ def _rooted_tree(adj: dict[str, list[str]], root: str) -> tuple[list[str], dict[
 
 
 def find_pattern(g: GraphDnf) -> Optional[Pattern]:
-    """Search for a non-evasiveness pattern in a connected acyclic graph DNF.
+    """The non-evasiveness witness of an acyclic graph DNF, or ``None``
+    exactly when the graph DNF is evasive.
 
-    For every candidate root the tree is traversed bottom-up, marking a node
-    special when it is a non-singleton leaf, or when each of its children has
-    a special grandchild.  The first special root (universe order) yields a
-    witness; ``None`` means no pattern exists.
+    A free variable is itself a (leaf) pattern.  Otherwise the edge
+    components are tried in order of their lowest variable, and within one
+    component every candidate root in universe order: the tree is traversed
+    bottom-up, marking a node special when it is a non-singleton leaf, or when
+    each of its children has a special grandchild.  The first special root
+    yields the witness.  Singleton-term components never admit a pattern.
+    Raises ``GraphDnfError`` on a cyclic graph.
     """
-    if not is_acyclic(g):
-        raise GraphDnfError("graph DNF is cyclic")
-    variables = g.term_variables()
-    comps, free = components(g)
-    if free:
-        # a single free variable is itself a (leaf) pattern
-        return Pattern(free[0])
-    if len(comps) != 1:
-        raise GraphDnfError("graph DNF is not connected")
-    if g.singletons:
-        # connected & preprocessed with a singleton term means a lone variable;
-        # it appears in a term, so neither pattern case applies
-        return None
-
     adj = _adjacency(g)
-    order = {n: i for i, n in enumerate(g.universe.names)}
-    for root in variables:
-        witness = _pattern_at(adj, order, root)
-        if witness is not None:
-            return witness
+    order = _order(g)
+    comps = _edge_components(adj, order)
+    if not _is_forest(g, comps):
+        raise GraphDnfError("graph DNF is cyclic")
+    free = g.free_variables()
+    if free:
+        return Pattern(free[0])
+    for comp in comps:
+        for root in comp:
+            witness = _pattern_at(adj, order, root)
+            if witness is not None:
+                return witness
     return None
 
 
@@ -213,7 +208,7 @@ def pattern_rooted_at(g: GraphDnf, root: str) -> Optional[Pattern]:
     adj = _adjacency(g)
     if root not in adj:
         raise GraphDnfError(f"variable {root!r} occurs in no edge")
-    return _pattern_at(adj, {n: i for i, n in enumerate(g.universe.names)}, root)
+    return _pattern_at(adj, _order(g), root)
 
 
 def _pattern_at(adj: dict[str, list[str]], order: dict[str, int],
@@ -250,23 +245,13 @@ def _build_witness(v: str, children: dict[str, list[str]],
 
 
 def decide_evasive_acyclic(d: MonotoneDnf, universe: Optional[VariableUniverse] = None) -> bool:
-    """PTIME evasiveness decision for acyclic monotone 2-DNFs.
-
-    Non-evasive as soon as some universe variable occurs in no term;
-    otherwise evasive iff no connected component admits a pattern.
-    """
-    if universe is None:
-        universe = d.universe
-    d = MonotoneDnf(universe, d.terms)
-    if universe.n == 0:
-        return True  # depth 0 equals n = 0
+    """PTIME evasiveness decision for acyclic monotone 2-DNFs, over
+    ``universe`` when given (else the DNF's own): evasive iff
+    ``find_pattern`` finds no witness."""
     g = from_monotone_dnf(d)
-    if not is_acyclic(g):
-        raise GraphDnfError("graph DNF is cyclic")
-    if g.free_variables():
-        return False
-    comps, _ = components(g)
-    return all(find_pattern(c) is None for c in comps)
+    if universe is not None:
+        g = GraphDnf(universe, g.edges, g.singletons)
+    return find_pattern(g) is None
 
 
 def to_dot(g: GraphDnf, pattern: Optional[Pattern] = None) -> str:
@@ -283,7 +268,7 @@ def to_dot(g: GraphDnf, pattern: Optional[Pattern] = None) -> str:
             attrs.append("fillcolor=lightblue")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  {v}{suffix};")
-    order = {n: i for i, n in enumerate(g.universe.names)}
+    order = _order(g)
     for e in sorted(g.edges, key=lambda e: sorted(order[v] for v in e)):
         a, b = sorted(e, key=order.get)
         lines.append(f"  {a} -- {b};")

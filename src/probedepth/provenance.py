@@ -368,6 +368,8 @@ def _operand_from_json(raw) -> Operand:
 
 
 def _atom_from_json(raw) -> Atom:
+    if not isinstance(raw, dict):
+        raise SchemaError(f"malformed predicate atom: {raw!r}")
     if raw.get("atom") == "contains_ci":
         return ContainsCI(raw["col"], raw["value"])
     return Compare(_operand_from_json(raw["lhs"]), raw["op"],

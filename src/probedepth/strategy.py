@@ -133,11 +133,11 @@ class _Search:
     """
 
     def __init__(self, s: ExpressionSet, cap: int, budget: Optional[int] = None):
-        if s.n > cap:
-            raise UniverseTooLarge(f"universe size {s.n} exceeds cap {cap}")
         support = s.support_indices()
         self.names = tuple(s.universe.names[i] for i in support)
         self.m = len(support)
+        if self.m > cap:
+            raise UniverseTooLarge(f"support size {self.m} exceeds cap {cap}")
         positions = {idx: p for p, idx in enumerate(support)}
         self.masks = variable_masks(self.m)
         self.full = (1 << (1 << self.m)) - 1

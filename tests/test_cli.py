@@ -1,13 +1,16 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import io
 import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import fixture_text, load_schema
-from probedepth import cli
+from probedepth import cli, graphdnf
 
 
 def write(tmp_path, name, text):
@@ -98,6 +101,21 @@ class TestEvasive:
         code, _, err = run(capsys, "evasive", f, "--method", "acyclic")
         assert code == 1
         assert "error" in err
+
+    def test_detector_runs_once(self, tmp_path, capsys, monkeypatch):
+        calls = {"_adjacency": 0, "find_pattern": 0}
+        for name in calls:
+            original = getattr(graphdnf, name)
+
+            def counted(*a, name=name, original=original):
+                calls[name] += 1
+                return original(*a)
+
+            monkeypatch.setattr(graphdnf, name, counted)
+        f = write(tmp_path, "e.txt", "vars: a b c d e f\n(a&b)|(b&c)|(c&d)|(e&f)\n")
+        code, out, _ = run(capsys, "evasive", f)
+        assert code == 0 and "pattern:" in out
+        assert calls == {"_adjacency": 1, "find_pattern": 1}
 
 
 class TestStrategy:
@@ -276,3 +294,59 @@ class TestCrosscheck:
     def test_node_cap(self, capsys):
         code, _, err = run(capsys, "crosscheck", "--max-nodes", "9")
         assert code == 1
+
+
+ATOM_QUERY = json.dumps({"op": "select", "pred": ["x"],
+                         "input": {"op": "scan", "relation": "R"}})
+
+
+@pytest.mark.parametrize("argv, env, expected", [
+    (["depth", "{expr}"], {"PROBEDEPTH_CAP": "abc"}, 2),
+    (["depth", "{latin1}"], {}, 2),
+    (["prov", "eval", "--db", "{latin1}", "--query", "{query}"], {}, 2),
+    (["prov", "eval", "--db", "{db}", "--query", "{latin1}"], {}, 2),
+    (["probe", "{expr}", "--answers", "{not_json}"], {}, 1),
+    (["probe", "{expr}", "--answers", "{json_list}"], {}, 1),
+    (["crosscheck", "--max-nodes", "0"], {}, 1),
+    (["crosscheck", "--max-nodes", "-2"], {}, 1),
+    (["prov", "eval", "--db", "{db}", "--query", "{atom_query}"], {}, 1),
+], ids=["cap-not-int", "expr-not-utf8", "db-not-utf8", "query-not-utf8",
+        "answers-not-json", "answers-not-object", "max-nodes-0",
+        "max-nodes-negative", "atom-not-object"])
+def test_bad_input_one_line_error(tmp_path, capsys, monkeypatch, argv, env, expected):
+    files = {"expr": b"a & b\n", "latin1": "vars: \xe9\n".encode("latin-1"),
+             "db": fixture_text("acquisitions_db.json").encode(),
+             "query": fixture_text("founder_institutes_query.json").encode(),
+             "not_json": b"{x", "json_list": b"[1]", "atom_query": ATOM_QUERY.encode()}
+    paths = {}
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+        paths[name] = str(tmp_path / name)
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    code, _, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == expected
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(("error:", "parse error:"))
+    assert "Traceback" not in err
+
+
+FUZZ_TOKENS = ("a", "b", "c", "x1", "vars:", " ", "\n", "&", "|", "!", "(", ")",
+               "0", "1", ";", "#")
+
+
+@settings(derandomize=True, deadline=None, max_examples=250)
+@given(st.lists(st.sampled_from(FUZZ_TOKENS), max_size=24).map("".join))
+def test_fuzz_every_input_ends_in_an_exit_code(tmp_path_factory, text):
+    # only commands with a bounded cost: brute `evasive` and exact `strategy`
+    # have no budget
+    path = tmp_path_factory.getbasetemp() / "fuzz.txt"
+    path.write_text(text)
+    for argv in (["depth", str(path), "--budget", "2000", "--json"],
+                 ["evasive", str(path), "--method", "acyclic"],
+                 ["factor", str(path)]):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 1, 2), (argv, text)
+        assert "Traceback" not in err.getvalue()

@@ -128,6 +128,48 @@ class TestPatternDetection:
                         break
                 assert graphdnf.find_pattern(g) == expected
 
+    def test_forest_free_variable_is_leaf_pattern(self):
+        g = graphdnf.from_monotone_dnf(dnf_of("vars: a b c d e\n(a&b)|(b&c)|e"))
+        assert graphdnf.find_pattern(g) == Pattern("d")
+
+    def test_forest_skips_singleton_components(self):
+        # the singleton term a would be a leaf pattern if it were tried
+        g = graphdnf.from_monotone_dnf(dnf_of("vars: a b c\na|(b&c)"))
+        assert graphdnf.find_pattern(g) is None
+
+    def test_forest_first_component_witness(self):
+        # both paths of three edges admit a pattern.  The path b-a-c-d holds
+        # the lowest variable a, which is not special, and p (an end of the
+        # other path) is: components are tried whole, so b roots the witness
+        g = graphdnf.from_monotone_dnf(dnf_of(
+            "vars: a p q r s b c d\n(a&b)|(a&c)|(c&d)|(p&q)|(q&r)|(r&s)"))
+        assert graphdnf.pattern_rooted_at(g, "a") is None
+        assert graphdnf.pattern_rooted_at(g, "p") is not None
+        p = graphdnf.find_pattern(g)
+        assert p.variable == "b" and set(p.labels()) <= set("abcd")
+
+    def test_forest_with_cycle_rejected(self):
+        g = graphdnf.from_monotone_dnf(dnf_of("vars: a b c d e\n(a&b)|(b&c)|(c&a)|(d&e)"))
+        with pytest.raises(graphdnf.GraphDnfError):
+            graphdnf.find_pattern(g)
+
+    @pytest.mark.parametrize("allow_free", [False, True])
+    def test_forest_detector_matches_oracle_and_components(self, rng, allow_free):
+        for _ in range(60):
+            dnf, universe = treegen.random_forest_dnf(rng, max_vars=8,
+                                                      allow_free=allow_free)
+            g = graphdnf.from_monotone_dnf(dnf)
+            p = graphdnf.find_pattern(g)
+            s = ExpressionSet(universe, (dnf.to_expression(),))
+            assert (p is None) == strategy.is_evasive(s)
+            if p is None:
+                continue
+            comps, free = graphdnf.components(g)
+            expected = Pattern(free[0]) if free else next(
+                w for c in comps if c.edges for root in c.universe.names
+                for w in [graphdnf.pattern_rooted_at(c, root)] if w is not None)
+            assert p == expected
+
     def test_component_rule(self, rng):
         for _ in range(60):
             dnf, universe = treegen.random_forest_dnf(rng, max_vars=8)

@@ -51,6 +51,14 @@ class TestExamples:
         with pytest.raises(strategy.UniverseTooLarge):
             strategy.optimal_depth(single("a & b & c"), cap=2)
 
+    def test_cap_counts_support_not_universe(self):
+        # 25 universe variables, but the search tabulates only x0 and x1
+        names = " ".join(f"x{i}" for i in range(25))
+        report = strategy.optimal_depth(single(f"vars: {names}\nx0 & x1\n"))
+        assert report.depth == 2
+        assert not report.evasive
+        assert strategy.diagram_depth(report.diagram) == 2
+
     def test_budget_exceeded(self):
         with pytest.raises(strategy.BudgetExceeded):
             strategy.optimal_depth(single("(a&b)|(c&d)|(e&f)"), budget=3)
