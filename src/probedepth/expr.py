@@ -39,13 +39,15 @@ class VariableUniverse:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        seen = set()
-        for name in self.names:
+        positions: dict[str, int] = {}
+        for i, name in enumerate(self.names):
             if not _IDENT_RE.fullmatch(name):
                 raise ExprError(f"invalid variable name: {name!r}")
-            if name in seen:
+            if name in positions:
                 raise ExprError(f"duplicate variable name: {name!r}")
-            seen.add(name)
+            positions[name] = i
+        # not a field: equality, hashing and repr stay those of ``names``
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def n(self) -> int:
@@ -53,8 +55,8 @@ class VariableUniverse:
 
     def index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._positions[name]
+        except KeyError:
             raise ExprError(f"unknown variable: {name!r}") from None
 
     def without(self, name: str) -> "VariableUniverse":
@@ -374,9 +376,10 @@ def _ast_to_node(ast, universe: VariableUniverse, line_hint=None) -> Node:
     if kind == "const":
         return Const(ast[1])
     if kind == "var":
-        if ast[1] not in universe.names:
-            raise ExprError(f"variable {ast[1]!r} not declared in vars header")
-        return Var(universe.index(ast[1]))
+        try:
+            return Var(universe.index(ast[1]))
+        except ExprError:
+            raise ExprError(f"variable {ast[1]!r} not declared in vars header") from None
     if kind == "not":
         return Not(_ast_to_node(ast[1], universe))
     children = tuple(_ast_to_node(c, universe) for c in ast[1])
@@ -627,9 +630,24 @@ def equivalent(a: Expression, b: Expression, cap: int = DEFAULT_TABLE_CAP) -> bo
 def absorb(terms: Iterable[frozenset]) -> frozenset:
     """Drop every term that is a strict superset of another term."""
     terms = set(terms)
-    kept = {t for t in terms
-            if not any(other < t for other in terms)}
-    return frozenset(kept)
+    if len(terms) < 2:
+        return frozenset(terms)
+    if frozenset() in terms:
+        return frozenset([frozenset()])
+    # Only a term shorter than the longest can be a strict subset of another,
+    # and it shares a variable with every term it is a subset of.  Indexing
+    # those terms by variable keeps 2-DNFs linear: each bucket then holds at
+    # most one singleton term.
+    longest = max(map(len, terms))
+    inside: dict[str, list[frozenset]] = {}
+    for t in terms:
+        if len(t) < longest:
+            for v in t:
+                inside.setdefault(v, []).append(t)
+    if not inside:
+        return frozenset(terms)
+    return frozenset(t for t in terms
+                     if not any(other < t for v in t for other in inside.get(v, ())))
 
 
 @dataclass(frozen=True)

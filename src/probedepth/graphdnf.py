@@ -4,8 +4,12 @@ A monotone 2-DNF is viewed as a graph: one edge per binary term, plus marks
 for singleton terms.  For acyclic graphs, non-evasiveness is equivalent to
 the existence of a recursively defined pattern.  ``find_pattern`` is the one
 detector: it builds the adjacency once, checks that the graph is a forest,
-and roots each edge component at every variable in turn, computing a
-bottom-up "special" flag per node, which is O(n^2) overall.
+and roots each edge component at its lowest variable.  A down pass computes
+per vertex whether it is special, has a special child and has a special
+grandchild; if the root is not special, one rerooting up pass computes the
+same flags towards each vertex's parent and so finds every vertex that is
+special as a root.  Both passes, and the witness built from one rooted tree,
+are O(n) overall.
 """
 
 from __future__ import annotations
@@ -32,14 +36,16 @@ class GraphDnf:
     singletons: frozenset[str]
 
     def __post_init__(self):
+        endpoints: set[str] = set()
         for edge in self.edges:
             if len(edge) != 2:
                 raise GraphDnfError(f"edge must have two distinct endpoints: {set(edge)}")
             for v in edge:
                 self.universe.index(v)
+            endpoints.update(edge)
         for v in self.singletons:
             self.universe.index(v)
-            if any(v in e for e in self.edges):
+            if v in endpoints:
                 raise GraphDnfError(f"singleton variable {v!r} touches an edge")
 
     def term_variables(self) -> tuple[str, ...]:
@@ -65,17 +71,37 @@ class Pattern:
     variable: str
     children: tuple["Pattern", ...] = ()
 
+    # Both walks keep an explicit stack: a witness on a long path is
+    # hundreds of levels deep.
+
     def labels(self) -> tuple[str, ...]:
-        out = [self.variable]
-        for c in self.children:
-            out.extend(c.labels())
+        """The variables in preorder."""
+        out = []
+        stack = [self]
+        while stack:
+            p = stack.pop()
+            out.append(p.variable)
+            stack.extend(reversed(p.children))
         return tuple(out)
 
     def __str__(self) -> str:
-        if not self.children:
-            return self.variable
-        inner = ", ".join(str(c) for c in self.children)
-        return f"{self.variable} -> ({inner})"
+        """``v`` for a leaf, else ``v -> (child, child, ...)``."""
+        out = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(item.variable)
+            if item.children:
+                out.append(" -> (")
+                stack.append(")")
+                for i, c in enumerate(reversed(item.children)):
+                    if i:
+                        stack.append(", ")
+                    stack.append(c)
+        return "".join(out)
 
 
 def from_monotone_dnf(d: MonotoneDnf) -> GraphDnf:
@@ -180,11 +206,14 @@ def find_pattern(g: GraphDnf) -> Optional[Pattern]:
 
     A free variable is itself a (leaf) pattern.  Otherwise the edge
     components are tried in order of their lowest variable, and within one
-    component every candidate root in universe order: the tree is traversed
-    bottom-up, marking a node special when it is a non-singleton leaf, or when
-    each of its children has a special grandchild.  The first special root
-    yields the witness.  Singleton-term components never admit a pattern.
-    Raises ``GraphDnfError`` on a cyclic graph.
+    component the candidate roots in universe order: a node of the rooted
+    tree is special when it is a non-singleton leaf, or when each of its
+    children has a special grandchild.  The first special root yields the
+    witness, the same one ``pattern_rooted_at`` gives for it.  Each
+    component is rooted once at its lowest variable; only if that root is
+    not special does a rerooting pass find the first special root.
+    Singleton-term components never admit a pattern.  Raises
+    ``GraphDnfError`` on a cyclic graph.
     """
     adj = _adjacency(g)
     order = _order(g)
@@ -195,10 +224,15 @@ def find_pattern(g: GraphDnf) -> Optional[Pattern]:
     if free:
         return Pattern(free[0])
     for comp in comps:
-        for root in comp:
-            witness = _pattern_at(adj, order, root)
-            if witness is not None:
-                return witness
+        root = comp[0]
+        bfs, children = _rooted_tree(adj, root)
+        flags = _down_flags(bfs, children)
+        if flags[root][0]:
+            return _build_witness(root, children, flags, order)
+        roots = _special_roots(bfs, children, flags)
+        first = next((v for v in comp if v in roots), None)
+        if first is not None:
+            return _pattern_at(adj, order, first)
     return None
 
 
@@ -214,38 +248,83 @@ def pattern_rooted_at(g: GraphDnf, root: str) -> Optional[Pattern]:
 def _pattern_at(adj: dict[str, list[str]], order: dict[str, int],
                 root: str) -> Optional[Pattern]:
     bfs, children = _rooted_tree(adj, root)
-    special: dict[str, bool] = {}
-    for v in reversed(bfs):
-        kids = children[v]
-        if not kids:
-            special[v] = True
-            continue
-        ok = True
-        for y in kids:
-            if not any(special[w] for z in children[y] for w in children[z]):
-                ok = False
-                break
-        special[v] = ok
-    if not special[root]:
+    flags = _down_flags(bfs, children)
+    if not flags[root][0]:
         return None
-    return _build_witness(root, children, special, order)
+    return _build_witness(root, children, flags, order)
 
 
-def _build_witness(v: str, children: dict[str, list[str]],
-                   special: dict[str, bool], order: dict[str, int]) -> Pattern:
-    kids = children[v]
-    if not kids:
-        return Pattern(v)
-    subs = []
-    for y in kids:
-        grand = [w for z in children[y] for w in children[z] if special[w]]
-        w = min(grand, key=order.get)
-        subs.append(_build_witness(w, children, special, order))
-    return Pattern(v, tuple(subs))
+_Flags = tuple[bool, bool, bool]  # special, has a special child, has a special grandchild
+
+
+def _down_flags(bfs: list[str], children: dict[str, list[str]]) -> dict[str, _Flags]:
+    """The flags of every vertex of a rooted tree, bottom-up.  A vertex is
+    special when every child has a special grandchild, so a leaf is."""
+    flags: dict[str, _Flags] = {}
+    for v in reversed(bfs):
+        special, child, grand = True, False, False
+        for y in children[v]:
+            y_special, y_child, y_grand = flags[y]
+            special = special and y_grand
+            child = child or y_special
+            grand = grand or y_child
+        flags[v] = (special, child, grand)
+    return flags
+
+
+def _special_roots(bfs: list[str], children: dict[str, list[str]],
+                   flags: dict[str, _Flags]) -> set[str]:
+    """Every vertex that is special when the tree is rerooted at it, from the
+    down flags of the tree rooted at ``bfs[0]``.
+
+    Top-down, each vertex gets the flags of its parent's side: the parent as
+    the root of the subtree that leaves the vertex out.  A vertex counts the
+    true flags over all its neighbours (children by their down flags, the
+    parent by its side's flags), so leaving one neighbour out costs O(1).  A
+    vertex is a special root iff every neighbour has a special grandchild
+    away from it."""
+    up: dict[str, _Flags] = {}
+    roots: set[str] = set()
+    for v in bfs:
+        kids = children[v]
+        sides = [flags[y] for y in kids]
+        if v in up:
+            sides.append(up[v])
+        n_special = n_child = n_grand = 0
+        for special, child, grand in sides:
+            n_special += special
+            n_child += child
+            n_grand += grand
+        if n_grand == len(sides):
+            roots.add(v)
+        for y in kids:
+            # v's side seen from y: v's other neighbours
+            special, child, grand = flags[y]
+            up[y] = (n_grand - grand == len(sides) - 1,
+                     n_special - special > 0,
+                     n_child - child > 0)
+    return roots
+
+
+def _build_witness(root: str, children: dict[str, list[str]],
+                   flags: dict[str, _Flags], order: dict[str, int]) -> Pattern:
+    """The pattern of a special root: below each pattern node, for each of
+    its children, the lowest special grandchild of that child."""
+    below: dict[str, list[str]] = {}
+    nodes = [root]
+    for v in nodes:  # grows while it is walked, parents before children
+        below[v] = [min((w for z in children[y] for w in children[z] if flags[w][0]),
+                        key=order.get)
+                    for y in children[v]]
+        nodes.extend(below[v])
+    built: dict[str, Pattern] = {}
+    for v in reversed(nodes):
+        built[v] = Pattern(v, tuple(built[w] for w in below[v]))
+    return built[root]
 
 
 def decide_evasive_acyclic(d: MonotoneDnf, universe: Optional[VariableUniverse] = None) -> bool:
-    """PTIME evasiveness decision for acyclic monotone 2-DNFs, over
+    """Linear-time evasiveness decision for acyclic monotone 2-DNFs, over
     ``universe`` when given (else the DNF's own): evasive iff
     ``find_pattern`` finds no witness."""
     g = from_monotone_dnf(d)

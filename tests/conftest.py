@@ -45,6 +45,13 @@ def naive_depth(s: ExpressionSet, _memo=None) -> int:
     return best
 
 
+def absorb_pairwise(terms) -> frozenset:
+    """Absorption by its definition: keep each term that no other term is a
+    strict subset of."""
+    terms = set(terms)
+    return frozenset(t for t in terms if not any(other < t for other in terms))
+
+
 def naive_evasive(s: ExpressionSet) -> bool:
     return naive_depth(s) == s.n
 

@@ -118,6 +118,19 @@ class TestEvasive:
         assert calls == {"_adjacency": 1, "find_pattern": 1}
 
 
+    def test_long_paths(self, tmp_path, capsys):
+        # 2999 mod 3 != 0: evasive; 3000 edges: a witness 1001 levels deep
+        for n, evasive in ((2999, True), (3000, False)):
+            f = write(tmp_path, f"path{n}.txt",
+                      " | ".join(f"x{i}&x{i + 1}" for i in range(n)) + "\n")
+            code, out, err = run(capsys, "evasive", f)
+            assert code == 0 and err == ""
+            lines = out.splitlines()
+            assert lines[0] == f"evasive={str(evasive).lower()} method=acyclic"
+            if not evasive:
+                assert lines[1].startswith("pattern: x0 -> (x3 -> (")
+
+
 class TestStrategy:
     def test_dot_root_probe(self, tmp_path, capsys):
         f = write(tmp_path, "e.txt", "vars: x y z\nx & y\nx | z\n")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_valuations, random_expression
+from conftest import absorb_pairwise, all_valuations, random_expression
 from probedepth import expr as ex
 from probedepth.expr import (
     And,
@@ -169,6 +169,25 @@ def test_parse_print_roundtrip(e):
 
 
 # --- monotone DNF -----------------------------------------------------------
+
+@st.composite
+def _term_lists(draw):
+    """Term lists with repeats, the empty term now and then, and terms
+    nested inside other drawn terms."""
+    terms = draw(st.lists(st.frozensets(st.sampled_from("abcdef"), max_size=4),
+                          max_size=12))
+    nested = [frozenset(draw(st.sets(st.sampled_from(sorted(t)))))
+              for t in terms if t and draw(st.booleans())]
+    repeats = terms[:draw(st.integers(0, len(terms)))]
+    return draw(st.permutations(terms + nested + repeats))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_term_lists())
+def test_absorb_matches_pairwise(terms):
+    assert ex.absorb(terms) == absorb_pairwise(terms)
+    assert ex.absorb(iter(terms)) == absorb_pairwise(terms)
+
 
 class TestMonotoneDnf:
     def test_expansion(self):

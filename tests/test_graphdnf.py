@@ -117,16 +117,62 @@ class TestPatternDetection:
             for label in p.labels():
                 assert graphdnf.pattern_rooted_at(g, label) is not None
 
-    def test_find_pattern_is_first_rooted_pattern(self):
-        for n in range(2, 8):
-            for edges in treegen.all_labeled_trees(n):
-                g = treegen.tree_graph_dnf(edges, n)
-                expected = None
-                for root in g.universe.names:
-                    expected = graphdnf.pattern_rooted_at(g, root)
-                    if expected is not None:
-                        break
-                assert graphdnf.find_pattern(g) == expected
+    def test_find_pattern_is_first_rooted_pattern(self, rng):
+        # every labeled tree on 2-7 nodes, and random trees on 20-60 nodes
+        trees = [(n, edges) for n in range(2, 8) for edges in treegen.all_labeled_trees(n)]
+        for _ in range(200):
+            n = rng.randint(20, 60)
+            seq = tuple(rng.randrange(n) for _ in range(n - 2))
+            trees.append((n, treegen.prufer_decode(seq, n)))
+        for n, edges in trees:
+            g = treegen.tree_graph_dnf(edges, n)
+            expected = None
+            for root in g.universe.names:
+                expected = graphdnf.pattern_rooted_at(g, root)
+                if expected is not None:
+                    break
+            assert graphdnf.find_pattern(g) == expected
+
+    @pytest.mark.parametrize("edges, first, bound", [
+        # evasive (301 mod 3 != 0): one rooted tree, no witness
+        (301, (), 2),
+        # non-evasive, but x1 and every x(3i+1), x(3i+2) come first in the
+        # universe and are not special: the witness is rooted at x0
+        (300, tuple(f"x{i}" for i in range(301) if i % 3), 3),
+    ])
+    def test_find_pattern_roots_each_component_once(self, monkeypatch,
+                                                    edges, first, bound):
+        calls = []
+        original = graphdnf._rooted_tree
+
+        def counted(adj, root):
+            calls.append(root)
+            return original(adj, root)
+
+        monkeypatch.setattr(graphdnf, "_rooted_tree", counted)
+        names = first + tuple(f"x{i}" for i in range(edges + 1) if f"x{i}" not in first)
+        g = GraphDnf(VariableUniverse(names),
+                     frozenset(frozenset((f"x{i}", f"x{i + 1}")) for i in range(edges)),
+                     frozenset())
+        p = graphdnf.find_pattern(g)
+        assert (p is None) == (edges % 3 != 0)
+        if p is not None:
+            assert p.variable == "x0"
+        assert len(calls) <= bound
+
+    def test_deep_witness_labels_and_text(self):
+        # a 3000-edge path: the witness x0 -> (x3 -> (... x3000)) is 1001
+        # levels deep, past the default recursion limit
+        n = 3000
+        g = GraphDnf(VariableUniverse(tuple(f"x{i}" for i in range(n + 1))),
+                     frozenset(frozenset((f"x{i}", f"x{i + 1}")) for i in range(n)),
+                     frozenset())
+        p = graphdnf.find_pattern(g)
+        assert p.labels() == tuple(f"x{i}" for i in range(0, n + 1, 3))
+        text = str(p)
+        assert text.startswith("x0 -> (x3 -> (x6 -> (")
+        assert text.endswith("x2997 -> (x3000)" + ")" * 999)
+        assert "fillcolor=lightblue" in graphdnf.to_dot(g, p)
 
     def test_forest_free_variable_is_leaf_pattern(self):
         g = graphdnf.from_monotone_dnf(dnf_of("vars: a b c d e\n(a&b)|(b&c)|e"))
@@ -194,6 +240,14 @@ class TestTreegen:
             dnf, _ = treegen.random_forest_dnf(rng)
             g = graphdnf.from_monotone_dnf(dnf)
             assert graphdnf.is_acyclic(g)
+
+
+class TestPatternText:
+    def test_labels_preorder_and_str(self):
+        p = Pattern("a", (Pattern("b", (Pattern("c"),)), Pattern("d"), Pattern("e")))
+        assert p.labels() == ("a", "b", "c", "d", "e")
+        assert str(p) == "a -> (b -> (c), d, e)"
+        assert str(Pattern("a")) == "a"
 
 
 class TestDot:
