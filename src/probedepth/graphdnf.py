@@ -63,7 +63,7 @@ class GraphDnf:
         return MonotoneDnf(self.universe, frozenset(terms))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Pattern:
     """A non-evasiveness pattern: a labeled tree whose existence witnesses
     non-evasiveness of an acyclic graph DNF."""
@@ -71,8 +71,42 @@ class Pattern:
     variable: str
     children: tuple["Pattern", ...] = ()
 
-    # Both walks keep an explicit stack: a witness on a long path is
-    # hundreds of levels deep.
+    # Every walk keeps an explicit stack, equality, hashing and repr
+    # included: a witness on a long path is hundreds of levels deep.
+
+    def _shape(self):
+        """``(variable, child count)`` per node in preorder, which determines
+        the tree."""
+        stack = [self]
+        while stack:
+            p = stack.pop()
+            yield p.variable, len(p.children)
+            stack.extend(reversed(p.children))
+
+    def __eq__(self, other):
+        if not isinstance(other, Pattern):
+            return NotImplemented
+        return self is other or tuple(self._shape()) == tuple(other._shape())
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._shape()))
+
+    def __repr__(self) -> str:
+        """The dataclass form, ``Pattern(variable='v', children=(...))``."""
+        out = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(f"Pattern(variable={item.variable!r}, children=(")
+            stack.append(",))" if len(item.children) == 1 else "))")
+            for i, c in enumerate(reversed(item.children)):
+                if i:
+                    stack.append(", ")
+                stack.append(c)
+        return "".join(out)
 
     def labels(self) -> tuple[str, ...]:
         """The variables in preorder."""

@@ -2,16 +2,21 @@
 
 Each tuple carries an annotation variable; query evaluation propagates
 monotone DNF annotations: joins conjoin term-wise, duplicate-merging
-projection and union disjoin with absorption.  The reverse construction
-``dnf_to_database`` packs any monotone k-DNF into a two-relation database
-plus a fixed k-ary join query whose single output row reproduces the DNF.
+projection and union disjoin with absorption.  A join hashes its right input
+on the ``on`` columns and visits only the matching pairs, so its cost is
+linear in the inputs plus the output; an empty ``on`` is the cross product.
+A selection resolves its columns once, before the first row.  The reverse
+construction ``dnf_to_database`` packs any monotone k-DNF into a
+two-relation database plus a fixed k-ary join query whose single output row
+reproduces the DNF.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional, Union
+import operator
+from dataclasses import dataclass
+from typing import Callable, Optional, Union
 
 from .expr import MonotoneDnf, Valuation, VariableUniverse, _IDENT_RE, absorb
 
@@ -170,38 +175,44 @@ def _col_index(columns: tuple[str, ...], name: str) -> int:
     raise QueryError(f"unknown column {name!r} (have {list(columns)})")
 
 
-def _operand_value(op: Operand, columns, values) -> ValueType:
+def _operand_getter(op: Operand, columns) -> Callable[[tuple], ValueType]:
     if isinstance(op, Lit):
-        return op.value
+        value = op.value
+        return lambda values: value
+    i = _col_index(columns, op.column)
     if isinstance(op, ColRef):
-        return values[_col_index(columns, op.column)]
-    raw = values[_col_index(columns, op.column)]
-    text = str(raw)
-    if len(text) < 4 or not text[:4].isdigit():
-        raise QueryError(f"cannot extract year from {raw!r}")
-    return int(text[:4])
+        return operator.itemgetter(i)
+
+    def year(values):
+        raw = values[i]
+        text = str(raw)
+        if len(text) < 4 or not text[:4].isdigit():
+            raise QueryError(f"cannot extract year from {raw!r}")
+        return int(text[:4])
+    return year
 
 
-def _atom_holds(atom: Atom, columns, values) -> bool:
+_COMPARE = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+            "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _atom_test(atom: Atom, columns) -> Callable[[tuple], bool]:
+    """Compile ``atom`` against ``columns``: every column reference is
+    resolved here, so an unknown or ambiguous one raises even over no rows."""
     if isinstance(atom, ContainsCI):
-        cell = values[_col_index(columns, atom.column)]
-        return atom.literal.lower() in str(cell).lower()
-    lhs = _operand_value(atom.lhs, columns, values)
-    rhs = _operand_value(atom.rhs, columns, values)
-    if type(lhs) is not type(rhs):
-        raise QueryError(
-            f"type mismatch in predicate: {lhs!r} {atom.op} {rhs!r}")
-    if atom.op == "=":
-        return lhs == rhs
-    if atom.op == "!=":
-        return lhs != rhs
-    if atom.op == "<":
-        return lhs < rhs
-    if atom.op == "<=":
-        return lhs <= rhs
-    if atom.op == ">":
-        return lhs > rhs
-    return lhs >= rhs
+        i = _col_index(columns, atom.column)
+        needle = atom.literal.lower()
+        return lambda values: needle in str(values[i]).lower()
+    lhs = _operand_getter(atom.lhs, columns)
+    rhs = _operand_getter(atom.rhs, columns)
+    op, compare = atom.op, _COMPARE[atom.op]
+
+    def test(values):
+        a, b = lhs(values), rhs(values)
+        if type(a) is not type(b):
+            raise QueryError(f"type mismatch in predicate: {a!r} {op} {b!r}")
+        return compare(a, b)
+    return test
 
 
 TermSet = frozenset[frozenset[str]]
@@ -224,9 +235,10 @@ def _eval(db: AnnotatedDatabase, q: Query) -> tuple[tuple[str, ...], Rows]:
         return columns, rows
     if isinstance(q, Select):
         columns, rows = _eval(db, q.input)
+        tests = [_atom_test(a, columns) for a in q.predicate]
         kept: Rows = {}
         for values, terms in rows.items():
-            if all(_atom_holds(a, columns, values) for a in q.predicate):
+            if all(test(values) for test in tests):
                 kept[values] = terms
         return columns, kept
     if isinstance(q, Project):
@@ -243,12 +255,15 @@ def _eval(db: AnnotatedDatabase, q: Query) -> tuple[tuple[str, ...], Rows]:
         if overlap:
             raise QueryError(f"join inputs share column names: {sorted(overlap)}")
         pairs = [(_col_index(lcols, a), _col_index(rcols, b)) for a, b in q.on]
+        # hash join: right rows by their key, each list in input order
+        index: dict[tuple, list] = {}
+        for rv, rt in rrows.items():
+            index.setdefault(tuple(rv[j] for _, j in pairs), []).append((rv, rt))
         out = {}
         for lv, lt in lrows.items():
-            for rv, rt in rrows.items():
-                if all(lv[i] == rv[j] for i, j in pairs):
-                    terms = absorb(a | b for a in lt for b in rt)
-                    _merge(out, lv + rv, terms)
+            for rv, rt in index.get(tuple(lv[i] for i, _ in pairs), ()):
+                # lv + rv is a new key: lv and rv are distinct keys of their inputs
+                out[lv + rv] = absorb(a | b for a in lt for b in rt)
         return lcols + rcols, out
     if isinstance(q, Union_):
         if not q.inputs:
@@ -371,6 +386,8 @@ def _atom_from_json(raw) -> Atom:
     if not isinstance(raw, dict):
         raise SchemaError(f"malformed predicate atom: {raw!r}")
     if raw.get("atom") == "contains_ci":
+        if not isinstance(raw["value"], str):
+            raise SchemaError(f"contains_ci value must be a string: {raw['value']!r}")
         return ContainsCI(raw["col"], raw["value"])
     return Compare(_operand_from_json(raw["lhs"]), raw["op"],
                    _operand_from_json(raw["rhs"]))
@@ -384,6 +401,13 @@ def query_from_json(text: str) -> Query:
     return _query_node(doc)
 
 
+def _strings(raw, what: str, length: Optional[int] = None) -> tuple[str, ...]:
+    if (not isinstance(raw, list) or not all(isinstance(s, str) for s in raw)
+            or length is not None and len(raw) != length):
+        raise SchemaError(f"{what}: {raw!r}")
+    return tuple(raw)
+
+
 def _query_node(raw) -> Query:
     try:
         op = raw["op"]
@@ -393,10 +417,14 @@ def _query_node(raw) -> Query:
             return Select(tuple(_atom_from_json(a) for a in raw["pred"]),
                           _query_node(raw["input"]))
         if op == "project":
-            return Project(tuple(raw["columns"]), _query_node(raw["input"]))
+            return Project(_strings(raw["columns"], "columns must be a list of strings"),
+                           _query_node(raw["input"]))
         if op == "join":
-            return Join(tuple((a, b) for a, b in raw["on"]),
-                        _query_node(raw["left"]), _query_node(raw["right"]))
+            if not isinstance(raw["on"], list):
+                raise SchemaError(f"join on must be a list of pairs: {raw['on']!r}")
+            on = tuple(_strings(p, "join on entry must be a pair of column names", 2)
+                       for p in raw["on"])
+            return Join(on, _query_node(raw["left"]), _query_node(raw["right"]))
         if op == "union":
             return Union_(tuple(_query_node(i) for i in raw["inputs"]))
     except (KeyError, TypeError) as exc:

@@ -14,6 +14,7 @@ from importlib import resources
 import pytest
 
 from probedepth import expr as ex
+from probedepth import provenance as pv
 from probedepth.expr import And, Const, Expression, ExpressionSet, Not, Or, Var
 
 
@@ -50,6 +51,86 @@ def absorb_pairwise(terms) -> frozenset:
     strict subset of."""
     terms = set(terms)
     return frozenset(t for t in terms if not any(other < t for other in terms))
+
+
+def _operand_value_nested(op, columns, values):
+    if isinstance(op, pv.Lit):
+        return op.value
+    if isinstance(op, pv.ColRef):
+        return values[pv._col_index(columns, op.column)]
+    raw = values[pv._col_index(columns, op.column)]
+    text = str(raw)
+    if len(text) < 4 or not text[:4].isdigit():
+        raise pv.QueryError(f"cannot extract year from {raw!r}")
+    return int(text[:4])
+
+
+def _atom_holds_nested(atom, columns, values) -> bool:
+    if isinstance(atom, pv.ContainsCI):
+        cell = values[pv._col_index(columns, atom.column)]
+        return atom.literal.lower() in str(cell).lower()
+    lhs = _operand_value_nested(atom.lhs, columns, values)
+    rhs = _operand_value_nested(atom.rhs, columns, values)
+    if type(lhs) is not type(rhs):
+        raise pv.QueryError(
+            f"type mismatch in predicate: {lhs!r} {atom.op} {rhs!r}")
+    return {"=": lhs == rhs, "!=": lhs != rhs, "<": lhs < rhs,
+            "<=": lhs <= rhs, ">": lhs > rhs, ">=": lhs >= rhs}[atom.op]
+
+
+def eval_nested(db, q):
+    """SPJU evaluation by its definition, as ``provenance._eval`` did it with
+    a nested-loop join: every left row meets every right row, and rows that
+    agree on all ``on`` pairs conjoin.  Select resolves its columns per row."""
+
+    def merge(rows, values, terms):
+        rows[values] = ex.absorb(rows.get(values, frozenset()) | terms)
+
+    if isinstance(q, pv.Scan):
+        rel = db.relation(q.relation)
+        prefix = f"{q.alias}." if q.alias else ""
+        rows = {}
+        for t in rel.tuples:
+            merge(rows, t.values, frozenset([frozenset([t.annotation])]))
+        return tuple(prefix + c for c in rel.columns), rows
+    if isinstance(q, pv.Select):
+        columns, rows = eval_nested(db, q.input)
+        return columns, {values: terms for values, terms in rows.items()
+                         if all(_atom_holds_nested(a, columns, values)
+                                for a in q.predicate)}
+    if isinstance(q, pv.Project):
+        columns, rows = eval_nested(db, q.input)
+        idx = [pv._col_index(columns, c) for c in q.columns]
+        out = {}
+        for values, terms in rows.items():
+            merge(out, tuple(values[i] for i in idx), terms)
+        return tuple(q.columns), out
+    if isinstance(q, pv.Join):
+        lcols, lrows = eval_nested(db, q.left)
+        rcols, rrows = eval_nested(db, q.right)
+        overlap = set(lcols) & set(rcols)
+        if overlap:
+            raise pv.QueryError(f"join inputs share column names: {sorted(overlap)}")
+        pairs = [(pv._col_index(lcols, a), pv._col_index(rcols, b)) for a, b in q.on]
+        out = {}
+        for lv, lt in lrows.items():
+            for rv, rt in rrows.items():
+                if all(lv[i] == rv[j] for i, j in pairs):
+                    merge(out, lv + rv, ex.absorb(a | b for a in lt for b in rt))
+        return lcols + rcols, out
+    if isinstance(q, pv.Union_):
+        if not q.inputs:
+            raise pv.QueryError("union needs at least one input")
+        columns, rows = eval_nested(db, q.inputs[0])
+        acc = dict(rows)
+        for sub in q.inputs[1:]:
+            cols, more = eval_nested(db, sub)
+            if cols != columns:
+                raise pv.QueryError(f"union schema mismatch: {cols} vs {columns}")
+            for values, terms in more.items():
+                merge(acc, values, terms)
+        return columns, acc
+    raise pv.QueryError(f"unknown query node: {q!r}")
 
 
 def naive_evasive(s: ExpressionSet) -> bool:
@@ -150,8 +231,9 @@ def random_expression(rng: random.Random, universe: ex.VariableUniverse,
 _POOL = ("p", "q", "r", "s")
 
 
-def random_annotated_db(rng: random.Random, max_tuples: int = 12):
-    """Small annotated database with string values and distinct annotations."""
+def random_annotated_db(rng: random.Random, max_tuples: int = 12, pool=_POOL):
+    """Small annotated database with values from ``pool`` (strings by
+    default) and distinct annotations."""
     from probedepth import provenance as pv
 
     relations = []
@@ -162,17 +244,18 @@ def random_annotated_db(rng: random.Random, max_tuples: int = 12):
         cols = tuple(f"c{j}" for j in range(rng.randint(1, 2)))
         tuples = []
         for _ in range(rng.randint(1, per_relation)):
-            values = tuple(rng.choice(_POOL) for _ in cols)
+            values = tuple(rng.choice(pool) for _ in cols)
             tuples.append(pv.AnnotatedTuple(values, f"x{counter}"))
             counter += 1
         relations.append(pv.Relation(f"R{ri}", cols, tuple(tuples)))
     return pv.AnnotatedDatabase(tuple(relations))
 
 
-def random_spju_query(rng: random.Random, db, depth: int = 4):
+def random_spju_query(rng: random.Random, db, depth: int = 4, max_on: int = 1):
     """Random select/project/join/union tree over the database's schema.
 
-    Scans get globally unique aliases so join inputs never collide.
+    Scans get globally unique aliases so join inputs never collide.  A join
+    has one ``on`` pair, or 0 to ``max_on`` pairs when ``max_on`` is not 1.
     """
     from itertools import count
 
@@ -208,7 +291,11 @@ def random_spju_query(rng: random.Random, db, depth: int = 4):
         if roll < 0.8:
             lq, lcols = gen(d - 1)
             rq, rcols = gen(d - 1)
-            on = ((rng.choice(lcols), rng.choice(rcols)),)
+            if max_on == 1:
+                on = ((rng.choice(lcols), rng.choice(rcols)),)
+            else:
+                on = tuple((rng.choice(lcols), rng.choice(rcols))
+                           for _ in range(rng.randint(0, max_on)))
             return pv.Join(on, lq, rq), lcols + rcols
         q, cols = gen(d - 1)
         return pv.Union_((pv.Select(atoms(cols), q),

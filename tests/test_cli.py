@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import runpy
+import sys
 
 import jsonschema
 import pytest
@@ -236,6 +238,16 @@ class TestProv:
         rows = json.loads(out)["rows"]
         assert len(rows) == 1
 
+    def test_select_unknown_column_over_empty_input(self, tmp_path, capsys):
+        db = write(tmp_path, "db.json", json.dumps({"relations": [
+            {"name": "R", "columns": ["A"], "tuples": []}]}))
+        q = write(tmp_path, "q.json", json.dumps({
+            "op": "select", "input": {"op": "scan", "relation": "R"},
+            "pred": [{"lhs": {"col": "Nope"}, "op": "=", "rhs": {"lit": "x"}}]}))
+        code, _, err = run(capsys, "prov", "eval", "--db", db, "--query", q)
+        assert code == 1
+        assert err.startswith("error: unknown column 'Nope'")
+
     def test_missing_file_is_domain_error(self, capsys):
         code, _, err = run(capsys, "prov", "eval", "--db", "/nonexistent.json",
                            "--query", "/nonexistent.json")
@@ -311,6 +323,12 @@ class TestCrosscheck:
 
 ATOM_QUERY = json.dumps({"op": "select", "pred": ["x"],
                          "input": {"op": "scan", "relation": "R"}})
+ROLES = {"op": "scan", "relation": "Roles"}
+ON_QUERY = json.dumps({"op": "join", "on": [["Member"]], "left": ROLES,
+                       "right": {"op": "scan", "relation": "Education"}})
+CONTAINS_QUERY = json.dumps({"op": "select", "input": ROLES, "pred": [
+    {"atom": "contains_ci", "col": "Role", "value": 5}]})
+COLUMNS_QUERY = json.dumps({"op": "project", "columns": "AB", "input": ROLES})
 
 
 @pytest.mark.parametrize("argv, env, expected", [
@@ -323,14 +341,20 @@ ATOM_QUERY = json.dumps({"op": "select", "pred": ["x"],
     (["crosscheck", "--max-nodes", "0"], {}, 1),
     (["crosscheck", "--max-nodes", "-2"], {}, 1),
     (["prov", "eval", "--db", "{db}", "--query", "{atom_query}"], {}, 1),
+    (["prov", "eval", "--db", "{db}", "--query", "{on_query}"], {}, 1),
+    (["prov", "eval", "--db", "{db}", "--query", "{contains_query}"], {}, 1),
+    (["prov", "eval", "--db", "{db}", "--query", "{columns_query}"], {}, 1),
 ], ids=["cap-not-int", "expr-not-utf8", "db-not-utf8", "query-not-utf8",
         "answers-not-json", "answers-not-object", "max-nodes-0",
-        "max-nodes-negative", "atom-not-object"])
+        "max-nodes-negative", "atom-not-object", "on-not-pair",
+        "contains-value-not-string", "columns-not-list"])
 def test_bad_input_one_line_error(tmp_path, capsys, monkeypatch, argv, env, expected):
     files = {"expr": b"a & b\n", "latin1": "vars: \xe9\n".encode("latin-1"),
              "db": fixture_text("acquisitions_db.json").encode(),
              "query": fixture_text("founder_institutes_query.json").encode(),
-             "not_json": b"{x", "json_list": b"[1]", "atom_query": ATOM_QUERY.encode()}
+             "not_json": b"{x", "json_list": b"[1]", "atom_query": ATOM_QUERY.encode(),
+             "on_query": ON_QUERY.encode(), "contains_query": CONTAINS_QUERY.encode(),
+             "columns_query": COLUMNS_QUERY.encode()}
     paths = {}
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
@@ -342,6 +366,14 @@ def test_bad_input_one_line_error(tmp_path, capsys, monkeypatch, argv, env, expe
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(("error:", "parse error:"))
     assert "Traceback" not in err
+
+
+def test_python_dash_m_help(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["probedepth", "--help"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("probedepth", run_name="__main__", alter_sys=True)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: probedepth")
 
 
 FUZZ_TOKENS = ("a", "b", "c", "x1", "vars:", " ", "\n", "&", "|", "!", "(", ")",

@@ -174,6 +174,28 @@ class TestPatternDetection:
         assert text.endswith("x2997 -> (x3000)" + ")" * 999)
         assert "fillcolor=lightblue" in graphdnf.to_dot(g, p)
 
+    def test_deep_witness_equality_hash_and_repr(self):
+        # the same 1001-level witness: ==, hash and repr walk it without
+        # recursion
+        n = 3000
+        g = GraphDnf(VariableUniverse(tuple(f"x{i}" for i in range(n + 1))),
+                     frozenset(frozenset((f"x{i}", f"x{i + 1}")) for i in range(n)),
+                     frozenset())
+        labels = [f"x{i}" for i in range(0, n + 1, 3)]
+
+        def chain(labels):
+            p = Pattern(labels[-1])
+            for v in reversed(labels[:-1]):
+                p = Pattern(v, (p,))
+            return p
+
+        p, q = graphdnf.find_pattern(g), chain(labels)
+        assert p == q and hash(p) == hash(q) and len({p, q}) == 1
+        assert p != chain(labels[:-1] + ["x2999"])
+        text = repr(p)
+        assert text.startswith("Pattern(variable='x0', children=(Pattern(variable='x3'")
+        assert text.endswith("Pattern(variable='x3000', children=())" + ",))" * 1000)
+
     def test_forest_free_variable_is_leaf_pattern(self):
         g = graphdnf.from_monotone_dnf(dnf_of("vars: a b c d e\n(a&b)|(b&c)|e"))
         assert graphdnf.find_pattern(g) == Pattern("d")
@@ -248,6 +270,20 @@ class TestPatternText:
         assert p.labels() == ("a", "b", "c", "d", "e")
         assert str(p) == "a -> (b -> (c), d, e)"
         assert str(Pattern("a")) == "a"
+
+    def test_equality_hash_and_repr(self):
+        p = Pattern("a", (Pattern("b", (Pattern("c"),)), Pattern("d")))
+        assert p == Pattern("a", (Pattern("b", (Pattern("c"),)), Pattern("d")))
+        assert hash(p) == hash(Pattern("a", (Pattern("b", (Pattern("c"),)),
+                                             Pattern("d"))))
+        # same labels in preorder, different shapes
+        assert p != Pattern("a", (Pattern("b", (Pattern("c"), Pattern("d"))),))
+        assert p != Pattern("a", (Pattern("b"), Pattern("c"), Pattern("d")))
+        assert Pattern("a") != "a"
+        assert repr(p) == (
+            "Pattern(variable='a', children=(Pattern(variable='b', children="
+            "(Pattern(variable='c', children=()),)), "
+            "Pattern(variable='d', children=())))")
 
 
 class TestDot:

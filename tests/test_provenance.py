@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from conftest import dnf_holds, fixture_text, random_monotone_dnf
+from conftest import (dnf_holds, eval_nested, fixture_text, random_annotated_db,
+                      random_monotone_dnf, random_spju_query)
 from probedepth import expr as ex
 from probedepth import provenance as pv
 from probedepth.expr import Valuation, VariableUniverse
@@ -226,6 +227,140 @@ class TestPossibleWorlds:
                 assert not any(a < b for a in dnf.terms for b in dnf.terms)
 
 
+def _outcome(evaluate, db, q):
+    """Columns and rows in insertion order, or the exception's type and text."""
+    try:
+        columns, rows = evaluate(db, q)
+    except Exception as exc:  # the exception is the outcome
+        return type(exc), str(exc)
+    return columns, list(rows.items())
+
+
+def _joins(q):
+    if isinstance(q, pv.Join):
+        yield q
+        yield from _joins(q.left)
+        yield from _joins(q.right)
+    elif isinstance(q, (pv.Select, pv.Project)):
+        yield from _joins(q.input)
+    elif isinstance(q, pv.Union_):
+        for sub in q.inputs:
+            yield from _joins(sub)
+
+
+class CountingInt(int):
+    """An int that counts the equality tests made on it."""
+    eq_calls = 0
+
+    def __eq__(self, other):
+        CountingInt.eq_calls += 1
+        return int.__eq__(self, other)
+
+    __hash__ = int.__hash__
+
+
+class TestHashJoin:
+    def test_matches_nested_loop_on_random_queries(self, rng):
+        for _ in range(300):
+            db = random_annotated_db(rng)
+            q = random_spju_query(rng, db)
+            got = _outcome(pv._eval, db, q)
+            assert got == _outcome(eval_nested, db, q)
+            assert not isinstance(got[0], type)  # these queries never raise
+
+    def test_matches_nested_loop_on_wide_empty_and_mixed_keys(self, rng):
+        # joins on zero, one or two column pairs over few distinct int and
+        # str values: duplicate keys, cross products, and type mismatches in
+        # selects (raised per row, so compared as exceptions)
+        widths = set()
+        errors = 0
+        for _ in range(600):
+            db = random_annotated_db(rng, 16, pool=("p", "q", 1, 2, "1"))
+            q = random_spju_query(rng, db, max_on=2)
+            got = _outcome(pv._eval, db, q)
+            assert got == _outcome(eval_nested, db, q)
+            errors += isinstance(got[0], type)
+            widths.update(len(j.on) for j in _joins(q))
+        assert widths == {0, 1, 2}
+        assert 0 < errors < 400
+
+    def test_duplicate_keys_keep_input_order(self):
+        db = pv.AnnotatedDatabase((
+            pv.Relation("L", ("A", "B"), tuple(
+                pv.AnnotatedTuple((k, i), f"l{i}")
+                for i, k in enumerate((1, "1", 1, 2))) + (
+                pv.AnnotatedTuple((1, 0), "l9"),)),
+            pv.Relation("R", ("C",), tuple(
+                pv.AnnotatedTuple((k,), f"r{i}")
+                for i, k in enumerate((2, 1, "1", 3))) + (
+                pv.AnnotatedTuple((1,), "r9"),)),
+        ))
+        for on in ((("A", "C"),), (), (("A", "C"), ("B", "C"))):
+            q = pv.Join(on, pv.Scan("L"), pv.Scan("R"))
+            assert _outcome(pv._eval, db, q) == _outcome(eval_nested, db, q)
+        q = pv.Join((("A", "C"),), pv.Scan("L"), pv.Scan("R"))
+        _, rows = pv._eval(db, q)
+        assert list(rows) == [(1, 0, 1), ("1", 1, "1"), (1, 2, 1), (2, 3, 2)]
+        assert rows[(1, 0, 1)] == frozenset([frozenset(["l0", "r1"]),
+                                            frozenset(["l9", "r1"]),
+                                            frozenset(["l0", "r9"]),
+                                            frozenset(["l9", "r9"])])
+
+    def test_join_visits_matching_pairs_only(self):
+        n = 300
+        db = pv.AnnotatedDatabase((
+            pv.Relation("L", ("A",), tuple(
+                pv.AnnotatedTuple((CountingInt(i),), f"l{i}") for i in range(n))),
+            pv.Relation("R", ("B",), tuple(
+                pv.AnnotatedTuple((CountingInt(i),), f"r{i}") for i in range(n))),
+        ))
+        q = pv.Join((("A", "B"),), pv.Scan("L"), pv.Scan("R"))
+        CountingInt.eq_calls = 0
+        result = pv.eval_query(db, q)
+        assert len(result.rows) == n
+        # a nested loop makes n * n = 90 000 comparisons
+        assert CountingInt.eq_calls < 10 * (n + n)
+
+    def test_errors_as_before(self):
+        db = TestAlgebra().db()
+        for q in (pv.Join((("A", "A"),), pv.Scan("R"), pv.Scan("R")),
+                  pv.Join((("r.Z", "s.C"),), pv.Scan("R", "r"), pv.Scan("S", "s")),
+                  pv.Join((("r.A", "s.Z"),), pv.Scan("R", "r"), pv.Scan("S", "s")),
+                  pv.Join((("r.A", "s.C"),), pv.Scan("R", "r"), pv.Scan("Q", "s"))):
+            got = _outcome(pv._eval, db, q)
+            assert got[0] is pv.QueryError
+            assert got == _outcome(eval_nested, db, q)
+
+
+class TestSelectColumns:
+    def empty(self):
+        return pv.AnnotatedDatabase((pv.Relation("R", ("A", "x.B", "y.B"), ()),))
+
+    @pytest.mark.parametrize("atom, message", [
+        (pv.Compare(pv.ColRef("Nope"), "=", pv.Lit("x")), "unknown column 'Nope'"),
+        (pv.Compare(pv.Lit(1), "<", pv.Year("Nope")), "unknown column 'Nope'"),
+        (pv.ContainsCI("Nope", "x"), "unknown column 'Nope'"),
+        (pv.Compare(pv.ColRef("B"), "=", pv.Lit("x")), "ambiguous column reference 'B'"),
+    ])
+    def test_bad_column_raises_over_no_rows(self, atom, message):
+        q = pv.Select((pv.Compare(pv.ColRef("A"), "=", pv.Lit("a")), atom),
+                      pv.Scan("R"))
+        with pytest.raises(pv.QueryError, match=message):
+            pv.eval_query(self.empty(), q)
+
+    def test_row_errors_stay_per_row(self):
+        q = pv.Select((pv.Compare(pv.ColRef("A"), "<", pv.Lit(1)),
+                       pv.Compare(pv.Year("A"), "=", pv.Lit(2019))), pv.Scan("R"))
+        assert pv.eval_query(self.empty(), q).rows == ()
+        db = pv.AnnotatedDatabase((pv.Relation(
+            "R", ("A", "x.B", "y.B"), (pv.AnnotatedTuple(("zz", 1, 2), "t0"),)),))
+        with pytest.raises(pv.QueryError, match="type mismatch"):
+            pv.eval_query(db, q)
+        q = pv.Select((pv.Compare(pv.Year("A"), "=", pv.Lit(2019)),), pv.Scan("R"))
+        with pytest.raises(pv.QueryError, match="cannot extract year"):
+            pv.eval_query(db, q)
+
+
 class TestSerialization:
     def test_database_roundtrip(self, fixture_db):
         back = pv.load_database(pv.dump_database(fixture_db))
@@ -254,6 +389,25 @@ class TestSerialization:
             pv.load_database("{nope")
         with pytest.raises(pv.SchemaError):
             pv.query_from_json("[1,2]")
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"op": "project", "columns": "AB", "input": {"op": "scan", "relation": "R"}},
+         "columns must be a list of strings"),
+        ({"op": "project", "columns": ["A", 1], "input": {"op": "scan", "relation": "R"}},
+         "columns must be a list of strings"),
+        ({"op": "join", "on": [["A"]], "left": {"op": "scan", "relation": "R"},
+          "right": {"op": "scan", "relation": "S"}}, "must be a pair"),
+        ({"op": "join", "on": [["A", "C", "D"]], "left": {"op": "scan", "relation": "R"},
+          "right": {"op": "scan", "relation": "S"}}, "must be a pair"),
+        ({"op": "join", "on": "AC", "left": {"op": "scan", "relation": "R"},
+          "right": {"op": "scan", "relation": "S"}}, "must be a list of pairs"),
+        ({"op": "select", "input": {"op": "scan", "relation": "R"},
+          "pred": [{"atom": "contains_ci", "col": "A", "value": 5}]},
+         "value must be a string"),
+    ])
+    def test_malformed_query_fields_rejected(self, doc, message):
+        with pytest.raises(pv.SchemaError, match=message):
+            pv.query_from_json(json.dumps(doc))
 
     def test_result_to_json_prints_expressions(self, fixture_db, fixture_query):
         doc = json.loads(pv.result_to_json(pv.eval_query(fixture_db, fixture_query)))
