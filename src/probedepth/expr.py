@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Union
 
 DEFAULT_TABLE_CAP = 20
@@ -199,12 +200,14 @@ class PartialValuation:
 
 
 def walk(node: Node) -> Iterator[Node]:
-    yield node
-    if isinstance(node, Not):
-        yield from walk(node.child)
-    elif isinstance(node, (And, Or)):
-        for c in node.children:
-            yield from walk(c)
+    stack = [node]  # preorder without recursion, for arbitrarily deep trees
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (And, Or)):
+            stack += node.children[::-1]
+        elif isinstance(node, Not):
+            stack.append(node.child)
 
 
 # --- parsing ----------------------------------------------------------------
@@ -551,8 +554,11 @@ class TruthTable:
         return self.bits.bit_count()
 
 
-def variable_masks(m: int) -> list[int]:
-    """For each position p < m, the table mask of the projection function x_p."""
+@lru_cache(maxsize=None)
+def variable_masks(m: int) -> tuple[int, ...]:
+    """For each position p < m, the table mask of the projection function x_p.
+    Callers check m against the table cap first, which bounds what the cache
+    keeps: sum over m of m * 2^m bits, about 5 MB for the default cap."""
     masks = []
     size = 1 << m
     for p in range(m):
@@ -562,7 +568,7 @@ def variable_masks(m: int) -> list[int]:
             mask |= mask << length
             length <<= 1
         masks.append(mask)
-    return masks
+    return tuple(masks)
 
 
 def table_bits(node: Node, positions: dict[int, int], m: int) -> int:

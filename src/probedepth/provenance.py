@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 from .expr import MonotoneDnf, Valuation, VariableUniverse, _IDENT_RE, absorb
@@ -59,9 +60,9 @@ class Relation:
 class AnnotatedDatabase:
     relations: tuple[Relation, ...]
 
-    @property
+    @cached_property
     def universe(self) -> VariableUniverse:
-        """Annotation variables in order of first appearance."""
+        """Annotation variables in order of first appearance, computed once."""
         names: list[str] = []
         seen: set[str] = set()
         for rel in self.relations:
@@ -282,10 +283,12 @@ def _eval(db: AnnotatedDatabase, q: Query) -> tuple[tuple[str, ...], Rows]:
 
 def eval_query(db: AnnotatedDatabase, q: Query) -> ProvenancedResult:
     """Evaluate an SPJU query, producing absorbed monotone DNF annotations."""
-    universe = db.universe
-    columns, rows = _eval(db, q)
+    try:
+        columns, rows = _eval(db, q)
+    except RecursionError:
+        raise QueryError("query nested too deeply to evaluate") from None
     ordered = sorted(rows.items(), key=lambda kv: tuple(map(str, kv[0])))
-    out = tuple((values, MonotoneDnf(universe, terms)) for values, terms in ordered)
+    out = tuple((values, MonotoneDnf(db.universe, terms)) for values, terms in ordered)
     return ProvenancedResult(columns, out)
 
 
@@ -395,10 +398,11 @@ def _atom_from_json(raw) -> Atom:
 
 def query_from_json(text: str) -> Query:
     try:
-        doc = json.loads(text)
+        return _query_node(json.loads(text))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
-    return _query_node(doc)
+    except RecursionError:
+        raise SchemaError("query nested too deeply to read") from None
 
 
 def _strings(raw, what: str, length: Optional[int] = None) -> tuple[str, ...]:

@@ -5,10 +5,11 @@ The depth of a state is 0 when every member is constant, and otherwise
 search decides "depth at most k?" over partial assignments of the combined
 support and keeps the winning probe of each state it proves.  The exact depth
 comes from descending deepening over that search, and the witness diagram
-from its memo.  Variables outside every member's support never help, so the
-search runs over the combined support only; a universe variable absent from
-all members immediately makes the set non-evasive.  The greedy fallback keeps
-one table per member, so only each member's support must fit the cap.
+from its memo.  Variables outside every member's support never help, so
+positions index the combined support; a universe variable absent from all
+members makes the set non-evasive.  The search and the greedy fallback share
+one table layout, each member tabulated over its own support: the search caps
+the combined support, greedy only each member's.
 """
 
 from __future__ import annotations
@@ -97,26 +98,93 @@ def diagram_depth(d: DecisionDiagram) -> int:
     n = len(d.nodes)
     if not 0 <= d.root < n:
         raise MalformedDiagram(f"root index {d.root} out of range")
-    depth: dict[int, int] = {}
-    state: dict[int, int] = {}  # 1 = on stack, 2 = done
+    depth: dict[int, Optional[int]] = {}  # None while on the stack
 
     def visit(i: int) -> int:
         if not 0 <= i < n:
             raise MalformedDiagram(f"node index {i} out of range")
-        if state.get(i) == 1:
-            raise MalformedDiagram("diagram contains a cycle")
-        if state.get(i) == 2:
+        if i in depth:
+            if depth[i] is None:
+                raise MalformedDiagram("diagram contains a cycle")
             return depth[i]
-        state[i] = 1
+        depth[i] = None
         node = d.nodes[i]
-        if isinstance(node, Leaf):
-            depth[i] = 0
-        else:
-            depth[i] = 1 + max(visit(node.on_true), visit(node.on_false))
-        state[i] = 2
+        depth[i] = (0 if isinstance(node, Leaf)
+                    else 1 + max(visit(node.on_true), visit(node.on_false)))
         return depth[i]
 
     return visit(d.root)
+
+
+class _Tables:
+    """Every member's truth table over its own support, side by side in one
+    integer: member i owns 2^{m_i} bits from its offset on.  A care set is one
+    integer in that layout, each member's rows that agree with the answers so
+    far.  Answer a for position p (of the combined support) narrows it to
+    ``care ^ (care & cleared[a][p])``, which clears the rows a rules out in
+    every member holding p and leaves the other members' rows as they are.
+    A member is constant iff its true rows or its false rows miss the care set.
+
+    The clearing masks of p reach only to the end of the last member holding
+    p: at most 2 * sum_i m_i * (offset_i + 2^{m_i}) bits for all of them.
+    """
+
+    def __init__(self, s: ExpressionSet, supports: list[tuple[int, ...]]):
+        combined = sorted(set().union(*supports))
+        position = {idx: p for p, idx in enumerate(combined)}
+        self.names = tuple(s.universe.names[i] for i in combined)
+        self.m = len(combined)
+        self.rows: list[tuple[int, int]] = []  # per member: true rows, false rows
+        self.held: list[list[int]] = []  # per member: the positions it holds
+        # cleared[answer][p]: the rows that answer for position p rules out
+        self.cleared = if_false, if_true = [0] * self.m, [0] * self.m
+        offset = 0
+        for member, support in zip(s.members, supports):
+            k = len(support)
+            ones = (1 << (1 << k)) - 1
+            # a member holding the whole combined support numbers it the same way
+            local = position if k == self.m else {idx: q for q, idx in enumerate(support)}
+            t = table_bits(member.root, local, k)
+            self.rows.append((t << offset, (ones ^ t) << offset))
+            self.held.append([position[idx] for idx in support])
+            for p, mask in zip(self.held[-1], variable_masks(k)):
+                if_true[p] |= (ones ^ mask) << offset
+                if_false[p] |= mask << offset
+            offset += 1 << k
+        self.full = (1 << offset) - 1
+
+    def constant(self, care: int) -> bool:
+        for t, f in self.rows:
+            if t & care and f & care:
+                return False
+        return True
+
+    def diagram(self, choose: Callable[[int, int, int], Optional[int]]) -> DecisionDiagram:
+        """The diagram that probes ``choose(amask, avals, care)`` at each state
+        reached from the root, or stops at a leaf where it returns ``None``.
+        Equal states share one node."""
+        nodes: list[DiagramNode] = []
+        node_at: dict[tuple[int, int], int] = {}
+        if_false, if_true = self.cleared
+
+        def build(amask: int, avals: int, care: int) -> int:
+            key = (amask, avals)
+            if key in node_at:
+                return node_at[key]
+            p = choose(amask, avals, care)
+            if p is None:
+                node: DiagramNode = Leaf(tuple(t & care != 0 for t, _ in self.rows))
+            else:
+                bit = 1 << p
+                node = Probe(self.names[p],
+                             build(amask | bit, avals | bit, care ^ (care & if_true[p])),
+                             build(amask | bit, avals, care ^ (care & if_false[p])))
+            nodes.append(node)
+            node_at[key] = len(nodes) - 1
+            return node_at[key]
+
+        root = build(0, 0, self.full)
+        return DecisionDiagram(tuple(nodes), root)
 
 
 # witness-memo entries that are not a winning probe
@@ -124,7 +192,7 @@ _LEAF = -1
 _REFUTED = -2
 
 
-class _Search:
+class _Search(_Tables):
     """Depth-bounded minimax search over partial assignments of the support.
 
     A state is ``(amask, avals)``: the bitmask of probed support positions and
@@ -133,24 +201,13 @@ class _Search:
     """
 
     def __init__(self, s: ExpressionSet, cap: int, budget: Optional[int] = None):
-        support = s.support_indices()
-        self.names = tuple(s.universe.names[i] for i in support)
-        self.m = len(support)
-        if self.m > cap:
-            raise UniverseTooLarge(f"support size {self.m} exceeds cap {cap}")
-        positions = {idx: p for p, idx in enumerate(support)}
-        self.masks = variable_masks(self.m)
-        self.full = (1 << (1 << self.m)) - 1
-        self.tables = tuple(table_bits(m.root, positions, self.m) for m in s.members)
+        supports = [m.support_indices() for m in s.members]
+        m = len(set().union(*supports))
+        if m > cap:
+            raise UniverseTooLarge(f"support size {m} exceeds cap {cap}")
+        super().__init__(s, supports)
         self.explored = 0
         self.budget = budget
-
-    def is_constant_state(self, care: int) -> bool:
-        for t in self.tables:
-            masked = t & care
-            if masked != 0 and masked != care:
-                return False
-        return True
 
     def within(self, k: int) -> Optional[dict[tuple[int, int], int]]:
         """Is the minimax depth at most ``k``?  Returns the witness memo if so,
@@ -162,8 +219,8 @@ class _Search:
         States where every remaining variable fits the budget are skipped.
         """
         memo: dict[tuple[int, int], int] = {}
-        masks = self.masks
-        full = self.full
+        if_false, if_true = self.cleared
+        constant = self.constant
         m = self.m
         budget = self.budget
 
@@ -177,7 +234,7 @@ class _Search:
             self.explored += 1
             if budget is not None and self.explored > budget:
                 raise BudgetExceeded(f"state budget {budget} exhausted")
-            if self.is_constant_state(care):
+            if constant(care):
                 memo[key] = _LEAF
                 return True
             memo[key] = _REFUTED
@@ -187,48 +244,27 @@ class _Search:
                 bit = 1 << p
                 if amask & bit:
                     continue
-                if rec(amask | bit, avals | bit, care & masks[p], k - 1) and \
-                   rec(amask | bit, avals, care & ~masks[p] & full, k - 1):
+                if rec(amask | bit, avals | bit, care ^ (care & if_true[p]), k - 1) and \
+                   rec(amask | bit, avals, care ^ (care & if_false[p]), k - 1):
                     memo[key] = p
                     return True
             return False
 
-        return memo if rec(0, 0, full, k) else None
+        return memo if rec(0, 0, self.full, k) else None
 
-    def leaf_labels(self, care: int) -> tuple[bool, ...]:
-        return tuple((t & care) != 0 for t in self.tables)
-
-    def build_diagram(self, memo: dict[tuple[int, int], int]) -> DecisionDiagram:
-        """Materialize a witness memo of ``within`` into a shared-node DAG.
+    def witness(self, memo: dict[tuple[int, int], int]) -> DecisionDiagram:
+        """The diagram of a witness memo of ``within``.
 
         A state the search skipped probes its lowest unassigned position until
         it is constant, which stays within the budget that let it be skipped.
         """
-        nodes: list[DiagramNode] = []
-        cache: dict[tuple[int, int], int] = {}
-        masks = self.masks
-        full = self.full
+        def choose(amask: int, avals: int, care: int) -> Optional[int]:
+            choice = memo.get((amask, avals))
+            if choice is None:
+                return None if self.constant(care) else (~amask & (amask + 1)).bit_length() - 1
+            return None if choice == _LEAF else choice
 
-        def build(amask: int, avals: int, care: int) -> int:
-            key = (amask, avals)
-            if key in cache:
-                return cache[key]
-            choice = memo.get(key)
-            if choice is None and not self.is_constant_state(care):
-                choice = (~amask & (amask + 1)).bit_length() - 1
-            if choice is None or choice == _LEAF:
-                node: DiagramNode = Leaf(self.leaf_labels(care))
-            else:
-                bit = 1 << choice
-                t = build(amask | bit, avals | bit, care & masks[choice])
-                f = build(amask | bit, avals, care & ~masks[choice] & full)
-                node = Probe(self.names[choice], t, f)
-            nodes.append(node)
-            cache[key] = len(nodes) - 1
-            return cache[key]
-
-        root = build(0, 0, full)
-        return DecisionDiagram(tuple(nodes), root)
+        return self.diagram(choose)
 
 
 def optimal_depth(s: ExpressionSet, budget: Optional[int] = None,
@@ -248,9 +284,8 @@ def optimal_depth(s: ExpressionSet, budget: Optional[int] = None,
         if witness is None:
             break
         depth, memo = depth - 1, witness
-    diagram = search.build_diagram(memo)
     return DepthReport(depth=depth, n=s.n, evasive=(depth == s.n),
-                       diagram=diagram, explored_states=search.explored)
+                       diagram=search.witness(memo), explored_states=search.explored)
 
 
 def decide_depth_at_most(s: ExpressionSet, k: int, budget: Optional[int] = None,
@@ -281,96 +316,47 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
     the worse live count, the lowest universe index winning ties.  Equal
     states share one diagram node.
     """
-    support = s.support_indices()
-    position = {idx: p for p, idx in enumerate(support)}
-    names = tuple(s.universe.names[i] for i in support)
-    # per member: truth table over its own support, combined-position mask of
-    # that support, and (table mask, table shift, combined bit) per variable
-    tables: list[int] = []
-    spans: list[int] = []
-    locals_: list[tuple[tuple[int, int, int], ...]] = []
-    touching: list[list[tuple[int, int]]] = [[] for _ in support]
-    for i, m in enumerate(s.members):
-        local = m.support_indices()
-        if len(local) > cap:
-            raise SupportTooLarge(f"support size {len(local)} exceeds cap {cap}")
-        masks = variable_masks(len(local))
-        tables.append(table_bits(m.root, {idx: q for q, idx in enumerate(local)}, len(local)))
-        spans.append(sum(1 << position[idx] for idx in local))
-        locals_.append(tuple((masks[q], 1 << q, 1 << position[idx])
-                             for q, idx in enumerate(local)))
-        for q, idx in enumerate(local):
-            touching[position[idx]].append((i, masks[q]))
-    # (constant or None, live mask) per member, keyed by its slice of the state
-    classified: list[dict[tuple[int, int], tuple[Optional[bool], int]]] = \
-        [{} for _ in s.members]
+    supports = [m.support_indices() for m in s.members]
+    for support in supports:
+        if len(support) > cap:
+            raise SupportTooLarge(f"support size {len(support)} exceeds cap {cap}")
+    tables = _Tables(s, supports)
+    if_false, if_true = tables.cleared
+    spans = [sum(1 << p for p in held) for held in tables.held]
+    # live positions per member, keyed by its slice of the state
+    seen: list[dict[tuple[int, int], int]] = [{} for _ in supports]
 
-    def classify(i: int, amask: int, avals: int, care: int) -> tuple[Optional[bool], int]:
-        key = (amask & spans[i], avals & spans[i])
-        hit = classified[i].get(key)
-        if hit is None:
-            tc = tables[i] & care
-            if tc == 0 or tc == care:
-                hit = (tc != 0, 0)
-            else:
-                live = 0
-                for mask, shift, bit in locals_[i]:
-                    if not amask & bit and (tc & mask) >> shift != tc & ~mask:
-                        live |= bit
-                hit = (None, live)
-            classified[i][key] = hit
-        return hit
+    def live(amask: int, avals: int, care: int) -> int:
+        """The unanswered positions some non-constant member depends on."""
+        out = 0
+        for i, (t, f) in enumerate(tables.rows):
+            key = (amask & spans[i], avals & spans[i])
+            hit = seen[i].get(key)
+            if hit is None:
+                hit, t = 0, t & care
+                if t and f & care:
+                    for q, p in enumerate(tables.held[i]):
+                        # its true rows with x_p = 1, moved onto their x_p = 0 partners
+                        if not amask >> p & 1 and (t & if_false[p]) >> (1 << q) != t & if_true[p]:
+                            hit |= 1 << p
+                seen[i][key] = hit
+            out |= hit
+        return out
 
-    nodes: list[DiagramNode] = []
-    node_at: dict[tuple[int, int], int] = {}
+    def choose(amask: int, avals: int, care: int) -> Optional[int]:
+        rest = live(amask, avals, care)
+        best, best_score = None, tables.m + 1
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            p = bit.bit_length() - 1
+            score = max(live(amask | bit, avals | bit, care ^ (care & if_true[p])).bit_count(),
+                        live(amask | bit, avals, care ^ (care & if_false[p])).bit_count())
+            if score < best_score:
+                best, best_score = p, score
+        return best
 
-    def child_cares(cares: tuple[int, ...], p: int, value: bool) -> tuple[int, ...]:
-        out = list(cares)
-        for i, mask in touching[p]:
-            out[i] = cares[i] & mask if value else cares[i] & ~mask
-        return tuple(out)
-
-    # cares[i]: the rows of member i's table that agree with the answers so far
-    def build(amask: int, avals: int, cares: tuple[int, ...]) -> int:
-        key = (amask, avals)
-        if key in node_at:
-            return node_at[key]
-        states = [classify(i, amask, avals, c) for i, c in enumerate(cares)]
-        live = 0
-        for _, member_live in states:
-            live |= member_live
-        if not live:
-            node: DiagramNode = Leaf(tuple(const for const, _ in states))
-        else:
-            best, best_score = -1, len(names) + 1
-            rest = live
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                p = bit.bit_length() - 1
-                untouched = 0
-                for i, (_, member_live) in enumerate(states):
-                    if not spans[i] & bit:
-                        untouched |= member_live
-                score = 0
-                for value in (bit, 0):
-                    branch_live = untouched
-                    for i, mask in touching[p]:
-                        care = cares[i] & mask if value else cares[i] & ~mask
-                        branch_live |= classify(i, amask | bit, avals | value, care)[1]
-                    score = max(score, branch_live.bit_count())
-                if score < best_score:
-                    best, best_score = p, score
-            bit = 1 << best
-            t = build(amask | bit, avals | bit, child_cares(cares, best, True))
-            f = build(amask | bit, avals, child_cares(cares, best, False))
-            node = Probe(names[best], t, f)
-        nodes.append(node)
-        node_at[key] = len(nodes) - 1
-        return node_at[key]
-
-    root = build(0, 0, tuple((1 << (1 << len(l))) - 1 for l in locals_))
-    return DecisionDiagram(tuple(nodes), root)
+    return tables.diagram(choose)
 
 
 # --- execution --------------------------------------------------------------

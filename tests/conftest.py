@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 from importlib import resources
+from typing import Optional
 
 import pytest
 
@@ -43,6 +44,32 @@ def naive_depth(s: ExpressionSet, _memo=None) -> int:
         if best is None or d < best:
             best = d
     _memo[key] = best
+    return best
+
+
+def _live_names(s: ExpressionSet) -> set[str]:
+    """Variables some non-constant member depends on, tested semantically."""
+    live = set()
+    for m in s.members:
+        if ex.is_constant(m) is None:
+            live.update(name for name in m.support()
+                        if not ex.equivalent(ex.restrict(m, name, True),
+                                             ex.restrict(m, name, False)))
+    return live
+
+
+def naive_greedy_probe(s: ExpressionSet) -> Optional[str]:
+    """The greedy strategy's probe by its definition, or ``None`` where
+    nothing is live: the live variable whose worse answer leaves the fewest
+    live variables, the lowest universe index winning ties."""
+    live = _live_names(s)
+    best, best_score = None, None
+    for name in s.universe.names:
+        if name in live:
+            score = max(len(_live_names(ex.restrict_set(s, name, value)))
+                        for value in (True, False))
+            if best_score is None or score < best_score:
+                best, best_score = name, score
     return best
 
 

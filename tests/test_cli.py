@@ -329,6 +329,9 @@ ON_QUERY = json.dumps({"op": "join", "on": [["Member"]], "left": ROLES,
 CONTAINS_QUERY = json.dumps({"op": "select", "input": ROLES, "pred": [
     {"atom": "contains_ci", "col": "Role", "value": 5}]})
 COLUMNS_QUERY = json.dumps({"op": "project", "columns": "AB", "input": ROLES})
+DEEP_QUERY = '{"op": "scan", "relation": "Roles"}'
+for _ in range(3000):
+    DEEP_QUERY = '{"op": "select", "pred": [], "input": ' + DEEP_QUERY + '}'
 
 
 @pytest.mark.parametrize("argv, env, expected", [
@@ -344,17 +347,18 @@ COLUMNS_QUERY = json.dumps({"op": "project", "columns": "AB", "input": ROLES})
     (["prov", "eval", "--db", "{db}", "--query", "{on_query}"], {}, 1),
     (["prov", "eval", "--db", "{db}", "--query", "{contains_query}"], {}, 1),
     (["prov", "eval", "--db", "{db}", "--query", "{columns_query}"], {}, 1),
+    (["prov", "eval", "--db", "{db}", "--query", "{deep_query}"], {}, 1),
 ], ids=["cap-not-int", "expr-not-utf8", "db-not-utf8", "query-not-utf8",
         "answers-not-json", "answers-not-object", "max-nodes-0",
         "max-nodes-negative", "atom-not-object", "on-not-pair",
-        "contains-value-not-string", "columns-not-list"])
+        "contains-value-not-string", "columns-not-list", "query-nested-too-deep"])
 def test_bad_input_one_line_error(tmp_path, capsys, monkeypatch, argv, env, expected):
     files = {"expr": b"a & b\n", "latin1": "vars: \xe9\n".encode("latin-1"),
              "db": fixture_text("acquisitions_db.json").encode(),
              "query": fixture_text("founder_institutes_query.json").encode(),
              "not_json": b"{x", "json_list": b"[1]", "atom_query": ATOM_QUERY.encode(),
              "on_query": ON_QUERY.encode(), "contains_query": CONTAINS_QUERY.encode(),
-             "columns_query": COLUMNS_QUERY.encode()}
+             "columns_query": COLUMNS_QUERY.encode(), "deep_query": DEEP_QUERY.encode()}
     paths = {}
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)

@@ -121,6 +121,16 @@ class TestSemantics:
         b = parse_one("vars: y x z\n!((!x) | (!y))")
         assert ex.equivalent(a, b)
 
+    def test_deeply_nested_expression_support(self):
+        # 5000 levels alternating Not and And, built through the API
+        universe = VariableUniverse(("a", "b", "c"))
+        node = Var(0)
+        for level in range(5000):
+            node = Not(node) if level % 2 else And((node, Var(1 + level % 4 // 2)))
+        e = Expression(universe, node)
+        assert e.support() == ("a", "b", "c")
+        assert [type(n) for n in ex.walk(e.root)][:3] == [Not, And, Not]
+
 
 # --- property tests ---------------------------------------------------------
 

@@ -46,6 +46,11 @@ class TestFixtureEvaluation:
     def test_max_term_size_is_three(self, fixture_db, fixture_query):
         assert pv.max_term_size(pv.eval_query(fixture_db, fixture_query)) == 3
 
+    def test_universe_computed_once(self, fixture_db):
+        assert fixture_db.universe is fixture_db.universe
+        again = pv.load_database(pv.dump_database(fixture_db))
+        assert again == fixture_db and hash(again) == hash(fixture_db)
+
     def test_universe_order(self, fixture_db):
         names = fixture_db.universe.names
         assert names[:4] == ("a0", "a1", "a2", "a3")
@@ -408,6 +413,18 @@ class TestSerialization:
     def test_malformed_query_fields_rejected(self, doc, message):
         with pytest.raises(pv.SchemaError, match=message):
             pv.query_from_json(json.dumps(doc))
+
+    def test_deeply_nested_query_rejected(self, fixture_db):
+        text = '{"op": "scan", "relation": "Roles"}'
+        for _ in range(3000):
+            text = '{"op": "select", "pred": [], "input": ' + text + '}'
+        with pytest.raises(pv.SchemaError, match="nested too deeply"):
+            pv.query_from_json(text)
+        q = pv.Scan("Roles")
+        for _ in range(5000):
+            q = pv.Select((), q)
+        with pytest.raises(pv.QueryError, match="nested too deeply"):
+            pv.eval_query(fixture_db, q)
 
     def test_result_to_json_prints_expressions(self, fixture_db, fixture_query):
         doc = json.loads(pv.result_to_json(pv.eval_query(fixture_db, fixture_query)))

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from conftest import all_valuations, naive_depth, random_expression, single
+from conftest import (all_valuations, naive_depth, naive_greedy_probe, random_expression,
+                      single)
 from probedepth import expr as ex
 from probedepth import strategy
 from probedepth.expr import Expression, ExpressionSet, Valuation, VariableUniverse
@@ -156,6 +157,26 @@ class TestGreedy:
             for v in all_valuations(universe):
                 assert strategy.check_soundness(s, d, v)
             assert naive_depth(s) <= strategy.diagram_depth(d) <= s.n
+
+    def test_matches_naive_greedy_oracle(self, rng):
+        for _ in range(150):
+            n = rng.randint(1, 6)
+            universe = VariableUniverse(tuple(f"x{i}" for i in range(n)))
+            members = tuple(Expression(universe, random_expression(rng, universe))
+                            for _ in range(rng.randint(1, 4)))
+            s = ExpressionSet(universe, members)
+            d = strategy.greedy_strategy(s)
+            pending = [(d.root, s)]
+            while pending:
+                i, restricted = pending.pop()
+                node, expected = d.nodes[i], naive_greedy_probe(restricted)
+                if isinstance(node, Leaf):
+                    assert expected is None
+                    assert node.labels == tuple(ex.is_constant(m) for m in restricted.members)
+                else:
+                    assert node.variable == expected
+                    for value, child in ((True, node.on_true), (False, node.on_false)):
+                        pending.append((child, ex.restrict_set(restricted, node.variable, value)))
 
     def test_cap_applies_per_member(self):
         s = single("vars: a b c d e f\na & (b | c)\nd | (e & f)\n")
