@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional, Union
 
 DEFAULT_TABLE_CAP = 20
@@ -204,10 +203,8 @@ def walk(node: Node) -> Iterator[Node]:
     while stack:
         node = stack.pop()
         yield node
-        if isinstance(node, (And, Or)):
-            stack += node.children[::-1]
-        elif isinstance(node, Not):
-            stack.append(node.child)
+        if not isinstance(node, (Const, Var)):
+            stack += (node.child,) if isinstance(node, Not) else node.children[::-1]
 
 
 # --- parsing ----------------------------------------------------------------
@@ -554,11 +551,8 @@ class TruthTable:
         return self.bits.bit_count()
 
 
-@lru_cache(maxsize=None)
-def variable_masks(m: int) -> tuple[int, ...]:
-    """For each position p < m, the table mask of the projection function x_p.
-    Callers check m against the table cap first, which bounds what the cache
-    keeps: sum over m of m * 2^m bits, about 5 MB for the default cap."""
+def variable_masks(m: int) -> list[int]:
+    """For each position p < m, the table mask of the projection function x_p."""
     masks = []
     size = 1 << m
     for p in range(m):
@@ -568,7 +562,7 @@ def variable_masks(m: int) -> tuple[int, ...]:
             mask |= mask << length
             length <<= 1
         masks.append(mask)
-    return tuple(masks)
+    return masks
 
 
 def table_bits(node: Node, positions: dict[int, int], m: int) -> int:

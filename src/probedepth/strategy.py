@@ -7,9 +7,9 @@ support and keeps the winning probe of each state it proves.  The exact depth
 comes from descending deepening over that search, and the witness diagram
 from its memo.  Variables outside every member's support never help, so
 positions index the combined support; a universe variable absent from all
-members makes the set non-evasive.  The search and the greedy fallback share
-one table layout, each member tabulated over its own support: the search caps
-the combined support, greedy only each member's.
+members makes the set non-evasive.  The search and greedy share the member
+tables and the diagram builder; the search caps the combined support, greedy
+only each member's.
 """
 
 from __future__ import annotations
@@ -98,92 +98,74 @@ def diagram_depth(d: DecisionDiagram) -> int:
     n = len(d.nodes)
     if not 0 <= d.root < n:
         raise MalformedDiagram(f"root index {d.root} out of range")
-    depth: dict[int, Optional[int]] = {}  # None while on the stack
+    depth: dict[int, int] = {}
+    state: dict[int, int] = {}  # 1 = on stack, 2 = done
 
     def visit(i: int) -> int:
         if not 0 <= i < n:
             raise MalformedDiagram(f"node index {i} out of range")
-        if i in depth:
-            if depth[i] is None:
-                raise MalformedDiagram("diagram contains a cycle")
+        if state.get(i) == 1:
+            raise MalformedDiagram("diagram contains a cycle")
+        if state.get(i) == 2:
             return depth[i]
-        depth[i] = None
+        state[i] = 1
         node = d.nodes[i]
-        depth[i] = (0 if isinstance(node, Leaf)
-                    else 1 + max(visit(node.on_true), visit(node.on_false)))
+        if isinstance(node, Leaf):
+            depth[i] = 0
+        else:
+            depth[i] = 1 + max(visit(node.on_true), visit(node.on_false))
+        state[i] = 2
         return depth[i]
 
     return visit(d.root)
 
 
 class _Tables:
-    """Every member's truth table over its own support, side by side in one
-    integer: member i owns 2^{m_i} bits from its offset on.  A care set is one
-    integer in that layout, each member's rows that agree with the answers so
-    far.  Answer a for position p (of the combined support) narrows it to
-    ``care ^ (care & cleared[a][p])``, which clears the rows a rules out in
-    every member holding p and leaves the other members' rows as they are.
-    A member is constant iff its true rows or its false rows miss the care set.
-
-    The clearing masks of p reach only to the end of the last member holding
-    p: at most 2 * sum_i m_i * (offset_i + 2^{m_i}) bits for all of them.
-    """
+    """Every member's truth table over its own support.  Members with the same
+    support share a slot: its offset in the search's layout, its positions,
+    their bits, its projection masks and its full row set."""
 
     def __init__(self, s: ExpressionSet, supports: list[tuple[int, ...]]):
         combined = sorted(set().union(*supports))
         position = {idx: p for p, idx in enumerate(combined)}
         self.names = tuple(s.universe.names[i] for i in combined)
         self.m = len(combined)
-        self.rows: list[tuple[int, int]] = []  # per member: true rows, false rows
-        self.held: list[list[int]] = []  # per member: the positions it holds
-        # cleared[answer][p]: the rows that answer for position p rules out
-        self.cleared = if_false, if_true = [0] * self.m, [0] * self.m
-        offset = 0
+        masks = {k: variable_masks(k) for k in {len(support) for support in supports}}
+        self.slots: dict[tuple[int, ...], tuple[int, tuple[int, ...], int, list[int], int]] = {}
+        self.tables: list[tuple[tuple, int]] = []  # per member: its slot, its truth table
+        self.width = 0
         for member, support in zip(s.members, supports):
             k = len(support)
-            ones = (1 << (1 << k)) - 1
+            if support not in self.slots:
+                held = tuple(position[idx] for idx in support)
+                self.slots[support] = (self.width, held, sum(1 << p for p in held), masks[k],
+                                       (1 << (1 << k)) - 1)
+                self.width += 1 << k
             # a member holding the whole combined support numbers it the same way
             local = position if k == self.m else {idx: q for q, idx in enumerate(support)}
-            t = table_bits(member.root, local, k)
-            self.rows.append((t << offset, (ones ^ t) << offset))
-            self.held.append([position[idx] for idx in support])
-            for p, mask in zip(self.held[-1], variable_masks(k)):
-                if_true[p] |= (ones ^ mask) << offset
-                if_false[p] |= mask << offset
-            offset += 1 << k
-        self.full = (1 << offset) - 1
+            self.tables.append((self.slots[support], table_bits(member.root, local, k)))
 
-    def constant(self, care: int) -> bool:
-        for t, f in self.rows:
-            if t & care and f & care:
-                return False
-        return True
-
-    def diagram(self, choose: Callable[[int, int, int], Optional[int]]) -> DecisionDiagram:
-        """The diagram that probes ``choose(amask, avals, care)`` at each state
-        reached from the root, or stops at a leaf where it returns ``None``.
-        Equal states share one node."""
+    def diagram(self, choose: Callable, care: object) -> DecisionDiagram:
+        """The diagram ``choose(amask, avals, care)`` spells out: at each state a
+        ``Leaf``, or a position to probe and the ``care`` (the chooser's own
+        per-state data) to pass on after each answer.  Equal states share one node."""
         nodes: list[DiagramNode] = []
         node_at: dict[tuple[int, int], int] = {}
-        if_false, if_true = self.cleared
 
-        def build(amask: int, avals: int, care: int) -> int:
-            key = (amask, avals)
-            if key in node_at:
-                return node_at[key]
-            p = choose(amask, avals, care)
-            if p is None:
-                node: DiagramNode = Leaf(tuple(t & care != 0 for t, _ in self.rows))
-            else:
+        def build(amask: int, avals: int, care: object) -> int:
+            if (amask, avals) in node_at:
+                return node_at[amask, avals]
+            node = choose(amask, avals, care)
+            if not isinstance(node, Leaf):
+                p, if_true, if_false = node
                 bit = 1 << p
-                node = Probe(self.names[p],
-                             build(amask | bit, avals | bit, care ^ (care & if_true[p])),
-                             build(amask | bit, avals, care ^ (care & if_false[p])))
+                node = Probe(self.names[p], build(amask | bit, avals | bit, if_true),
+                             build(amask | bit, avals, if_false))
             nodes.append(node)
-            node_at[key] = len(nodes) - 1
-            return node_at[key]
+            node_at[amask, avals] = len(nodes) - 1
+            return node_at[amask, avals]
 
-        root = build(0, 0, self.full)
+        root = build(0, 0, care)
         return DecisionDiagram(tuple(nodes), root)
 
 
@@ -196,18 +178,36 @@ class _Search(_Tables):
     """Depth-bounded minimax search over partial assignments of the support.
 
     A state is ``(amask, avals)``: the bitmask of probed support positions and
-    their answers.  ``explored`` counts decided states over every round run on
-    this instance, and ``budget`` caps that count.
+    their answers.  Its care set, the rows of each slot that agree with them, is
+    one integer with the slots side by side (or one slot over the combined
+    support where that is narrower).  Answer a for position p narrows it to
+    ``care & keep[a][p]``, one of 2 * m masks as wide as the layout.
+    ``explored`` counts decided states over all rounds; ``budget`` caps it.
     """
 
     def __init__(self, s: ExpressionSet, cap: int, budget: Optional[int] = None):
         supports = [m.support_indices() for m in s.members]
-        m = len(set().union(*supports))
-        if m > cap:
-            raise UniverseTooLarge(f"support size {m} exceeds cap {cap}")
+        combined = tuple(sorted(set().union(*supports)))
+        if len(combined) > cap:
+            raise UniverseTooLarge(f"support size {len(combined)} exceeds cap {cap}")
+        if sum(1 << len(support) for support in set(supports)) > 1 << len(combined):
+            supports = [combined] * len(supports)  # one table width is narrower
         super().__init__(s, supports)
+        self.full = (1 << self.width) - 1
+        self.rows = [(t << offset, (ones ^ t) << offset) for (offset, *_, ones), t in self.tables]
+        self.keep = if_false, if_true = [self.full] * self.m, [self.full] * self.m
+        for offset, held, _, masks, ones in self.slots.values():
+            for p, mask in zip(held, masks):
+                if_true[p] ^= (ones ^ mask) << offset
+                if_false[p] ^= mask << offset
         self.explored = 0
         self.budget = budget
+
+    def constant(self, care: int) -> bool:
+        for t, f in self.rows:
+            if t & care and f & care:
+                return False
+        return True
 
     def within(self, k: int) -> Optional[dict[tuple[int, int], int]]:
         """Is the minimax depth at most ``k``?  Returns the witness memo if so,
@@ -219,8 +219,7 @@ class _Search(_Tables):
         States where every remaining variable fits the budget are skipped.
         """
         memo: dict[tuple[int, int], int] = {}
-        if_false, if_true = self.cleared
-        constant = self.constant
+        if_false, if_true = self.keep
         m = self.m
         budget = self.budget
 
@@ -234,7 +233,7 @@ class _Search(_Tables):
             self.explored += 1
             if budget is not None and self.explored > budget:
                 raise BudgetExceeded(f"state budget {budget} exhausted")
-            if constant(care):
+            if self.constant(care):
                 memo[key] = _LEAF
                 return True
             memo[key] = _REFUTED
@@ -244,8 +243,8 @@ class _Search(_Tables):
                 bit = 1 << p
                 if amask & bit:
                     continue
-                if rec(amask | bit, avals | bit, care ^ (care & if_true[p]), k - 1) and \
-                   rec(amask | bit, avals, care ^ (care & if_false[p]), k - 1):
+                if rec(amask | bit, avals | bit, care & if_true[p], k - 1) and \
+                   rec(amask | bit, avals, care & if_false[p], k - 1):
                     memo[key] = p
                     return True
             return False
@@ -253,18 +252,18 @@ class _Search(_Tables):
         return memo if rec(0, 0, self.full, k) else None
 
     def witness(self, memo: dict[tuple[int, int], int]) -> DecisionDiagram:
-        """The diagram of a witness memo of ``within``.
+        """The diagram of a witness memo of ``within``.  A state the search
+        skipped probes its lowest unassigned position until it is constant,
+        which stays within the budget that let it be skipped."""
+        def choose(amask: int, avals: int, care: int) -> Union[Leaf, tuple[int, int, int]]:
+            p = memo.get((amask, avals))
+            if p is None and not self.constant(care):
+                p = (~amask & (amask + 1)).bit_length() - 1
+            if p is None or p == _LEAF:
+                return Leaf(tuple(t & care != 0 for t, _ in self.rows))
+            return p, care & self.keep[1][p], care & self.keep[0][p]
 
-        A state the search skipped probes its lowest unassigned position until
-        it is constant, which stays within the budget that let it be skipped.
-        """
-        def choose(amask: int, avals: int, care: int) -> Optional[int]:
-            choice = memo.get((amask, avals))
-            if choice is None:
-                return None if self.constant(care) else (~amask & (amask + 1)).bit_length() - 1
-            return None if choice == _LEAF else choice
-
-        return self.diagram(choose)
+        return self.diagram(choose, self.full)
 
 
 def optimal_depth(s: ExpressionSet, budget: Optional[int] = None,
@@ -321,42 +320,52 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
         if len(support) > cap:
             raise SupportTooLarge(f"support size {len(support)} exceeds cap {cap}")
     tables = _Tables(s, supports)
-    if_false, if_true = tables.cleared
-    spans = [sum(1 << p for p in held) for held in tables.held]
-    # live positions per member, keyed by its slice of the state
-    seen: list[dict[tuple[int, int], int]] = [{} for _ in supports]
+    seen: list[dict] = [{} for _ in supports]  # per member slice: (label if constant, live)
 
-    def live(amask: int, avals: int, care: int) -> int:
-        """The unanswered positions some non-constant member depends on."""
-        out = 0
-        for i, (t, f) in enumerate(tables.rows):
-            key = (amask & spans[i], avals & spans[i])
-            hit = seen[i].get(key)
-            if hit is None:
-                hit, t = 0, t & care
-                if t and f & care:
-                    for q, p in enumerate(tables.held[i]):
-                        # its true rows with x_p = 1, moved onto their x_p = 0 partners
-                        if not amask >> p & 1 and (t & if_false[p]) >> (1 << q) != t & if_true[p]:
-                            hit |= 1 << p
-                seen[i][key] = hit
-            out |= hit
-        return out
+    def choose(amask: int, avals: int, _) -> Union[Leaf, tuple[int, None, None]]:
+        agree: dict[int, int] = {}  # by slot offset: its rows that agree with the answers
 
-    def choose(amask: int, avals: int, care: int) -> Optional[int]:
-        rest = live(amask, avals, care)
-        best, best_score = None, tables.m + 1
+        def live(a: int, v: int, bit: int = 0) -> int:
+            """Positions some non-constant member depends on, ``bit`` answered as in ``v``."""
+            out = 0
+            for i, ((offset, held, span, masks, ones), t) in enumerate(tables.tables):
+                hit = seen[i].get((a & span, v & span))
+                if hit is None:
+                    if offset not in agree:
+                        agree[offset] = ones
+                        for q, p in enumerate(held):
+                            if amask >> p & 1:
+                                agree[offset] &= masks[q] if avals >> p & 1 else ~masks[q]
+                    rows = agree[offset]
+                    if span & bit:
+                        mask = masks[held.index(bit.bit_length() - 1)]
+                        rows &= mask if v & bit else ~mask
+                    t &= rows
+                    depends = 0
+                    if t and t != rows:
+                        for q, p in enumerate(held):
+                            # its true rows with x_q = 1, moved onto their x_q = 0 partners
+                            if not a >> p & 1 and (t & masks[q]) >> (1 << q) != t & ~masks[q]:
+                                depends |= 1 << p
+                    hit = seen[i][a & span, v & span] = (None if depends else t != 0, depends)
+                out |= hit[1]
+            return out
+
+        rest = live(amask, avals)
+        if not rest:
+            return Leaf(tuple(seen[i][amask & span, avals & span][0]
+                              for i, ((_, _, span, *_), _) in enumerate(tables.tables)))
+        best, best_score = 0, tables.m + 1
         while rest:
             bit = rest & -rest
             rest ^= bit
-            p = bit.bit_length() - 1
-            score = max(live(amask | bit, avals | bit, care ^ (care & if_true[p])).bit_count(),
-                        live(amask | bit, avals, care ^ (care & if_false[p])).bit_count())
+            score = max(live(amask | bit, avals | bit, bit).bit_count(),
+                        live(amask | bit, avals, bit).bit_count())
             if score < best_score:
-                best, best_score = p, score
-        return best
+                best, best_score = bit.bit_length() - 1, score
+        return best, None, None
 
-    return tables.diagram(choose)
+    return tables.diagram(choose, None)
 
 
 # --- execution --------------------------------------------------------------

@@ -79,6 +79,18 @@ class TestAgainstNaiveOracle:
             assert report.evasive == (report.depth == s.n)
             assert strategy.diagram_depth(report.diagram) == report.depth
 
+    @pytest.mark.parametrize("members, slots", [
+        (["x0 & x1", "x2 | x3"], 2),  # side by side is narrower than one 4-variable table
+        (["x0 & x1 | x2", "x0 | x1 & x3", "x0 & x2 | x3", "x1 | x2 & x3"], 1),
+    ])
+    def test_both_search_layouts(self, members, slots):
+        s = ex.parse_expressions("vars: x0 x1 x2 x3\n" + "\n".join(members))
+        assert len(strategy._Search(s, cap=20).slots) == slots
+        report = strategy.optimal_depth(s)
+        assert report.depth == naive_depth(s)
+        for v in all_valuations(s.universe):
+            assert strategy.check_soundness(s, report.diagram, v)
+
     def test_renaming_invariance(self, rng):
         for _ in range(20):
             n = rng.randint(1, 5)

@@ -1,17 +1,18 @@
 """Run a fixed, seeded corpus of CLI calls in two checkouts and report every
 difference in stdout, stderr or exit code.
 
-    python tools/same_output.py OLD_CHECKOUT NEW_CHECKOUT [--seed 0] [--sets 40]
+    python tools/same_output.py OLD_CHECKOUT NEW_CHECKOUT
 
 Each call runs in a fresh process as ``PYTHONPATH=<checkout>/src python -m
-probedepth ...``.  The corpus holds seeded random expression sets (with
-negation and constants, 1-4 members over at most 7 variables), a few sets
-whose combined support exceeds the table cap, and psi(2) as printed by the
-first checkout's ``family psi 2``.  On each it runs ``depth --json``,
-``strategy --out json`` with and without ``--greedy``, ``evasive`` plain and
-with ``--json``, and ``probe --answers`` on a seeded answer file.  Exits 1 if
-any call differs, 0 otherwise.  Uses the standard library only; the inputs go
-to a temporary directory (``TMPDIR`` chooses where).
+probedepth ...``.  The corpus holds ``SETS`` random expression sets drawn from
+seed ``SEED`` (with negation and constants, 1-4 members over at most 7
+variables), a few sets whose combined support exceeds the table cap, and
+psi(2) as printed by the first checkout's ``family psi 2``.  On each it runs
+``depth --json``, ``strategy --out json`` with and without ``--greedy``,
+``evasive`` plain and with ``--json``, and ``probe --answers`` on a seeded
+answer file.  Exits 1 if any call differs, 0 otherwise.  Uses the standard
+library only; the inputs go to a temporary directory (``TMPDIR`` chooses
+where).
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+SEED = 0
+SETS = 40
+
 
 def random_node(rng: random.Random, names: list[str], depth: int) -> str:
     if depth == 0 or rng.random() < 0.3:
@@ -37,10 +41,10 @@ def random_node(rng: random.Random, names: list[str], depth: int) -> str:
                          for _ in range(rng.randint(2, 3))) + ")"
 
 
-def corpus(rng: random.Random, sets: int) -> dict[str, str]:
+def corpus(rng: random.Random) -> dict[str, str]:
     """Expression files by name."""
     files = {}
-    for k in range(sets):
+    for k in range(SETS):
         names = [f"x{i}" for i in range(rng.randint(1, 7))]
         members = [random_node(rng, names, rng.randint(2, 4))
                    for _ in range(rng.randint(1, 4))]
@@ -75,14 +79,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--sets", type=int, default=40)
     args = parser.parse_args(argv)
-    rng = random.Random(args.seed)
+    rng = random.Random(SEED)
     differences = total = 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        files = corpus(rng, args.sets)
+        files = corpus(rng)
         code, psi2, err = run(args.old, ["family", "psi", "2"])
         if code != 0:
             print(f"family psi 2 failed in {args.old}: {err.strip()}", file=sys.stderr)
