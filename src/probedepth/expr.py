@@ -32,6 +32,10 @@ class SupportTooLarge(ExprError):
     """Raised when a truth-table computation would exceed its variable cap."""
 
 
+class NestingTooDeep(ExprError):
+    """Raised when an expression is nested deeper than the recursion limit allows."""
+
+
 @dataclass(frozen=True)
 class VariableUniverse:
     """An ordered set of distinct variable identifiers."""
@@ -459,7 +463,10 @@ def simplify(e: Expression) -> Expression:
     The result is semantically equivalent and contains no constant occurrence
     unless it is itself a constant.  No distribution is performed.
     """
-    return Expression(e.universe, _simplify_node(e.root))
+    try:
+        return Expression(e.universe, _simplify_node(e.root))
+    except RecursionError:
+        raise NestingTooDeep("expression nested too deeply to simplify") from None
 
 
 def _simplify_node(node: Node) -> Node:
@@ -588,7 +595,10 @@ def table_bits(node: Node, positions: dict[int, int], m: int) -> int:
             acc |= go(c)
         return acc
 
-    return go(node)
+    try:
+        return go(node)
+    except RecursionError:
+        raise NestingTooDeep("expression nested too deeply to tabulate") from None
 
 
 def truth_table(e: Expression, cap: int = DEFAULT_TABLE_CAP) -> TruthTable:

@@ -8,8 +8,18 @@ comes from descending deepening over that search, and the witness diagram
 from its memo.  Variables outside every member's support never help, so
 positions index the combined support; a universe variable absent from all
 members makes the set non-evasive.  The search and greedy share the member
-tables and the diagram builder; the search caps the combined support, greedy
-only each member's.
+tables and the diagram builder.  The search tabulates every member over the
+combined support and caps it; greedy keeps one table per member support and
+caps only each member's.
+
+Parity rule (Rivest & Vuillemin 1976).  Split a state's care rows into label
+classes, the rows that share one vector of member values.  If the state has
+r unprobed positions and budget k < r, it is refuted as soon as some class
+holds more even-weight rows than odd-weight rows, or fewer:
+  1. every leaf of a diagram of depth at most k leaves a position free, so
+     its rows form a subcube of dimension >= 1, which is balanced;
+  2. every member is constant on a leaf, so a class is a union of leaves;
+  3. so every class of a state of depth at most k is balanced.
 """
 
 from __future__ import annotations
@@ -121,9 +131,9 @@ def diagram_depth(d: DecisionDiagram) -> int:
 
 
 class _Tables:
-    """Every member's truth table over its own support.  Members with the same
-    support share a slot: its offset in the search's layout, its positions,
-    their bits, its projection masks and its full row set."""
+    """Every member's truth table over the support given for it.  Members with
+    the same support share a slot: its positions, their bits, its projection
+    masks and its full row set."""
 
     def __init__(self, s: ExpressionSet, supports: list[tuple[int, ...]]):
         combined = sorted(set().union(*supports))
@@ -131,16 +141,14 @@ class _Tables:
         self.names = tuple(s.universe.names[i] for i in combined)
         self.m = len(combined)
         masks = {k: variable_masks(k) for k in {len(support) for support in supports}}
-        self.slots: dict[tuple[int, ...], tuple[int, tuple[int, ...], int, list[int], int]] = {}
+        self.slots: dict[tuple[int, ...], tuple[tuple[int, ...], int, list[int], int]] = {}
         self.tables: list[tuple[tuple, int]] = []  # per member: its slot, its truth table
-        self.width = 0
         for member, support in zip(s.members, supports):
             k = len(support)
             if support not in self.slots:
                 held = tuple(position[idx] for idx in support)
-                self.slots[support] = (self.width, held, sum(1 << p for p in held), masks[k],
+                self.slots[support] = (held, sum(1 << p for p in held), masks[k],
                                        (1 << (1 << k)) - 1)
-                self.width += 1 << k
             # a member holding the whole combined support numbers it the same way
             local = position if k == self.m else {idx: q for q, idx in enumerate(support)}
             self.tables.append((self.slots[support], table_bits(member.root, local, k)))
@@ -178,36 +186,47 @@ class _Search(_Tables):
     """Depth-bounded minimax search over partial assignments of the support.
 
     A state is ``(amask, avals)``: the bitmask of probed support positions and
-    their answers.  Its care set, the rows of each slot that agree with them, is
-    one integer with the slots side by side (or one slot over the combined
-    support where that is narrower).  Answer a for position p narrows it to
-    ``care & keep[a][p]``, one of 2 * m masks as wide as the layout.
+    their answers.  Every member is tabulated over the combined support, so a
+    state's care set, the rows that agree with its answers, is one integer of
+    2^m bits, and answer a for position p narrows it to ``care & keep[a][p]``.
     ``explored`` counts decided states over all rounds; ``budget`` caps it.
+
+    The care set splits into label classes: the care rows that share one
+    vector of member values.  One class means every member is constant.
+    ``even`` holds the rows of even weight.  A state with r unprobed positions
+    and budget k < r is refuted when a class has more even-weight rows than
+    odd-weight rows, or fewer: each leaf of a diagram of depth at most k is a
+    subcube of dimension >= 1, which is balanced, and each class is a union of
+    leaves, so each class would be balanced (see ``within``).
     """
 
     def __init__(self, s: ExpressionSet, cap: int, budget: Optional[int] = None):
-        supports = [m.support_indices() for m in s.members]
-        combined = tuple(sorted(set().union(*supports)))
+        combined = s.support_indices()
         if len(combined) > cap:
             raise UniverseTooLarge(f"support size {len(combined)} exceeds cap {cap}")
-        if sum(1 << len(support) for support in set(supports)) > 1 << len(combined):
-            supports = [combined] * len(supports)  # one table width is narrower
-        super().__init__(s, supports)
-        self.full = (1 << self.width) - 1
-        self.rows = [(t << offset, (ones ^ t) << offset) for (offset, *_, ones), t in self.tables]
-        self.keep = if_false, if_true = [self.full] * self.m, [self.full] * self.m
-        for offset, held, _, masks, ones in self.slots.values():
-            for p, mask in zip(held, masks):
-                if_true[p] ^= (ones ^ mask) << offset
-                if_false[p] ^= mask << offset
+        super().__init__(s, [combined] * len(s.members))
+        (_, _, masks, self.full), = self.slots.values()
+        self.members = [t for _, t in self.tables]
+        self.distinct = list(dict.fromkeys(self.members))  # equal tables split alike
+        self.keep = [self.full ^ mask for mask in masks], masks
+        self.even = 1  # by doubling: the upper half of each row block flips parity
+        for p in range(self.m):
+            self.even |= (((1 << (1 << p)) - 1) ^ self.even) << (1 << p)
         self.explored = 0
         self.budget = budget
 
-    def constant(self, care: int) -> bool:
-        for t, f in self.rows:
-            if t & care and f & care:
-                return False
-        return True
+    def split(self, care: int) -> list[int]:
+        """The label classes of ``care``: each member splits every class c into
+        ``c & t`` and the rest, when both are non-empty."""
+        classes = [care]
+        for t in self.distinct:
+            for i in range(len(classes)):
+                c = classes[i]
+                ones = c & t
+                if ones and ones != c:
+                    classes[i] = ones
+                    classes.append(c ^ ones)
+        return classes
 
     def within(self, k: int) -> Optional[dict[tuple[int, int], int]]:
         """Is the minimax depth at most ``k``?  Returns the witness memo if so,
@@ -217,10 +236,21 @@ class _Search(_Tables):
         when the state is constant, or to ``_REFUTED``.  The budget left at a
         state is always ``k - popcount(amask)``, so the key needs no depth.
         States where every remaining variable fits the budget are skipped.
+
+        Parity rule: a state with r > k unprobed positions is refuted when a
+        label class holds more even-weight rows than odd-weight rows, or fewer.
+        Proof: (1) every leaf of a diagram of depth at most k < r leaves some
+        unprobed position free, so its rows form a subcube of dimension >= 1,
+        with as many even-weight rows as odd-weight ones; (2) a class is a
+        union of such leaves, since a leaf fixes every member; (3) so every
+        class is balanced.  The care set is a subcube too, so the classes'
+        signed sums add up to 0, and all classes but one need checking.  The
+        rule refutes only states the search would refute anyway, so proved
+        states keep their first winning probe.
         """
         memo: dict[tuple[int, int], int] = {}
         if_false, if_true = self.keep
-        m = self.m
+        m, even, split = self.m, self.even, self.split
         budget = self.budget
 
         def rec(amask: int, avals: int, care: int, k: int) -> bool:
@@ -233,12 +263,17 @@ class _Search(_Tables):
             self.explored += 1
             if budget is not None and self.explored > budget:
                 raise BudgetExceeded(f"state budget {budget} exhausted")
-            if self.constant(care):
+            classes = split(care)
+            if len(classes) == 1:
                 memo[key] = _LEAF
                 return True
             memo[key] = _REFUTED
             if k <= 0:
                 return False
+            classes.pop()  # balanced when the others are
+            for c in classes:
+                if 2 * (c & even).bit_count() != c.bit_count():
+                    return False
             for p in range(m):
                 bit = 1 << p
                 if amask & bit:
@@ -257,10 +292,10 @@ class _Search(_Tables):
         which stays within the budget that let it be skipped."""
         def choose(amask: int, avals: int, care: int) -> Union[Leaf, tuple[int, int, int]]:
             p = memo.get((amask, avals))
-            if p is None and not self.constant(care):
+            if p is None and len(self.split(care)) > 1:
                 p = (~amask & (amask + 1)).bit_length() - 1
             if p is None or p == _LEAF:
-                return Leaf(tuple(t & care != 0 for t, _ in self.rows))
+                return Leaf(tuple(t & care != 0 for t in self.members))
             return p, care & self.keep[1][p], care & self.keep[0][p]
 
         return self.diagram(choose, self.full)
@@ -297,7 +332,9 @@ def decide_depth_at_most(s: ExpressionSet, k: int, budget: Optional[int] = None,
 
 def is_evasive(s: ExpressionSet, budget: Optional[int] = None,
                cap: int = DEFAULT_TABLE_CAP) -> bool:
-    """DEC-BDD-EVASIVE by brute force: depth equals the universe size."""
+    """DEC-BDD-EVASIVE: is depth ``n - 1`` out of reach, so that the depth
+    equals the universe size?  Decided by the exact search with its parity
+    rule."""
     if s.n == 0:
         return True  # depth 0 = n
     return not decide_depth_at_most(s, s.n - 1, budget=budget, cap=cap)
@@ -323,20 +360,20 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
     seen: list[dict] = [{} for _ in supports]  # per member slice: (label if constant, live)
 
     def choose(amask: int, avals: int, _) -> Union[Leaf, tuple[int, None, None]]:
-        agree: dict[int, int] = {}  # by slot offset: its rows that agree with the answers
+        agree: dict[int, int] = {}  # by slot span: its rows that agree with the answers
 
         def live(a: int, v: int, bit: int = 0) -> int:
             """Positions some non-constant member depends on, ``bit`` answered as in ``v``."""
             out = 0
-            for i, ((offset, held, span, masks, ones), t) in enumerate(tables.tables):
+            for i, ((held, span, masks, ones), t) in enumerate(tables.tables):
                 hit = seen[i].get((a & span, v & span))
                 if hit is None:
-                    if offset not in agree:
-                        agree[offset] = ones
+                    if span not in agree:
+                        agree[span] = ones
                         for q, p in enumerate(held):
                             if amask >> p & 1:
-                                agree[offset] &= masks[q] if avals >> p & 1 else ~masks[q]
-                    rows = agree[offset]
+                                agree[span] &= masks[q] if avals >> p & 1 else ~masks[q]
+                    rows = agree[span]
                     if span & bit:
                         mask = masks[held.index(bit.bit_length() - 1)]
                         rows &= mask if v & bit else ~mask
@@ -354,7 +391,7 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
         rest = live(amask, avals)
         if not rest:
             return Leaf(tuple(seen[i][amask & span, avals & span][0]
-                              for i, ((_, _, span, *_), _) in enumerate(tables.tables)))
+                              for i, ((_, span, *_), _) in enumerate(tables.tables)))
         best, best_score = 0, tables.m + 1
         while rest:
             bit = rest & -rest

@@ -3,8 +3,11 @@
 import contextlib
 import io
 import json
+import os
 import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -43,7 +46,7 @@ class TestDepth:
         assert doc["depth"] == 2 and doc["evasive"] is True
 
     def test_budget_failure_is_domain_error(self, tmp_path, capsys):
-        f = write(tmp_path, "e.txt", "(a&b)|(c&d)|(e&f)\n")
+        f = write(tmp_path, "e.txt", "(a&b)|(b&c)|(c&d)\n")
         code, _, err = run(capsys, "depth", f, "--budget", "2")
         assert code == 1
         assert "error" in err
@@ -370,6 +373,24 @@ def test_bad_input_one_line_error(tmp_path, capsys, monkeypatch, argv, env, expe
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(("error:", "parse error:"))
     assert "Traceback" not in err
+
+
+def test_repeated_main_calls_match_fresh_processes(tmp_path, capsys):
+    # main reuses one parser per process; each call must still behave as if alone
+    f = write(tmp_path, "e.txt", "vars: x y z\nx & y\nx | z\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+        str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")))))
+    for argv in (["depth", f, "--json"], ["depth", f, "--budget", "x"],
+                 ["evasive", f, "--json"], ["depth", f, "--json"]):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        alone = subprocess.run([sys.executable, "-m", "probedepth", *argv], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert (code, captured.out, captured.err) == (alone.returncode, alone.stdout,
+                                                      alone.stderr), argv
 
 
 def test_python_dash_m_help(monkeypatch, capsys):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import absorb_pairwise, all_valuations, random_expression
 from probedepth import expr as ex
+from probedepth import strategy
 from probedepth.expr import (
     And,
     Const,
@@ -122,14 +123,27 @@ class TestSemantics:
         assert ex.equivalent(a, b)
 
     def test_deeply_nested_expression_support(self):
-        # 5000 levels alternating Not and And, built through the API
-        universe = VariableUniverse(("a", "b", "c"))
-        node = Var(0)
-        for level in range(5000):
-            node = Not(node) if level % 2 else And((node, Var(1 + level % 4 // 2)))
-        e = Expression(universe, node)
+        e = _deeply_nested()
         assert e.support() == ("a", "b", "c")
         assert [type(n) for n in ex.walk(e.root)][:3] == [Not, And, Not]
+
+    @pytest.mark.parametrize("call", [
+        lambda e: strategy.optimal_depth(ExpressionSet(e.universe, (e,))),
+        ex.truth_table,
+        ex.simplify,
+    ], ids=["optimal_depth", "truth_table", "simplify"])
+    def test_deeply_nested_expression_is_expr_error(self, call):
+        with pytest.raises(ex.NestingTooDeep, match="nested too deeply"):
+            call(_deeply_nested())
+
+
+def _deeply_nested() -> Expression:
+    """5000 levels alternating Not and And, built through the API."""
+    universe = VariableUniverse(("a", "b", "c"))
+    node = Var(0)
+    for level in range(5000):
+        node = Not(node) if level % 2 else And((node, Var(1 + level % 4 // 2)))
+    return Expression(universe, node)
 
 
 # --- property tests ---------------------------------------------------------

@@ -3,11 +3,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (all_valuations, naive_depth, naive_greedy_probe, random_expression,
                       single)
 from probedepth import expr as ex
-from probedepth import strategy
+from probedepth import families, strategy
 from probedepth.expr import Expression, ExpressionSet, Valuation, VariableUniverse
 from probedepth.strategy import DecisionDiagram, Leaf, Probe
 
@@ -61,8 +63,9 @@ class TestExamples:
         assert strategy.diagram_depth(report.diagram) == 2
 
     def test_budget_exceeded(self):
+        # path(3) is not evasive and its root classes are balanced: 28 states
         with pytest.raises(strategy.BudgetExceeded):
-            strategy.optimal_depth(single("(a&b)|(c&d)|(e&f)"), budget=3)
+            strategy.optimal_depth(single("(a&b)|(b&c)|(c&d)"), budget=3)
 
 
 class TestAgainstNaiveOracle:
@@ -79,13 +82,13 @@ class TestAgainstNaiveOracle:
             assert report.evasive == (report.depth == s.n)
             assert strategy.diagram_depth(report.diagram) == report.depth
 
-    @pytest.mark.parametrize("members, slots", [
-        (["x0 & x1", "x2 | x3"], 2),  # side by side is narrower than one 4-variable table
-        (["x0 & x1 | x2", "x0 | x1 & x3", "x0 & x2 | x3", "x1 | x2 & x3"], 1),
+    @pytest.mark.parametrize("members", [
+        ["x0 & x1", "x2 | x3"],  # disjoint supports still share one table width
+        ["x0 & x1 | x2", "x0 | x1 & x3", "x0 & x2 | x3", "x1 | x2 & x3"],
     ])
-    def test_both_search_layouts(self, members, slots):
+    def test_one_search_slot(self, members):
         s = ex.parse_expressions("vars: x0 x1 x2 x3\n" + "\n".join(members))
-        assert len(strategy._Search(s, cap=20).slots) == slots
+        assert len(strategy._Search(s, cap=20).slots) == 1
         report = strategy.optimal_depth(s)
         assert report.depth == naive_depth(s)
         for v in all_valuations(s.universe):
@@ -212,7 +215,7 @@ class TestBoundedSearch:
             assert d == 0 or not strategy.decide_depth_at_most(s, d - 1)
 
     def test_budget_is_exact(self):
-        s = single("vars: a b c d e f\n(a&b)|(c&d)|(e&f)\n!a | (c & !e)\n")
+        s = single("vars: a b c d e f g\n(a&b)|(b&c)|(c&d)|(d&e)|(e&f)|(f&g)\n")
         explored = strategy.optimal_depth(s).explored_states
         assert explored > 0
         assert strategy.optimal_depth(s, budget=explored).explored_states == explored
@@ -225,6 +228,46 @@ class TestBoundedSearch:
         second = strategy.optimal_depth(s)
         assert first.explored_states == second.explored_states
         assert first.diagram == second.diagram
+
+
+class TestParityRule:
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_depth_matches_naive_depth(self, seed):
+        rng = random.Random(seed)
+        universe = VariableUniverse(tuple(f"x{i}" for i in range(rng.randint(1, 6))))
+        members = tuple(Expression(universe, random_expression(rng, universe))
+                        for _ in range(rng.randint(1, 3)))
+        s = ExpressionSet(universe, members)
+        report = strategy.optimal_depth(s)
+        assert report.depth == naive_depth(s)
+        assert strategy.diagram_depth(report.diagram) == report.depth
+
+    @pytest.mark.parametrize("text, depth", [
+        ("(a&b)|(b&c)|(c&d)", 3),  # path(3)
+        ("(a&b)|(b&c)|(c&d)|(d&e)|(e&f)|(f&g)", 6),  # path(6)
+        ("a&b&c | !a&!b&!c", 3),  # evasive
+    ], ids=["path3", "path6", "evasive"])
+    def test_balanced_root_classes(self, text, depth):
+        # parity cannot refute the root, so the search decides below it
+        s = single(text)
+        search = strategy._Search(s, cap=20)
+        classes = search.split(search.full)
+        assert len(classes) > 1
+        assert all(2 * (c & search.even).bit_count() == c.bit_count() for c in classes)
+        report = strategy.optimal_depth(s)
+        assert report.depth == naive_depth(s) == depth
+        assert report.explored_states > 1
+        assert strategy.diagram_depth(report.diagram) == depth
+        for v in all_valuations(s.universe):
+            assert strategy.check_soundness(s, report.diagram, v)
+
+    @pytest.mark.parametrize("s", [families.generate(families.FamilySpec("path", 13)),
+                                   single("(a&b)|(c&d)|(e&f)")], ids=["path13", "read_once"])
+    def test_unbalanced_root_is_refuted_at_once(self, s):
+        report = strategy.optimal_depth(s)
+        assert report.evasive
+        assert report.explored_states == 1
 
 
 class TestDiagramPlumbing:
