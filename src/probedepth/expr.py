@@ -8,6 +8,7 @@ graph DNFs, provenance) is built on top of these.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Union
@@ -34,6 +35,19 @@ class SupportTooLarge(ExprError):
 
 class NestingTooDeep(ExprError):
     """Raised when an expression is nested deeper than the recursion limit allows."""
+
+
+def _nesting_guard(what: str):
+    """Turn a ``RecursionError`` of the wrapped tree walk into ``NestingTooDeep``."""
+    def wrap(f):
+        @functools.wraps(f)
+        def guarded(*args, **kwargs):
+            try:
+                return f(*args, **kwargs)
+            except RecursionError:
+                raise NestingTooDeep(f"expression nested too deeply to {what}") from None
+        return guarded
+    return wrap
 
 
 @dataclass(frozen=True)
@@ -415,19 +429,24 @@ def parse_expressions(text: str) -> ExpressionSet:
 
 # --- printing ---------------------------------------------------------------
 
+@_nesting_guard("print")
 def format_node(node: Node, universe: VariableUniverse) -> str:
     """Print a node with n-ary operators flat; only nested ``&``/``|`` and
     negated compounds get parentheses."""
+    return _format_node(node, universe)
+
+
+def _format_node(node: Node, universe: VariableUniverse) -> str:
     if isinstance(node, Const):
         return "1" if node.value else "0"
     if isinstance(node, Var):
         return universe.names[node.index]
     if isinstance(node, Not):
-        inner = format_node(node.child, universe)
+        inner = _format_node(node.child, universe)
         return f"!({inner})" if isinstance(node.child, (And, Or)) else f"!{inner}"
     op = "&" if isinstance(node, And) else "|"
-    return op.join(f"({format_node(c, universe)})" if isinstance(c, (And, Or))
-                   else format_node(c, universe) for c in node.children)
+    return op.join(f"({_format_node(c, universe)})" if isinstance(c, (And, Or))
+                   else _format_node(c, universe) for c in node.children)
 
 
 def format_expression_set(s: ExpressionSet) -> str:
@@ -438,6 +457,7 @@ def format_expression_set(s: ExpressionSet) -> str:
 
 # --- semantics --------------------------------------------------------------
 
+@_nesting_guard("evaluate")
 def evaluate(e: Expression, v: Valuation) -> bool:
     """Evaluate an expression under a total valuation."""
     if v.universe != e.universe:
@@ -457,16 +477,14 @@ def evaluate(e: Expression, v: Valuation) -> bool:
     return go(e.root)
 
 
+@_nesting_guard("simplify")
 def simplify(e: Expression) -> Expression:
     """Constant propagation, double-negation elimination and flattening.
 
     The result is semantically equivalent and contains no constant occurrence
     unless it is itself a constant.  No distribution is performed.
     """
-    try:
-        return Expression(e.universe, _simplify_node(e.root))
-    except RecursionError:
-        raise NestingTooDeep("expression nested too deeply to simplify") from None
+    return Expression(e.universe, _simplify_node(e.root))
 
 
 def _simplify_node(node: Node) -> Node:
@@ -522,6 +540,7 @@ def _reindex(node: Node, mapping: dict[int, int]) -> Node:
     return And(children) if isinstance(node, And) else Or(children)
 
 
+@_nesting_guard("restrict")
 def restrict(e: Expression, name: str, value: bool) -> Expression:
     """Instantiate ``name`` to ``value``; the universe shrinks by ``name``."""
     removed = e.universe.index(name)
@@ -572,6 +591,7 @@ def variable_masks(m: int) -> list[int]:
     return masks
 
 
+@_nesting_guard("tabulate")
 def table_bits(node: Node, positions: dict[int, int], m: int) -> int:
     """Truth table of ``node`` over ``m`` variables placed by ``positions``
     (variable index -> bit position), as an integer of 2^m bits."""
@@ -595,10 +615,7 @@ def table_bits(node: Node, positions: dict[int, int], m: int) -> int:
             acc |= go(c)
         return acc
 
-    try:
-        return go(node)
-    except RecursionError:
-        raise NestingTooDeep("expression nested too deeply to tabulate") from None
+    return go(node)
 
 
 def truth_table(e: Expression, cap: int = DEFAULT_TABLE_CAP) -> TruthTable:
@@ -699,6 +716,7 @@ class MonotoneDnf:
         return Expression(self.universe, root)
 
 
+@_nesting_guard("expand")
 def to_monotone_dnf(e: Expression) -> MonotoneDnf:
     """Expand a negation-free expression to absorbed monotone DNF."""
     simple = _simplify_node(e.root)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Mapping, Optional, Union
 
 from .expr import (
@@ -153,16 +154,22 @@ class _Tables:
             local = position if k == self.m else {idx: q for q, idx in enumerate(support)}
             self.tables.append((self.slots[support], table_bits(member.root, local, k)))
 
-    def diagram(self, choose: Callable, care: object) -> DecisionDiagram:
+    def diagram(self, key: Callable, choose: Callable, care: object) -> DecisionDiagram:
         """The diagram ``choose(amask, avals, care)`` spells out: at each state a
         ``Leaf``, or a position to probe and the ``care`` (the chooser's own
-        per-state data) to pass on after each answer.  Equal states share one node."""
+        per-state data) to pass on after each answer.
+
+        States with equal ``key(amask, avals)`` share one node, so the caller
+        supplies a key that fixes everything its ``choose`` reads below the
+        state: the search keys by the whole state, greedy by what stays open
+        in each member (see ``greedy_strategy``)."""
         nodes: list[DiagramNode] = []
-        node_at: dict[tuple[int, int], int] = {}
+        node_at: dict[object, int] = {}
 
         def build(amask: int, avals: int, care: object) -> int:
-            if (amask, avals) in node_at:
-                return node_at[amask, avals]
+            k = key(amask, avals)
+            if k in node_at:
+                return node_at[k]
             node = choose(amask, avals, care)
             if not isinstance(node, Leaf):
                 p, if_true, if_false = node
@@ -170,8 +177,8 @@ class _Tables:
                 node = Probe(self.names[p], build(amask | bit, avals | bit, if_true),
                              build(amask | bit, avals, if_false))
             nodes.append(node)
-            node_at[amask, avals] = len(nodes) - 1
-            return node_at[amask, avals]
+            node_at[k] = len(nodes) - 1
+            return node_at[k]
 
         root = build(0, 0, care)
         return DecisionDiagram(tuple(nodes), root)
@@ -298,7 +305,7 @@ class _Search(_Tables):
                 return Leaf(tuple(t & care != 0 for t in self.members))
             return p, care & self.keep[1][p], care & self.keep[0][p]
 
-        return self.diagram(choose, self.full)
+        return self.diagram(lambda amask, avals: (amask, avals), choose, self.full)
 
 
 def optimal_depth(s: ExpressionSet, budget: Optional[int] = None,
@@ -349,8 +356,18 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
     ``SupportTooLarge``); the combined support may exceed it.  A variable is
     live when some non-constant member depends on it under the answers so
     far.  Each state probes the live variable minimizing, over both answers,
-    the worse live count, the lowest universe index winning ties.  Equal
-    states share one diagram node.
+    the worse live count, the lowest universe index winning ties.
+
+    Greedy supplies the diagram's node key: per member, its label where it is
+    constant, else its slice of the state (the answers inside its support).
+    States with equal keys share one node, which is sound: the choice reads
+    only the non-constant members' slices, a constant member stays constant
+    below the state, and ties go to the lowest position, so equal keys give
+    equal subdiagrams.  Every leaf with one label vector is one node.  What
+    lies below a state still repeats once per label vector of its constant
+    members, since the leaves tell those apart: k disjoint 6-variable paths
+    give 20 * 2^k - 19 nodes, where keying by the whole state gave 319 999
+    at k = 4.
     """
     supports = [m.support_indices() for m in s.members]
     for support in supports:
@@ -359,50 +376,59 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
     tables = _Tables(s, supports)
     seen: list[dict] = [{} for _ in supports]  # per member slice: (label if constant, live)
 
+    def live(a: int, v: int, agree: dict[int, int], bit: int = 0) -> int:
+        """Positions some non-constant member depends on after answers ``v`` on
+        ``a``, filling ``seen``.  ``agree`` holds, by slot span, the rows that
+        agree with every answer but ``bit``'s."""
+        out = 0
+        for i, ((held, span, masks, ones), t) in enumerate(tables.tables):
+            hit = seen[i].get((a & span, v & span))
+            if hit is None:
+                if span not in agree:
+                    agree[span] = ones
+                    for q, p in enumerate(held):
+                        if (a ^ bit) >> p & 1:
+                            agree[span] &= masks[q] if v >> p & 1 else ~masks[q]
+                rows = agree[span]
+                if span & bit:
+                    mask = masks[held.index(bit.bit_length() - 1)]
+                    rows &= mask if v & bit else ~mask
+                t &= rows
+                depends = 0
+                if t and t != rows:
+                    for q, p in enumerate(held):
+                        # its true rows with x_q = 1, moved onto their x_q = 0 partners
+                        if not a >> p & 1 and (t & masks[q]) >> (1 << q) != t & ~masks[q]:
+                            depends |= 1 << p
+                hit = seen[i][a & span, v & span] = (None if depends else t != 0, depends)
+            out |= hit[1]
+        return out
+
+    def key(amask: int, avals: int) -> tuple:
+        out = []
+        for i, ((_, span, _, _), _) in enumerate(tables.tables):
+            at = (amask & span, avals & span)
+            label = seen[i][at][0]  # filled by the scoring pass of the parent state
+            out.append(at if label is None else label)
+        return tuple(out)
+
     def choose(amask: int, avals: int, _) -> Union[Leaf, tuple[int, None, None]]:
-        agree: dict[int, int] = {}  # by slot span: its rows that agree with the answers
-
-        def live(a: int, v: int, bit: int = 0) -> int:
-            """Positions some non-constant member depends on, ``bit`` answered as in ``v``."""
-            out = 0
-            for i, ((held, span, masks, ones), t) in enumerate(tables.tables):
-                hit = seen[i].get((a & span, v & span))
-                if hit is None:
-                    if span not in agree:
-                        agree[span] = ones
-                        for q, p in enumerate(held):
-                            if amask >> p & 1:
-                                agree[span] &= masks[q] if avals >> p & 1 else ~masks[q]
-                    rows = agree[span]
-                    if span & bit:
-                        mask = masks[held.index(bit.bit_length() - 1)]
-                        rows &= mask if v & bit else ~mask
-                    t &= rows
-                    depends = 0
-                    if t and t != rows:
-                        for q, p in enumerate(held):
-                            # its true rows with x_q = 1, moved onto their x_q = 0 partners
-                            if not a >> p & 1 and (t & masks[q]) >> (1 << q) != t & ~masks[q]:
-                                depends |= 1 << p
-                    hit = seen[i][a & span, v & span] = (None if depends else t != 0, depends)
-                out |= hit[1]
-            return out
-
-        rest = live(amask, avals)
+        agree: dict[int, int] = {}
+        rest = live(amask, avals, agree)
         if not rest:
-            return Leaf(tuple(seen[i][amask & span, avals & span][0]
-                              for i, ((_, span, *_), _) in enumerate(tables.tables)))
+            return Leaf(key(amask, avals))  # every member is constant: its labels
         best, best_score = 0, tables.m + 1
         while rest:
             bit = rest & -rest
             rest ^= bit
-            score = max(live(amask | bit, avals | bit, bit).bit_count(),
-                        live(amask | bit, avals, bit).bit_count())
+            score = max(live(amask | bit, avals | bit, agree, bit).bit_count(),
+                        live(amask | bit, avals, agree, bit).bit_count())
             if score < best_score:
                 best, best_score = bit.bit_length() - 1, score
         return best, None, None
 
-    return tables.diagram(choose, None)
+    live(0, 0, {})  # the root's key
+    return tables.diagram(key, choose, None)
 
 
 # --- execution --------------------------------------------------------------
@@ -463,15 +489,25 @@ def to_dot(d: DecisionDiagram) -> str:
     return "\n".join(lines) + "\n"
 
 
+_JSON_LEAF = '    {\n      "kind": "leaf",\n      "labels": [%s]\n    }'
+_JSON_PROBE = ('    {\n      "kind": "probe",\n      "variable": %s,\n'
+               '      "true": %d,\n      "false": %d\n    }')
+
+
 def to_json(d: DecisionDiagram) -> str:
-    nodes = []
+    """The bytes of ``json.dumps(doc, indent=2)`` for the document
+    ``{"root": ..., "nodes": [...]}``, written from one template per node kind
+    rather than by the pure-Python indenting encoder."""
+    parts = []
     for node in d.nodes:
         if isinstance(node, Leaf):
-            nodes.append({"kind": "leaf", "labels": list(node.labels)})
+            labels = ",\n        ".join("true" if b else "false" for b in node.labels)
+            parts.append(_JSON_LEAF % (f"\n        {labels}\n      " if labels else ""))
         else:
-            nodes.append({"kind": "probe", "variable": node.variable,
-                          "true": node.on_true, "false": node.on_false})
-    return json.dumps({"root": d.root, "nodes": nodes}, indent=2)
+            parts.append(_JSON_PROBE % (encode_basestring_ascii(node.variable),
+                                        node.on_true, node.on_false))
+    nodes = "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
+    return '{\n  "root": %d,\n  "nodes": %s\n}' % (d.root, nodes)
 
 
 def from_json(text: str) -> DecisionDiagram:

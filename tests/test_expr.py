@@ -131,7 +131,16 @@ class TestSemantics:
         lambda e: strategy.optimal_depth(ExpressionSet(e.universe, (e,))),
         ex.truth_table,
         ex.simplify,
-    ], ids=["optimal_depth", "truth_table", "simplify"])
+        lambda e: ex.restrict(e, "a", True),
+        lambda e: ex.evaluate(e, Valuation(e.universe, (True, False, True))),
+        lambda e: strategy.check_soundness(
+            ExpressionSet(e.universe, (e,)),
+            strategy.DecisionDiagram((strategy.Leaf((True,)),), 0),
+            Valuation(e.universe, (True, False, True))),
+        str,
+        ex.to_monotone_dnf,
+    ], ids=["optimal_depth", "truth_table", "simplify", "restrict", "evaluate",
+            "check_soundness", "str", "to_monotone_dnf"])
     def test_deeply_nested_expression_is_expr_error(self, call):
         with pytest.raises(ex.NestingTooDeep, match="nested too deeply"):
             call(_deeply_nested())

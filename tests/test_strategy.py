@@ -1,5 +1,6 @@
 """Unit and property tests for the depth search and strategy execution."""
 
+import json
 import random
 
 import pytest
@@ -202,6 +203,44 @@ class TestGreedy:
             strategy.greedy_strategy(single("a & b & c & d & e"), cap=4)
 
 
+class TestGreedySharing:
+    """Greedy shares a node between states that agree on every member that is
+    not yet constant and on the labels of the others, so k disjoint paths
+    give 20 * 2^k - 19 nodes: one copy of what remains per label vector of
+    the members already constant, not the product of the members' diagrams."""
+
+    @staticmethod
+    def disjoint_paths(k: int) -> ExpressionSet:
+        names = [f"v{i}" for i in range(6 * k)]
+        members = [" | ".join(f"{a}&{b}" for a, b in zip(part, part[1:]))
+                   for part in (names[6 * j:6 * j + 6] for j in range(k))]
+        return ex.parse_expressions(f"vars: {' '.join(names)}\n" + "\n".join(members))
+
+    @pytest.mark.parametrize("k, nodes", [(2, 61), (3, 141), (4, 301)])
+    def test_disjoint_paths_node_count(self, k, nodes):
+        d = strategy.greedy_strategy(self.disjoint_paths(k))
+        assert len(d.nodes) == nodes
+        assert strategy.diagram_depth(d) == 6 * k
+
+    def test_disjoint_paths_sound_on_every_valuation(self):
+        s = self.disjoint_paths(2)
+        d = strategy.greedy_strategy(s)
+        for v in all_valuations(s.universe):
+            assert strategy.check_soundness(s, d, v)
+
+    def test_disjoint_paths_sound_on_seeded_valuations(self):
+        s = self.disjoint_paths(4)
+        d = strategy.greedy_strategy(s)
+        rng = random.Random(4)
+        for _ in range(2000):
+            v = Valuation(s.universe, tuple(rng.random() < 0.5 for _ in range(s.n)))
+            assert strategy.check_soundness(s, d, v)
+
+    def test_psi1_depth_is_2k_plus_3(self):
+        d = strategy.greedy_strategy(families.generate(families.FamilySpec("psi", 1)))
+        assert strategy.diagram_depth(d) == 5 == strategy.diagram_depth(families.psi_strategy(1))
+
+
 class TestBoundedSearch:
     def test_decide_matches_naive_depth(self, rng):
         for _ in range(40):
@@ -285,6 +324,27 @@ class TestDiagramPlumbing:
         d = strategy.optimal_depth(single("vars: x y z\nx & y\nx | z\n")).diagram
         back = strategy.from_json(strategy.to_json(d))
         assert back == d
+
+    @staticmethod
+    def dumped(d: DecisionDiagram) -> str:
+        nodes = [{"kind": "leaf", "labels": list(node.labels)} if isinstance(node, Leaf)
+                 else {"kind": "probe", "variable": node.variable,
+                       "true": node.on_true, "false": node.on_false}
+                 for node in d.nodes]
+        return json.dumps({"root": d.root, "nodes": nodes}, indent=2)
+
+    def test_json_matches_indented_dumps(self, rng):
+        for _ in range(40):
+            universe = VariableUniverse(tuple(f"x{i}" for i in range(rng.randint(1, 6))))
+            members = tuple(Expression(universe, random_expression(rng, universe))
+                            for _ in range(rng.randint(1, 3)))
+            s = ExpressionSet(universe, members)
+            for d in (strategy.optimal_depth(s).diagram, strategy.greedy_strategy(s)):
+                assert strategy.to_json(d) == self.dumped(d)
+        one_leaf = strategy.optimal_depth(single("vars: a\n1\n")).diagram
+        assert len(one_leaf.nodes) == 1
+        for d in (one_leaf, DecisionDiagram((Leaf(()),), 0)):
+            assert strategy.to_json(d) == self.dumped(d)
 
     def test_dot_export_shape(self):
         d = strategy.optimal_depth(single("a & b")).diagram

@@ -10,9 +10,11 @@ variables), a few sets whose combined support exceeds the table cap, and
 psi(2) as printed by the first checkout's ``family psi 2``.  On each it runs
 ``depth --json``, ``strategy --out json`` with and without ``--greedy``,
 ``evasive`` plain and with ``--json``, and ``probe --answers`` on a seeded
-answer file.  Exits 1 if any call differs, 0 otherwise.  Uses the standard
-library only; the inputs go to a temporary directory (``TMPDIR`` chooses
-where).
+answer file.  Where the stdout of ``strategy --out json --greedy`` differs,
+it also reports whether both diagrams give the same walk (probes, answers
+and labels) on every valuation.  Exits 1 if any call differs in any byte, 0
+otherwise.  Uses the standard library only; the inputs go to a temporary
+directory (``TMPDIR`` chooses where).
 """
 
 from __future__ import annotations
@@ -75,6 +77,32 @@ def calls(path: str, answers: str) -> list[list[str]]:
             ["probe", path, "--answers", answers]]
 
 
+def same_walks(old: str, new: str) -> bool:
+    """Do two diagram JSON documents give the same walk on every valuation?
+    Walks both in step from their roots, taking both answers at each probe.
+    That checks every path; every path is some valuation's walk when no path
+    probes a variable twice, which holds for greedy (it probes only
+    unanswered variables)."""
+    a, b = json.loads(old), json.loads(new)
+    pending, done = [(a["root"], b["root"])], set()
+    while pending:
+        pair = pending.pop()
+        if pair in done:
+            continue
+        done.add(pair)
+        x, y = a["nodes"][pair[0]], b["nodes"][pair[1]]
+        if x["kind"] != y["kind"]:
+            return False
+        if x["kind"] == "leaf":
+            if x["labels"] != y["labels"]:
+                return False
+        elif x["variable"] != y["variable"]:
+            return False
+        else:
+            pending += [(x["true"], y["true"]), (x["false"], y["false"])]
+    return True
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
@@ -104,6 +132,9 @@ def main(argv=None) -> int:
                         differences += 1
                         print(f"{name}: {' '.join(call[:1] + call[2:])}: {what} differs\n"
                               f"  old: {str(a)[:300]!r}\n  new: {str(b)[:300]!r}")
+                        if what == "stdout" and "--greedy" in call and old[0] == new[0] == 0:
+                            print("  same walk on every valuation: "
+                                  + ("yes" if same_walks(a, b) else "NO"))
     print(f"{total} calls, {differences} differences")
     return 1 if differences else 0
 
