@@ -43,6 +43,17 @@ def _cap() -> int:
         raise UsageError(f"PROBEDEPTH_CAP must be an integer, got {raw!r}") from None
 
 
+def _state_budget(text: str) -> int:
+    """``--budget``: a count of states, so a negative one is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -256,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("depth", help="exact minimum worst-case probe count")
     p.add_argument("exprfile")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_state_budget, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_depth)
 

@@ -12,20 +12,26 @@ tables and the diagram builder.  The search tabulates every member over the
 combined support and caps it; greedy keeps one table per member support and
 caps only each member's.
 
-Parity rule (Rivest & Vuillemin 1976).  Split a state's care rows into label
-classes, the rows that share one vector of member values.  If the state has
-r unprobed positions and budget k < r, it is refuted as soon as some class
-holds more even-weight rows than odd-weight rows, or fewer:
-  1. every leaf of a diagram of depth at most k leaves a position free, so
-     its rows form a subcube of dimension >= 1, which is balanced;
+Degree rule (Nisan & Szegedy 1994, deg(f) <= D(f), applied per state).
+Split a state's care rows into label classes, the rows that share one vector
+of member values.  Take a state with r unprobed positions and budget k < r.
+It is refuted as soon as some class C and some set S of unprobed positions
+with |S| > k have a non-zero signed sum, sum over x in C of (-1)^|x & S|:
+  1. every leaf of a diagram of depth at most k fixes at most k positions, so
+     some position of S is free in it, and its signed sum over S is 0;
   2. every member is constant on a leaf, so a class is a union of leaves;
-  3. so every class of a state of depth at most k is balanced.
+  3. so every class of a state of depth at most k sums to 0 over every such S.
+The search checks three levels: S = all r positions, which is Rivest &
+Vuillemin's parity argument (1976), a class with more even-weight rows than
+odd-weight ones, or fewer; then all but one position when k <= r - 2; then
+all but two when k <= r - 3.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Mapping, Optional, Union
 
@@ -84,11 +90,18 @@ class DecisionDiagram:
 
 @dataclass(frozen=True)
 class DepthReport:
+    """The exact depth of a set.  ``diagram``, a witness of that depth, is
+    built on first read from the search's memo, which the report keeps."""
+
     depth: int
     n: int
     evasive: bool
-    diagram: DecisionDiagram
     explored_states: int
+    witness: Callable[[], DecisionDiagram] = field(repr=False, compare=False)
+
+    @cached_property
+    def diagram(self) -> DecisionDiagram:
+        return self.witness()
 
 
 @dataclass(frozen=True)
@@ -201,10 +214,11 @@ class _Search(_Tables):
     The care set splits into label classes: the care rows that share one
     vector of member values.  One class means every member is constant.
     ``even`` holds the rows of even weight.  A state with r unprobed positions
-    and budget k < r is refuted when a class has more even-weight rows than
-    odd-weight rows, or fewer: each leaf of a diagram of depth at most k is a
-    subcube of dimension >= 1, which is balanced, and each class is a union of
-    leaves, so each class would be balanced (see ``within``).
+    and budget k < r is refuted when a class has a non-zero signed sum over a
+    set S of more than k unprobed positions: each leaf of a diagram of depth
+    at most k leaves a position of S free, so its sum over S is 0, and each
+    class is a union of leaves (Nisan & Szegedy's degree bound; see
+    ``within``).  Parity, S = every unprobed position, is its top level.
     """
 
     def __init__(self, s: ExpressionSet, cap: int, budget: Optional[int] = None):
@@ -244,21 +258,52 @@ class _Search(_Tables):
         state is always ``k - popcount(amask)``, so the key needs no depth.
         States where every remaining variable fits the budget are skipped.
 
-        Parity rule: a state with r > k unprobed positions is refuted when a
-        label class holds more even-weight rows than odd-weight rows, or fewer.
-        Proof: (1) every leaf of a diagram of depth at most k < r leaves some
-        unprobed position free, so its rows form a subcube of dimension >= 1,
-        with as many even-weight rows as odd-weight ones; (2) a class is a
-        union of such leaves, since a leaf fixes every member; (3) so every
-        class is balanced.  The care set is a subcube too, so the classes'
-        signed sums add up to 0, and all classes but one need checking.  The
-        rule refutes only states the search would refute anyway, so proved
-        states keep their first winning probe.
+        Degree rule: a state with r > k unprobed positions is refuted when a
+        label class C has a non-zero signed sum, sum over x in C of
+        (-1)^|x & S|, for a set S of unprobed positions with |S| > k.  Proof:
+        (1) every leaf of a diagram of depth at most k fixes at most k
+        positions, so some position of S is free in it and its sum over S is
+        0; (2) a class is a union of such leaves, since a leaf fixes every
+        member; (3) so every class sums to 0 over S.  Probed positions are
+        constant on C, so the sum is 0 exactly when half the rows of C have
+        even weight outside the unprobed positions not in S.  Three levels
+        are checked, the cheap ones first:
+          - |S| = r (Rivest & Vuillemin's parity): the rows of ``even``;
+          - |S| = r - 1, when k <= r - 2: even outside p, ``even ^ keep[1][p]``,
+            for each unprobed p;
+          - |S| = r - 2, when k <= r - 3: even outside p and q, one more XOR
+            with ``keep[1][q]``, for each pair.
+        k - r is the same at every state of a round, so the levels that apply
+        are fixed per round; ``is_evasive`` asks k = m - 1 and never reaches
+        the lower two.  The care set is a subcube, so its own sum over every
+        non-empty S is 0, and all classes but one need checking.  The rule
+        refutes only states the search would refute anyway, so proved states
+        keep their first winning probe.
         """
         memo: dict[tuple[int, int], int] = {}
         if_false, if_true = self.keep
         m, even, split = self.m, self.even, self.split
         budget = self.budget
+        gap = m - k  # r - k at every state: a probe takes one from both
+        even_but = [even ^ t for t in if_true] if gap > 1 else None  # even outside p
+
+        def refuted_below(amask: int, classes: list[int]) -> bool:
+            """Does a class sum to non-zero over every unprobed position but
+            one, or (k <= r - 3) but two?  Kept out of ``rec``, so that rounds
+            these levels never reach, as in ``is_evasive``, keep its frame small."""
+            free = [p for p in range(m) if not amask >> p & 1]
+            for c in classes:
+                n = c.bit_count()
+                halves = [c & even_but[p] for p in free]  # |S| = r - 1
+                if any(2 * h.bit_count() != n for h in halves):
+                    return True
+                if gap > 2:  # |S| = r - 2: c & (even_but[p] ^ if_true[q])
+                    ones = [c & if_true[q] for q in free]
+                    for i, h in enumerate(halves):
+                        for t in ones[i + 1:]:
+                            if 2 * (h ^ t).bit_count() != n:
+                                return True
+            return False
 
         def rec(amask: int, avals: int, care: int, k: int) -> bool:
             if k >= m - amask.bit_count():
@@ -277,10 +322,12 @@ class _Search(_Tables):
             memo[key] = _REFUTED
             if k <= 0:
                 return False
-            classes.pop()  # balanced when the others are
-            for c in classes:
+            classes.pop()  # its sums vanish when the others' do
+            for c in classes:  # |S| = r
                 if 2 * (c & even).bit_count() != c.bit_count():
                     return False
+            if gap > 1 and refuted_below(amask, classes):
+                return False
             for p in range(m):
                 bit = 1 << p
                 if amask & bit:
@@ -326,7 +373,8 @@ def optimal_depth(s: ExpressionSet, budget: Optional[int] = None,
             break
         depth, memo = depth - 1, witness
     return DepthReport(depth=depth, n=s.n, evasive=(depth == s.n),
-                       diagram=search.witness(memo), explored_states=search.explored)
+                       explored_states=search.explored,
+                       witness=partial(search.witness, memo))
 
 
 def decide_depth_at_most(s: ExpressionSet, k: int, budget: Optional[int] = None,
@@ -340,8 +388,10 @@ def decide_depth_at_most(s: ExpressionSet, k: int, budget: Optional[int] = None,
 def is_evasive(s: ExpressionSet, budget: Optional[int] = None,
                cap: int = DEFAULT_TABLE_CAP) -> bool:
     """DEC-BDD-EVASIVE: is depth ``n - 1`` out of reach, so that the depth
-    equals the universe size?  Decided by the exact search with its parity
-    rule."""
+    equals the universe size?  Decided by the exact search.  Its budget is
+    one less than the unprobed positions at every state, so of the degree
+    rule only the top level, parity, applies: an evasive set with an
+    unbalanced label class is decided at the root."""
     if s.n == 0:
         return True  # depth 0 = n
     return not decide_depth_at_most(s, s.n - 1, budget=budget, cap=cap)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fixture_text, load_schema
-from probedepth import cli, graphdnf
+from probedepth import cli, graphdnf, strategy
 
 
 def write(tmp_path, name, text):
@@ -50,6 +50,28 @@ class TestDepth:
         code, _, err = run(capsys, "depth", f, "--budget", "2")
         assert code == 1
         assert "error" in err
+
+    def test_negative_budget_is_usage_error(self, tmp_path, capsys):
+        f = write(tmp_path, "e.txt", "(a&b)|(b&c)|(c&d)\n")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["depth", f, "--budget", "-3"])
+        assert exit_info.value.code == 2
+        assert "--budget: must be non-negative, got -3" in capsys.readouterr().err
+        code, _, err = run(capsys, "depth", f, "--budget", "0")
+        assert code == 1
+        assert "state budget 0 exhausted" in err
+
+    def test_builds_no_diagram(self, tmp_path, capsys, monkeypatch):
+        # an evasive set's witness probes until every member is constant:
+        # 43 781 nodes for path(19)
+        def unused(*_):
+            raise AssertionError("depth built a witness diagram")
+
+        monkeypatch.setattr(strategy._Search, "witness", unused)
+        f = write(tmp_path, "e.txt", "x & y | x & z\n")
+        code, out, _ = run(capsys, "depth", f)
+        assert code == 0
+        assert out == "depth=3 n=3 evasive=true explored_states=1\n"
 
     def test_parse_error_is_usage_error(self, tmp_path, capsys):
         f = write(tmp_path, "e.txt", "a &\n")

@@ -64,7 +64,7 @@ class TestExamples:
         assert strategy.diagram_depth(report.diagram) == 2
 
     def test_budget_exceeded(self):
-        # path(3) is not evasive and its root classes are balanced: 28 states
+        # path(3) is not evasive and its root classes are balanced: 15 states
         with pytest.raises(strategy.BudgetExceeded):
             strategy.optimal_depth(single("(a&b)|(b&c)|(c&d)"), budget=3)
 
@@ -307,6 +307,54 @@ class TestParityRule:
         report = strategy.optimal_depth(s)
         assert report.evasive
         assert report.explored_states == 1
+
+
+class TestDegreeRule:
+    """Below parity: classes with a non-zero signed sum over all unprobed
+    positions but one (budget at most r - 2) or but two (at most r - 3)."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.integers(0, 2**32 - 1))
+    def test_decide_matches_naive_depth_at_every_k(self, seed):
+        rng = random.Random(seed)
+        universe = VariableUniverse(tuple(f"x{i}" for i in range(rng.randint(1, 7))))
+        members = tuple(Expression(universe, random_expression(rng, universe))
+                        for _ in range(rng.randint(1, 3)))
+        s = ExpressionSet(universe, members)
+        d = naive_depth(s)
+        assert [strategy.decide_depth_at_most(s, k) for k in range(s.n + 1)] == \
+               [d <= k for k in range(s.n + 1)]
+
+    @pytest.mark.parametrize("text, depth, states", [
+        # degree 2 = depth: level r - 1 at budget r - 1 would refute the root
+        ("(a&b)|(!a&c)", 2, 9),
+        # budget r - 3 in the last round: level r - 2 at budget r - 2 gives
+        # depth 7; level r - 1 or r - 2 only one budget lower, 858 or 921 states
+        ("(a&b)|(b&c)|(c&d)\n(e&f)|(f&g)|(g&h)\n", 6, 402),
+    ], ids=["mux", "two_paths4"])
+    def test_level_thresholds(self, text, depth, states):
+        s = single(text)
+        report = strategy.optimal_depth(s)
+        assert (report.depth, report.explored_states) == (depth, states)
+        assert naive_depth(s) == depth
+        assert strategy.diagram_depth(report.diagram) == depth
+
+    @pytest.mark.parametrize("s, depth, states, budget", [
+        (families.generate(families.FamilySpec("path", 15)), 15, 5565, 20_000),
+        (single("(a&b)|(b&c)|(c&d)|(d&e)|(e&f)|(f&g)\n"
+                "(h&i)|(i&j)|(j&k)|(k&l)|(l&m)|(m&n)\n"), 12, 15246, 50_000),
+    ], ids=["path15", "two_paths7"])
+    def test_non_evasive_refuted_early(self, s, depth, states, budget):
+        # parity alone needs 2 803 078 and 1 003 700 states
+        report = strategy.optimal_depth(s, budget=budget)
+        assert (report.depth, report.explored_states) == (depth, states)
+
+    def test_lazy_diagram_is_stable(self):
+        s = families.generate(families.FamilySpec("path", 9))
+        report = strategy.optimal_depth(s)
+        assert report.diagram is report.diagram
+        assert report.diagram == strategy.optimal_depth(s).diagram
+        assert strategy.diagram_depth(report.diagram) == report.depth == 9
 
 
 class TestDiagramPlumbing:
