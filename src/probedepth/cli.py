@@ -149,13 +149,8 @@ def cmd_probe(args) -> int:
             raise DomainFailure(f"answers file is not JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise DomainFailure("answers file must hold a JSON object")
-        answers = {k: _parse_answer(v) if isinstance(v, str) else bool(v)
-                   for k, v in raw.items()}
-
-        def source(name: str) -> bool:
-            if name not in answers:
-                raise strategy.AnswersExhausted(f"no answer for variable {name!r}")
-            return answers[name]
+        source = {k: _parse_answer(v) if isinstance(v, str) else bool(v)
+                  for k, v in raw.items()}
     else:
         def source(name: str) -> bool:
             sys.stdout.write(f"{name}? [y/n] ")

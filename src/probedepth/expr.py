@@ -3,7 +3,10 @@
 The core value types are immutable: a ``VariableUniverse`` fixing the set of
 variables (and hence ``n``), expression syntax trees, total and partial
 valuations, and absorbed monotone DNFs.  Everything downstream (depth search,
-graph DNFs, provenance) is built on top of these.
+graph DNFs, provenance) is built on top of these.  ``Node`` (``Const``,
+``Var``, ``Not``, ``And``, ``Or``) is the one tree format: the parser builds
+it directly as it reads, and the generated families are written as text and
+parsed.
 """
 
 from __future__ import annotations
@@ -272,11 +275,18 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    """Recursive-descent parser for the expression file grammar."""
+    """Recursive-descent parser for the expression file grammar.  It builds
+    ``Node`` trees as it reads, numbering variables by the ``vars:`` header,
+    or else in order of first occurrence.  An undeclared name is reported
+    only once the whole file has parsed, so that a syntax error anywhere
+    wins."""
 
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.index: dict[str, int] = {}  # variable name -> universe position
+        self.declared = False
+        self.undeclared: Optional[str] = None  # the first name missing from the header
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -294,13 +304,13 @@ class _Parser:
         while self.peek().kind == "newline":
             self.next()
 
-    def parse_file(self) -> tuple[Optional[tuple[str, ...]], list]:
+    def parse_file(self) -> list[Node]:
         self.skip_newlines()
-        header = self.parse_header()
-        stmts = []
+        self.parse_header()
+        roots = []
         self.skip_newlines()
         while self.peek().kind != "eof":
-            stmts.append(self.parse_expr())
+            roots.append(self.parse_expr())
             tok = self.peek()
             if tok.kind in ("newline",) or tok.text == ";":
                 self.next()
@@ -310,54 +320,52 @@ class _Parser:
                     self.skip_newlines()
             elif tok.kind != "eof":
                 raise self.error(f"unexpected token {tok.text!r}")
-        if not stmts:
+        if not roots:
             raise self.error("empty input: no expressions")
-        return header, stmts
+        return roots
 
-    def parse_header(self) -> Optional[tuple[str, ...]]:
+    def parse_header(self):
         tok = self.peek()
         if tok.kind == "ident" and tok.text == "vars" and self.tokens[self.pos + 1].text == ":":
             self.next()
             self.next()
-            names: list[str] = []
             while self.peek().kind == "ident":
                 name = self.next()
-                if name.text in names:
+                if name.text in self.index:
                     raise ParseError(f"duplicate variable in vars header: {name.text!r}",
                                      name.line, name.column)
-                names.append(name.text)
+                self.index[name.text] = len(self.index)
             if self.peek().kind not in ("newline", "eof"):
                 raise self.error("expected variable name or end of header")
             if self.peek().kind == "newline":
                 self.next()
-            if not names:
+            if not self.index:
                 raise self.error("vars header declares no variables")
-            return tuple(names)
-        return None
+            self.declared = True
 
     # expr := or ; or := and ('|' and)* ; and := not ('&' not)* ;
     # not := '!' not | atom ; atom := ident | '0' | '1' | '(' expr ')'
-    def parse_expr(self):
+    def parse_expr(self) -> Node:
         return self.parse_or()
 
-    def parse_or(self):
+    def parse_or(self) -> Node:
         parts = [self.parse_and()]
         while self.peek().text == "|":
             self.next()
             parts.append(self.parse_and())
-        return parts[0] if len(parts) == 1 else ("or", parts)
+        return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
-    def parse_and(self):
+    def parse_and(self) -> Node:
         parts = [self.parse_not()]
         while self.peek().text == "&":
             self.next()
             parts.append(self.parse_not())
-        return parts[0] if len(parts) == 1 else ("and", parts)
+        return parts[0] if len(parts) == 1 else And(tuple(parts))
 
-    def parse_not(self):
+    def parse_not(self) -> Node:
         if self.peek().text == "!":
             self.next()
-            return ("not", self.parse_not())
+            return Not(self.parse_not())
 
         tok = self.peek()
         if tok.text == "(":
@@ -369,39 +377,20 @@ class _Parser:
             return inner
         if tok.text in ("0", "1"):
             self.next()
-            return ("const", tok.text == "1")
+            return Const(tok.text == "1")
         if tok.kind == "ident":
             self.next()
-            return ("var", tok.text)
+            return self.var(tok.text)
         raise self.error(f"expected expression, found {tok.text or 'end of input'!r}")
 
-
-def _collect_names(ast, order: list[str], seen: set[str]):
-    kind = ast[0] if isinstance(ast, tuple) else None
-    if kind == "var":
-        if ast[1] not in seen:
-            seen.add(ast[1])
-            order.append(ast[1])
-    elif kind == "not":
-        _collect_names(ast[1], order, seen)
-    elif kind in ("and", "or"):
-        for child in ast[1]:
-            _collect_names(child, order, seen)
-
-
-def _ast_to_node(ast, universe: VariableUniverse, line_hint=None) -> Node:
-    kind = ast[0]
-    if kind == "const":
-        return Const(ast[1])
-    if kind == "var":
-        try:
-            return Var(universe.index(ast[1]))
-        except ExprError:
-            raise ExprError(f"variable {ast[1]!r} not declared in vars header") from None
-    if kind == "not":
-        return Not(_ast_to_node(ast[1], universe))
-    children = tuple(_ast_to_node(c, universe) for c in ast[1])
-    return And(children) if kind == "and" else Or(children)
+    def var(self, name: str) -> Node:
+        index = self.index.get(name)
+        if index is None:
+            if self.declared:
+                self.undeclared = self.undeclared or name
+                return Const(False)  # a stand-in: the file is rejected once it parses
+            index = self.index[name] = len(self.index)
+        return Var(index)
 
 
 def parse_expressions(text: str) -> ExpressionSet:
@@ -412,19 +401,13 @@ def parse_expressions(text: str) -> ExpressionSet:
     """
     parser = _Parser(text)
     try:
-        header, asts = parser.parse_file()
-        if header is not None:
-            universe = VariableUniverse(header)
-        else:
-            order: list[str] = []
-            seen: set[str] = set()
-            for ast in asts:
-                _collect_names(ast, order, seen)
-            universe = VariableUniverse(tuple(order))
-        members = tuple(Expression(universe, _ast_to_node(ast, universe)) for ast in asts)
+        roots = parser.parse_file()
     except RecursionError:
         raise parser.error("expression nested too deeply") from None
-    return ExpressionSet(universe, members)
+    if parser.undeclared is not None:
+        raise ExprError(f"variable {parser.undeclared!r} not declared in vars header")
+    universe = VariableUniverse(tuple(parser.index))
+    return ExpressionSet(universe, tuple(Expression(universe, root) for root in roots))
 
 
 # --- printing ---------------------------------------------------------------
@@ -518,36 +501,26 @@ def _simplify_node(node: Node) -> Node:
     return And(tuple(flat)) if is_and else Or(tuple(flat))
 
 
-def _substitute(node: Node, index: int, value: bool) -> Node:
+def _restrict_node(node: Node, removed: int, value: bool) -> Node:
+    """``node`` with variable ``removed`` set to ``value`` and every later
+    variable renumbered one lower."""
     if isinstance(node, Const):
         return node
     if isinstance(node, Var):
-        return Const(value) if node.index == index else node
+        if node.index < removed:
+            return node
+        return Const(value) if node.index == removed else Var(node.index - 1)
     if isinstance(node, Not):
-        return Not(_substitute(node.child, index, value))
-    children = tuple(_substitute(c, index, value) for c in node.children)
-    return And(children) if isinstance(node, And) else Or(children)
-
-
-def _reindex(node: Node, mapping: dict[int, int]) -> Node:
-    if isinstance(node, Const):
-        return node
-    if isinstance(node, Var):
-        return Var(mapping[node.index])
-    if isinstance(node, Not):
-        return Not(_reindex(node.child, mapping))
-    children = tuple(_reindex(c, mapping) for c in node.children)
+        return Not(_restrict_node(node.child, removed, value))
+    children = tuple(_restrict_node(c, removed, value) for c in node.children)
     return And(children) if isinstance(node, And) else Or(children)
 
 
 @_nesting_guard("restrict")
 def restrict(e: Expression, name: str, value: bool) -> Expression:
     """Instantiate ``name`` to ``value``; the universe shrinks by ``name``."""
-    removed = e.universe.index(name)
-    node = _simplify_node(_substitute(e.root, removed, value))
-    new_universe = e.universe.without(name)
-    mapping = {i: (i if i < removed else i - 1) for i in range(e.universe.n) if i != removed}
-    return Expression(new_universe, _reindex(node, mapping))
+    node = _restrict_node(e.root, e.universe.index(name), value)
+    return Expression(e.universe.without(name), _simplify_node(node))
 
 
 def restrict_set(s: ExpressionSet, name: str, value: bool) -> ExpressionSet:
@@ -615,7 +588,10 @@ def table_bits(node: Node, positions: dict[int, int], m: int) -> int:
             acc |= go(c)
         return acc
 
-    return go(node)
+    try:
+        return go(node)
+    finally:
+        del go  # break the closure's reference to itself, which holds the masks
 
 
 def truth_table(e: Expression, cap: int = DEFAULT_TABLE_CAP) -> TruthTable:

@@ -4,15 +4,15 @@ strategy.
 The ``psi`` family doubles its variable count per level while its optimal
 worst-case probe count grows by two, so it is exponentially far from evasive.
 ``path``, ``and`` and ``or`` generate the standard path / conjunction /
-disjunction shapes.
+disjunction shapes.  Each family is generated as text, a ``vars:`` header and
+one expression line, and read by the expression parser.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import (And, Expression, ExpressionSet, Node, Or, Var, VariableUniverse,
-                   _ast_to_node)
+from .expr import ExpressionSet, parse_expressions
 from .strategy import DecisionDiagram, DiagramNode, Leaf, Probe
 
 MAX_PSI_LEVEL = 6
@@ -39,53 +39,32 @@ class FamilySpec:
             raise FamilyError(f"{self.kind} parameter must be at least 1")
 
 
-# name-level AST: ('var', name) | ('and', [..]) | ('or', [..])
-
-def _psi_ast(level: int) -> tuple[list[str], tuple]:
-    names = ["w", "x", "y", "z"]
-    ast = ("or", [("and", [("var", "w"), ("var", "x")]),
-                  ("and", [("var", "x"), ("var", "y")]),
-                  ("and", [("var", "y"), ("var", "z")])])
-    for i in range(level):
-        u, v = f"u{i}", f"v{i}"
-        primed_names = [n + f"p{i}" for n in names]
-        primed = _rename_ast(ast, f"p{i}")
-        ast = ("or", [("and", [("var", u), ast]),
-                      ("and", [("var", u), ("var", v)]),
-                      ("and", [("var", v), primed])])
-        names = [u] + names + [v] + primed_names
-    return names, ast
-
-
-def _rename_ast(ast: tuple, suffix: str) -> tuple:
-    kind = ast[0]
-    if kind == "var":
-        return ("var", ast[1] + suffix)
-    return (kind, [_rename_ast(c, suffix) for c in ast[1]])
+def _psi_text(level: int, suffix: str = "") -> tuple[list[str], str]:
+    """The variable names and the text of ``psi(level)``, each name ending
+    in ``suffix``.  A level joins the previous one and a primed copy of it
+    through two fresh variables u and v: u & psi | u & v | v & psi'."""
+    if level == 0:
+        w, x, y, z = names = [n + suffix for n in "wxyz"]
+        return names, f"{w} & {x} | {x} & {y} | {y} & {z}"
+    u, v = f"u{level - 1}{suffix}", f"v{level - 1}{suffix}"
+    names, plain = _psi_text(level - 1, suffix)
+    primed_names, primed = _psi_text(level - 1, f"p{level - 1}{suffix}")
+    return [u, *names, v, *primed_names], f"{u} & ({plain}) | {u} & {v} | {v} & ({primed})"
 
 
 def generate(spec: FamilySpec) -> ExpressionSet:
-    """Build the expression set for a family instance."""
-    if spec.kind == "psi":
-        names, ast = _psi_ast(spec.parameter)
-        universe = VariableUniverse(tuple(names))
-        member = Expression(universe, _ast_to_node(ast, universe))
-        return ExpressionSet(universe, (member,))
+    """Build the expression set for a family instance, written as text with
+    a ``vars:`` header and parsed."""
     n = spec.parameter
-    if spec.kind == "path":
-        universe = VariableUniverse(tuple(f"x{i}" for i in range(n + 1)))
-        terms = tuple(And((Var(i), Var(i + 1))) for i in range(n))
-        root: Node = terms[0] if n == 1 else Or(terms)
-        return ExpressionSet(universe, (Expression(universe, root),))
-    universe = VariableUniverse(tuple(f"x{i}" for i in range(1, n + 1)))
-    variables = tuple(Var(i) for i in range(n))
-    if n == 1:
-        root = variables[0]
-    elif spec.kind == "and":
-        root = And(variables)
+    if spec.kind == "psi":
+        names, line = _psi_text(n)
+    elif spec.kind == "path":
+        names = [f"x{i}" for i in range(n + 1)]
+        line = " | ".join(f"x{i} & x{i + 1}" for i in range(n))
     else:
-        root = Or(variables)
-    return ExpressionSet(universe, (Expression(universe, root),))
+        names = [f"x{i}" for i in range(1, n + 1)]
+        line = (" & " if spec.kind == "and" else " | ").join(names)
+    return parse_expressions(f"vars: {' '.join(names)}\n{line}\n")
 
 
 def psi_strategy(level: int) -> DecisionDiagram:

@@ -7,10 +7,10 @@ support and keeps the winning probe of each state it proves.  The exact depth
 comes from descending deepening over that search, and the witness diagram
 from its memo.  Variables outside every member's support never help, so
 positions index the combined support; a universe variable absent from all
-members makes the set non-evasive.  The search and greedy share the member
-tables and the diagram builder.  The search tabulates every member over the
-combined support and caps it; greedy keeps one table per member support and
-caps only each member's.
+members makes the set non-evasive.  The search and greedy share the diagram
+builder.  The search tabulates every member over the combined support and
+caps it; greedy keeps one table per member support and caps only each
+member's.
 
 Degree rule (Nisan & Szegedy 1994, deg(f) <= D(f), applied per state).
 Split a state's care rows into label classes, the rows that share one vector
@@ -144,57 +144,39 @@ def diagram_depth(d: DecisionDiagram) -> int:
     return visit(d.root)
 
 
-class _Tables:
-    """Every member's truth table over the support given for it.  Members with
-    the same support share a slot: its positions, their bits, its projection
-    masks and its full row set."""
+def _diagram(names: tuple[str, ...], key: Callable, choose: Callable,
+             care: object) -> DecisionDiagram:
+    """The diagram ``choose(amask, avals, care)`` spells out: at each state a
+    ``Leaf``, or a position to probe and the ``care`` (the chooser's own
+    per-state data) to pass on after each answer.  ``names`` names the
+    positions.
 
-    def __init__(self, s: ExpressionSet, supports: list[tuple[int, ...]]):
-        combined = sorted(set().union(*supports))
-        position = {idx: p for p, idx in enumerate(combined)}
-        self.names = tuple(s.universe.names[i] for i in combined)
-        self.m = len(combined)
-        masks = {k: variable_masks(k) for k in {len(support) for support in supports}}
-        self.slots: dict[tuple[int, ...], tuple[tuple[int, ...], int, list[int], int]] = {}
-        self.tables: list[tuple[tuple, int]] = []  # per member: its slot, its truth table
-        for member, support in zip(s.members, supports):
-            k = len(support)
-            if support not in self.slots:
-                held = tuple(position[idx] for idx in support)
-                self.slots[support] = (held, sum(1 << p for p in held), masks[k],
-                                       (1 << (1 << k)) - 1)
-            # a member holding the whole combined support numbers it the same way
-            local = position if k == self.m else {idx: q for q, idx in enumerate(support)}
-            self.tables.append((self.slots[support], table_bits(member.root, local, k)))
+    States with equal ``key(amask, avals)`` share one node, so the caller
+    supplies a key that fixes everything its ``choose`` reads below the
+    state: the search keys by the whole state, greedy by what stays open
+    in each member (see ``greedy_strategy``)."""
+    nodes: list[DiagramNode] = []
+    node_at: dict[object, int] = {}
 
-    def diagram(self, key: Callable, choose: Callable, care: object) -> DecisionDiagram:
-        """The diagram ``choose(amask, avals, care)`` spells out: at each state a
-        ``Leaf``, or a position to probe and the ``care`` (the chooser's own
-        per-state data) to pass on after each answer.
-
-        States with equal ``key(amask, avals)`` share one node, so the caller
-        supplies a key that fixes everything its ``choose`` reads below the
-        state: the search keys by the whole state, greedy by what stays open
-        in each member (see ``greedy_strategy``)."""
-        nodes: list[DiagramNode] = []
-        node_at: dict[object, int] = {}
-
-        def build(amask: int, avals: int, care: object) -> int:
-            k = key(amask, avals)
-            if k in node_at:
-                return node_at[k]
-            node = choose(amask, avals, care)
-            if not isinstance(node, Leaf):
-                p, if_true, if_false = node
-                bit = 1 << p
-                node = Probe(self.names[p], build(amask | bit, avals | bit, if_true),
-                             build(amask | bit, avals, if_false))
-            nodes.append(node)
-            node_at[k] = len(nodes) - 1
+    def build(amask: int, avals: int, care: object) -> int:
+        k = key(amask, avals)
+        if k in node_at:
             return node_at[k]
+        node = choose(amask, avals, care)
+        if not isinstance(node, Leaf):
+            p, if_true, if_false = node
+            bit = 1 << p
+            node = Probe(names[p], build(amask | bit, avals | bit, if_true),
+                         build(amask | bit, avals, if_false))
+        nodes.append(node)
+        node_at[k] = len(nodes) - 1
+        return node_at[k]
 
+    try:
         root = build(0, 0, care)
-        return DecisionDiagram(tuple(nodes), root)
+    finally:
+        del build  # break the closure's reference to itself, which holds the node table
+    return DecisionDiagram(tuple(nodes), root)
 
 
 # witness-memo entries that are not a winning probe
@@ -202,7 +184,7 @@ _LEAF = -1
 _REFUTED = -2
 
 
-class _Search(_Tables):
+class _Search:
     """Depth-bounded minimax search over partial assignments of the support.
 
     A state is ``(amask, avals)``: the bitmask of probed support positions and
@@ -225,9 +207,12 @@ class _Search(_Tables):
         combined = s.support_indices()
         if len(combined) > cap:
             raise UniverseTooLarge(f"support size {len(combined)} exceeds cap {cap}")
-        super().__init__(s, [combined] * len(s.members))
-        (_, _, masks, self.full), = self.slots.values()
-        self.members = [t for _, t in self.tables]
+        self.names = tuple(s.universe.names[i] for i in combined)
+        self.m = len(combined)
+        position = {idx: p for p, idx in enumerate(combined)}
+        self.members = [table_bits(member.root, position, self.m) for member in s.members]
+        self.full = (1 << (1 << self.m)) - 1
+        masks = variable_masks(self.m)
         self.distinct = list(dict.fromkeys(self.members))  # equal tables split alike
         self.keep = [self.full ^ mask for mask in masks], masks
         self.even = 1  # by doubling: the upper half of each row block flips parity
@@ -256,7 +241,8 @@ class _Search(_Tables):
         The memo maps each decided state to its winning probe, to ``_LEAF``
         when the state is constant, or to ``_REFUTED``.  The budget left at a
         state is always ``k - popcount(amask)``, so the key needs no depth.
-        States where every remaining variable fits the budget are skipped.
+        Every remaining variable fits that budget at every state of a round
+        or at none, so a round with k >= m is not searched: its memo is empty.
 
         Degree rule: a state with r > k unprobed positions is refuted when a
         label class C has a non-zero signed sum, sum over x in C of
@@ -280,9 +266,12 @@ class _Search(_Tables):
         refutes only states the search would refute anyway, so proved states
         keep their first winning probe.
         """
+        m = self.m
+        if k >= m:
+            return {}  # probing every position always suffices
         memo: dict[tuple[int, int], int] = {}
         if_false, if_true = self.keep
-        m, even, split = self.m, self.even, self.split
+        even, split = self.even, self.split
         budget = self.budget
         gap = m - k  # r - k at every state: a probe takes one from both
         even_but = [even ^ t for t in if_true] if gap > 1 else None  # even outside p
@@ -306,8 +295,6 @@ class _Search(_Tables):
             return False
 
         def rec(amask: int, avals: int, care: int, k: int) -> bool:
-            if k >= m - amask.bit_count():
-                return True  # probing everything that remains always suffices
             key = (amask, avals)
             hit = memo.get(key)
             if hit is not None:
@@ -338,12 +325,16 @@ class _Search(_Tables):
                     return True
             return False
 
-        return memo if rec(0, 0, self.full, k) else None
+        try:
+            return memo if rec(0, 0, self.full, k) else None
+        finally:
+            del rec  # break the closure's reference to itself, which holds the memo
 
     def witness(self, memo: dict[tuple[int, int], int]) -> DecisionDiagram:
-        """The diagram of a witness memo of ``within``.  A state the search
-        skipped probes its lowest unassigned position until it is constant,
-        which stays within the budget that let it be skipped."""
+        """The diagram of a witness memo of ``within``.  A state missing from
+        the memo, as in a round ``within`` did not search, probes its lowest
+        unassigned position until it is constant, which stays within the
+        budget that let the round go unsearched."""
         def choose(amask: int, avals: int, care: int) -> Union[Leaf, tuple[int, int, int]]:
             p = memo.get((amask, avals))
             if p is None and len(self.split(care)) > 1:
@@ -352,7 +343,7 @@ class _Search(_Tables):
                 return Leaf(tuple(t & care != 0 for t in self.members))
             return p, care & self.keep[1][p], care & self.keep[0][p]
 
-        return self.diagram(lambda amask, avals: (amask, avals), choose, self.full)
+        return _diagram(self.names, lambda amask, avals: (amask, avals), choose, self.full)
 
 
 def optimal_depth(s: ExpressionSet, budget: Optional[int] = None,
@@ -423,15 +414,26 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
     for support in supports:
         if len(support) > cap:
             raise SupportTooLarge(f"support size {len(support)} exceeds cap {cap}")
-    tables = _Tables(s, supports)
+    combined = sorted(set().union(*supports))
+    position = {idx: p for p, idx in enumerate(combined)}
+    by_size = {k: variable_masks(k) for k in {len(support) for support in supports}}
+    # per member: its positions, their bits, its projection masks, its full
+    # row set and its truth table over its own support
+    tables = []
+    for member, support in zip(s.members, supports):
+        k = len(support)
+        local = {idx: q for q, idx in enumerate(support)}
+        held = tuple(position[idx] for idx in support)
+        tables.append((held, sum(1 << p for p in held), by_size[k],
+                       (1 << (1 << k)) - 1, table_bits(member.root, local, k)))
     seen: list[dict] = [{} for _ in supports]  # per member slice: (label if constant, live)
 
     def live(a: int, v: int, agree: dict[int, int], bit: int = 0) -> int:
         """Positions some non-constant member depends on after answers ``v`` on
-        ``a``, filling ``seen``.  ``agree`` holds, by slot span, the rows that
+        ``a``, filling ``seen``.  ``agree`` holds, by support span, the rows that
         agree with every answer but ``bit``'s."""
         out = 0
-        for i, ((held, span, masks, ones), t) in enumerate(tables.tables):
+        for i, (held, span, masks, ones, t) in enumerate(tables):
             hit = seen[i].get((a & span, v & span))
             if hit is None:
                 if span not in agree:
@@ -456,7 +458,7 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
 
     def key(amask: int, avals: int) -> tuple:
         out = []
-        for i, ((_, span, _, _), _) in enumerate(tables.tables):
+        for i, (_, span, _, _, _) in enumerate(tables):
             at = (amask & span, avals & span)
             label = seen[i][at][0]  # filled by the scoring pass of the parent state
             out.append(at if label is None else label)
@@ -467,7 +469,7 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
         rest = live(amask, avals, agree)
         if not rest:
             return Leaf(key(amask, avals))  # every member is constant: its labels
-        best, best_score = 0, tables.m + 1
+        best, best_score = 0, len(combined) + 1
         while rest:
             bit = rest & -rest
             rest ^= bit
@@ -478,7 +480,8 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
         return best, None, None
 
     live(0, 0, {})  # the root's key
-    return tables.diagram(key, choose, None)
+    names = tuple(s.universe.names[i] for i in combined)
+    return _diagram(names, key, choose, None)
 
 
 # --- execution --------------------------------------------------------------

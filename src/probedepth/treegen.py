@@ -48,18 +48,17 @@ def all_labeled_trees(n: int) -> Iterator[list[tuple[int, int]]]:
         yield prufer_decode(seq, n)
 
 
-def tree_graph_dnf(edges: list[tuple[int, int]], n: int, prefix: str = "x") -> GraphDnf:
-    """View a labeled tree as an all-binary-term graph DNF."""
-    universe = VariableUniverse(tuple(f"{prefix}{i}" for i in range(n)))
-    edge_set = frozenset(frozenset((f"{prefix}{a}", f"{prefix}{b}")) for a, b in edges)
+def tree_graph_dnf(edges: list[tuple[int, int]], n: int) -> GraphDnf:
+    """View a labeled tree as an all-binary-term graph DNF over x0..x(n-1)."""
+    universe = VariableUniverse(tuple(f"x{i}" for i in range(n)))
+    edge_set = frozenset(frozenset((f"x{a}", f"x{b}")) for a, b in edges)
     return GraphDnf(universe, edge_set, frozenset())
 
 
 def random_forest_dnf(rng: random.Random, max_vars: int = 8,
-                      allow_singletons: bool = True,
                       allow_free: bool = False) -> tuple[MonotoneDnf, VariableUniverse]:
-    """A seeded random acyclic monotone 2-DNF: a forest of random trees with
-    optional singleton-term variables (and optionally free variables)."""
+    """A seeded random acyclic monotone 2-DNF: a forest of random trees and
+    singleton-term variables (and optionally free variables)."""
     n = rng.randint(1, max_vars)
     names = tuple(f"x{i}" for i in range(n))
     universe = VariableUniverse(names)
@@ -72,8 +71,8 @@ def random_forest_dnf(rng: random.Random, max_vars: int = 8,
         group = indices[i:i + size]
         i += size
         roll = rng.random()
-        if size == 1 or (allow_singletons and roll < 0.2):
-            if allow_singletons and roll < 0.2:
+        if size == 1 or roll < 0.2:
+            if roll < 0.2:
                 for v in group:
                     terms.add(frozenset([names[v]]))
             elif allow_free and roll < 0.5:

@@ -85,6 +85,18 @@ class TestDepth:
         assert code == 2
         assert "parse error" in err
 
+    def test_syntax_error_wins_over_undeclared_name(self, tmp_path, capsys):
+        f = write(tmp_path, "e.txt", "vars: a\nb &\n")
+        code, _, err = run(capsys, "depth", f)
+        assert code == 2
+        assert "parse error" in err
+
+    def test_undeclared_name_is_domain_error(self, tmp_path, capsys):
+        f = write(tmp_path, "e.txt", "vars: a\nb\n")
+        code, _, err = run(capsys, "depth", f)
+        assert code == 1
+        assert "variable 'b' not declared in vars header" in err
+
     def test_cap_env_override(self, tmp_path, capsys, monkeypatch):
         f = write(tmp_path, "e.txt", "a & b & c\n")
         monkeypatch.setenv("PROBEDEPTH_CAP", "2")
@@ -286,6 +298,14 @@ class TestFamilyAndFactor:
         from probedepth import expr as ex
         s = ex.parse_expressions(out)
         assert s.universe.n == 10
+
+    @pytest.mark.parametrize("argv, text", [
+        (("psi", "1"), "vars: u0 w x y z v0 wp0 xp0 yp0 zp0\n"
+                       "(u0&((w&x)|(x&y)|(y&z)))|(u0&v0)|(v0&((wp0&xp0)|(xp0&yp0)|(yp0&zp0)))\n"),
+        (("path", "3"), "vars: x0 x1 x2 x3\n(x0&x1)|(x1&x2)|(x2&x3)\n"),
+    ])
+    def test_family_text(self, capsys, argv, text):
+        assert run(capsys, "family", *argv) == (0, text, "")
 
     def test_family_strategy_dot(self, capsys):
         code, out, _ = run(capsys, "family", "psi", "1", "--strategy-dot")

