@@ -7,13 +7,25 @@ graph DNFs, provenance) is built on top of these.  ``Node`` (``Const``,
 ``Var``, ``Not``, ``And``, ``Or``) is the one tree format: the parser builds
 it directly as it reads, and the generated families are written as text and
 parsed.
+
+Reading is near-linear in the input.  One compiled regular expression
+(``_TOKEN_RE``) splits the text into token strings; a token's line and
+column are computed from its offset only when a ``ParseError`` is raised.
+``Expression`` checks its indices in one walk that also stores the support
+and whether a ``Not`` occurs: ``support_indices`` reads the stored support,
+and ``to_monotone_dnf`` simplifies before expanding only when there is a
+negation.  ``absorb`` indexes each term shorter than the longest under one
+variable, the one in the fewest terms.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
-from dataclasses import dataclass, field
+import string
+from collections import Counter
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 DEFAULT_TABLE_CAP = 20
@@ -131,14 +143,31 @@ class Expression:
     root: Node
 
     def __post_init__(self):
-        n = self.universe.n
-        for node in walk(self.root):
-            if isinstance(node, Var) and not 0 <= node.index < n:
-                raise ExprError(f"variable index {node.index} outside universe")
+        # One walk checks the indices and keeps the support and whether a
+        # ``Not`` occurs.  Not fields: equality, hashing and repr stay those
+        # of the universe and the tree.
+        support: set[int] = set()
+        negated = False
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
+            kind = type(node)
+            if kind is Var:
+                support.add(node.index)
+            elif kind is Not:
+                negated = True
+                stack.append(node.child)
+            elif kind is not Const:
+                stack += node.children
+        if support and not 0 <= min(support) <= max(support) < self.universe.n:
+            first = next(node.index for node in walk(self.root) if isinstance(node, Var)
+                         and not 0 <= node.index < self.universe.n)
+            raise ExprError(f"variable index {first} outside universe")
+        object.__setattr__(self, "_support", tuple(sorted(support)))
+        object.__setattr__(self, "_negated", negated)
 
     def support_indices(self) -> tuple[int, ...]:
-        idx = {node.index for node in walk(self.root) if isinstance(node, Var)}
-        return tuple(sorted(idx))
+        return self._support
 
     def support(self) -> tuple[str, ...]:
         return tuple(self.universe.names[i] for i in self.support_indices())
@@ -230,167 +259,143 @@ def walk(node: Node) -> Iterator[Node]:
 
 # --- parsing ----------------------------------------------------------------
 
-@dataclass
-class _Token:
-    kind: str  # 'ident' | 'op' | 'newline' | 'eof'
-    text: str
-    line: int
-    column: int
+# One match per token: the blanks and the comment before it, then the token,
+# an identifier or any other single character, or the empty string at the end
+# of the text.  The next match starts where one ends, so ``findall`` skips
+# no character.
+_TOKEN_RE = re.compile(rf"[ \t\r]*(?:#[^\n]*)?({_IDENT_RE.pattern}|[^ \t\r#]|\Z)")
+_PUNCT = frozenset("&|!();:01\n")
+_NOT_NAME = _PUNCT | {""}  # every other token is an identifier
+_TOKEN_START = _PUNCT | frozenset(string.ascii_letters + "_")
+_FALSE, _TRUE = Const(False), Const(True)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch == "\n":
-            tokens.append(_Token("newline", "\n", line, col))
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch in "&|!();:01":
-            tokens.append(_Token("op", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+def _tokenize(text: str) -> list[str]:
+    """The token strings of ``text``, ending in ``""``; a character that
+    starts no token is an error, wherever it is."""
+    tokens = _TOKEN_RE.findall(text)
+    bad = [t for t in set(tokens) if t and t[0] not in _TOKEN_START]
+    if bad:
+        k = min(map(tokens.index, bad))
+        raise ParseError(f"unexpected character {tokens[k]!r}", *_position(text, k))
     return tokens
+
+
+def _position(text: str, k: int) -> tuple[int, int]:
+    """Line and column of token ``k`` of ``text``.  A token after a comment,
+    a newline or the end, takes the comment's column."""
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), k, None))
+    comment = m.group().find("#")
+    at = m.start() + comment if comment >= 0 else m.start(1)
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 class _Parser:
     """Recursive-descent parser for the expression file grammar.  It builds
     ``Node`` trees as it reads, numbering variables by the ``vars:`` header,
-    or else in order of first occurrence.  An undeclared name is reported
-    only once the whole file has parsed, so that a syntax error anywhere
-    wins."""
+    or else in order of first occurrence; each name has one ``Var`` node.
+    An undeclared name is reported only once the whole file has parsed, so
+    that a syntax error anywhere wins."""
 
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.index: dict[str, int] = {}  # variable name -> universe position
+        self.vars: dict[str, Var] = {}  # variable name -> its node, in universe order
         self.declared = False
         self.undeclared: Optional[str] = None  # the first name missing from the header
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.column)
+        return ParseError(message, *_position(self.text, self.pos))
 
     def skip_newlines(self):
-        while self.peek().kind == "newline":
-            self.next()
+        while self.tokens[self.pos] == "\n":
+            self.pos += 1
 
     def parse_file(self) -> list[Node]:
+        tokens = self.tokens
         self.skip_newlines()
         self.parse_header()
         roots = []
         self.skip_newlines()
-        while self.peek().kind != "eof":
-            roots.append(self.parse_expr())
-            tok = self.peek()
-            if tok.kind in ("newline",) or tok.text == ";":
-                self.next()
+        while tokens[self.pos]:
+            roots.append(self.parse_or())
+            tok = tokens[self.pos]
+            if tok == "\n" or tok == ";":
+                self.pos += 1
                 self.skip_newlines()
-                while self.peek().text == ";":
-                    self.next()
+                while tokens[self.pos] == ";":
+                    self.pos += 1
                     self.skip_newlines()
-            elif tok.kind != "eof":
-                raise self.error(f"unexpected token {tok.text!r}")
+            elif tok:
+                raise self.error(f"unexpected token {tok!r}")
         if not roots:
             raise self.error("empty input: no expressions")
         return roots
 
     def parse_header(self):
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "vars" and self.tokens[self.pos + 1].text == ":":
-            self.next()
-            self.next()
-            while self.peek().kind == "ident":
-                name = self.next()
-                if name.text in self.index:
-                    raise ParseError(f"duplicate variable in vars header: {name.text!r}",
-                                     name.line, name.column)
-                self.index[name.text] = len(self.index)
-            if self.peek().kind not in ("newline", "eof"):
+        tokens = self.tokens
+        if tokens[self.pos] == "vars" and tokens[self.pos + 1] == ":":
+            self.pos += 2
+            while tokens[self.pos] not in _NOT_NAME:
+                name = tokens[self.pos]
+                if name in self.vars:
+                    raise self.error(f"duplicate variable in vars header: {name!r}")
+                self.vars[name] = Var(len(self.vars))
+                self.pos += 1
+            if tokens[self.pos] not in ("\n", ""):
                 raise self.error("expected variable name or end of header")
-            if self.peek().kind == "newline":
-                self.next()
-            if not self.index:
+            if tokens[self.pos] == "\n":
+                self.pos += 1
+            if not self.vars:
                 raise self.error("vars header declares no variables")
             self.declared = True
 
-    # expr := or ; or := and ('|' and)* ; and := not ('&' not)* ;
-    # not := '!' not | atom ; atom := ident | '0' | '1' | '(' expr ')'
-    def parse_expr(self) -> Node:
-        return self.parse_or()
-
+    # or := and ('|' and)* ; and := not ('&' not)* ;
+    # not := '!' not | atom ; atom := ident | '0' | '1' | '(' or ')'
     def parse_or(self) -> Node:
+        tokens = self.tokens
         parts = [self.parse_and()]
-        while self.peek().text == "|":
-            self.next()
+        while tokens[self.pos] == "|":
+            self.pos += 1
             parts.append(self.parse_and())
         return parts[0] if len(parts) == 1 else Or(tuple(parts))
 
     def parse_and(self) -> Node:
+        tokens = self.tokens
         parts = [self.parse_not()]
-        while self.peek().text == "&":
-            self.next()
+        while tokens[self.pos] == "&":
+            self.pos += 1
             parts.append(self.parse_not())
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
     def parse_not(self) -> Node:
-        if self.peek().text == "!":
-            self.next()
+        tok = self.tokens[self.pos]
+        node = self.vars.get(tok)
+        if node is not None:
+            self.pos += 1
+            return node
+        if tok == "!":
+            self.pos += 1
             return Not(self.parse_not())
-
-        tok = self.peek()
-        if tok.text == "(":
-            self.next()
-            inner = self.parse_expr()
-            if self.peek().text != ")":
+        if tok == "(":
+            self.pos += 1
+            inner = self.parse_or()
+            if self.tokens[self.pos] != ")":
                 raise self.error("expected ')'")
-            self.next()
+            self.pos += 1
             return inner
-        if tok.text in ("0", "1"):
-            self.next()
-            return Const(tok.text == "1")
-        if tok.kind == "ident":
-            self.next()
-            return self.var(tok.text)
-        raise self.error(f"expected expression, found {tok.text or 'end of input'!r}")
-
-    def var(self, name: str) -> Node:
-        index = self.index.get(name)
-        if index is None:
-            if self.declared:
-                self.undeclared = self.undeclared or name
-                return Const(False)  # a stand-in: the file is rejected once it parses
-            index = self.index[name] = len(self.index)
-        return Var(index)
+        if tok == "0" or tok == "1":
+            self.pos += 1
+            return _TRUE if tok == "1" else _FALSE
+        if tok in _NOT_NAME:
+            raise self.error(f"expected expression, found {tok or 'end of input'!r}")
+        self.pos += 1
+        if self.declared:
+            self.undeclared = self.undeclared or tok
+            return _FALSE  # a stand-in: the file is rejected once it parses
+        node = self.vars[tok] = Var(len(self.vars))
+        return node
 
 
 def parse_expressions(text: str) -> ExpressionSet:
@@ -406,7 +411,7 @@ def parse_expressions(text: str) -> ExpressionSet:
         raise parser.error("expression nested too deeply") from None
     if parser.undeclared is not None:
         raise ExprError(f"variable {parser.undeclared!r} not declared in vars header")
-    universe = VariableUniverse(tuple(parser.index))
+    universe = VariableUniverse(tuple(parser.vars))
     return ExpressionSet(universe, tuple(Expression(universe, root) for root in roots))
 
 
@@ -457,7 +462,10 @@ def evaluate(e: Expression, v: Valuation) -> bool:
             return all(go(c) for c in node.children)
         return any(go(c) for c in node.children)
 
-    return go(e.root)
+    try:
+        return go(e.root)
+    finally:
+        del go  # break the closure's reference to itself
 
 
 @_nesting_guard("simplify")
@@ -637,18 +645,18 @@ def absorb(terms: Iterable[frozenset]) -> frozenset:
         return frozenset(terms)
     if frozenset() in terms:
         return frozenset([frozenset()])
-    # Only a term shorter than the longest can be a strict subset of another,
-    # and it shares a variable with every term it is a subset of.  Indexing
-    # those terms by variable keeps 2-DNFs linear: each bucket then holds at
-    # most one singleton term.
+    # Only a term shorter than the longest can be a strict subset of another.
     longest = max(map(len, terms))
+    if min(map(len, terms)) == longest:
+        return frozenset(terms)
+    # A subset shares each of its variables with its supersets, so each
+    # shorter term is indexed under one of them, the one in the fewest
+    # terms, and a term looks for its subsets under each of its own.
+    count = Counter(itertools.chain.from_iterable(terms))
     inside: dict[str, list[frozenset]] = {}
     for t in terms:
         if len(t) < longest:
-            for v in t:
-                inside.setdefault(v, []).append(t)
-    if not inside:
-        return frozenset(terms)
+            inside.setdefault(min(t, key=count.__getitem__), []).append(t)
     return frozenset(t for t in terms
                      if not any(other < t for v in t for other in inside.get(v, ())))
 
@@ -665,9 +673,10 @@ class MonotoneDnf:
     terms: frozenset[frozenset[str]]
 
     def __post_init__(self):
-        for term in self.terms:
-            for name in term:
-                self.universe.index(name)
+        if not self.universe._positions.keys() >= frozenset().union(*self.terms):
+            for term in self.terms:
+                for name in term:
+                    self.universe.index(name)  # raises for the first unknown name
         object.__setattr__(self, "terms", absorb(self.terms))
 
     @property
@@ -694,29 +703,46 @@ class MonotoneDnf:
 
 @_nesting_guard("expand")
 def to_monotone_dnf(e: Expression) -> MonotoneDnf:
-    """Expand a negation-free expression to absorbed monotone DNF."""
-    simple = _simplify_node(e.root)
-    if any(isinstance(n, Not) for n in walk(simple)):
-        raise ExprError("expression contains negation; not monotone")
+    """Expand a negation-free expression to absorbed monotone DNF.
 
-    def go(node: Node) -> frozenset:
-        if isinstance(node, Const):
+    Negations are first simplified away where they can be (``!!a``,
+    ``!(1 & !a)``); any left make the expression not monotone.  Without
+    negation the tree expands as it is: constants fold in the expansion, and
+    flattening leaves the absorbed term set as it is."""
+    root = e.root
+    if e._negated:
+        root = _simplify_node(root)
+        if any(isinstance(n, Not) for n in walk(root)):
+            raise ExprError("expression contains negation; not monotone")
+    names = e.universe.names
+
+    def go(node: Node) -> Iterable[frozenset]:
+        """The absorbed terms of ``node``, without repeats."""
+        kind = type(node)
+        if kind is Var:
+            return frozenset([frozenset([names[node.index]])])
+        if kind is Const:
             return frozenset([frozenset()]) if node.value else frozenset()
-        if isinstance(node, Var):
-            return frozenset([frozenset([e.universe.names[node.index]])])
-        if isinstance(node, Or):
+        if kind is Or:
             acc: set = set()
             for c in node.children:
-                acc.update(go(c))
+                if type(c) is Var:
+                    acc.add(frozenset([names[c.index]]))
+                else:
+                    acc.update(go(c))
             return absorb(acc)
-        # And: cross product of child term sets
-        acc = frozenset([frozenset()])
+        # And: the term of its variables, times each other child's term set
+        acc = [frozenset([names[c.index] for c in node.children if type(c) is Var])]
         for c in node.children:
-            child_terms = go(c)
-            acc = absorb(a | b for a in acc for b in child_terms)
+            if type(c) is not Var:
+                child_terms = go(c)
+                acc = absorb(a | b for a in acc for b in child_terms)
         return acc
 
-    return MonotoneDnf(e.universe, go(simple))
+    try:
+        return MonotoneDnf(e.universe, go(root))
+    finally:
+        del go  # break the closure's reference to itself
 
 
 def minimal_transversals(terms: Iterable[frozenset]) -> frozenset:

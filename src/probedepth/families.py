@@ -102,7 +102,10 @@ def psi_strategy(level: int) -> DecisionDiagram:
         v_when_not_u = add(Probe(v, primed, false_leaf))
         return add(Probe(u, v_when_u, v_when_not_u))
 
-    root = build(level, "")
+    try:
+        root = build(level, "")
+    finally:
+        del build  # break the closure's reference to itself, which holds the node list
     return DecisionDiagram(tuple(nodes), root)
 
 

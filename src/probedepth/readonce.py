@@ -144,7 +144,10 @@ def factor_read_once(d: MonotoneDnf) -> Optional[Expression]:
         return Or(tuple(parts))
 
     ordered = sorted(d.terms, key=lambda t: sorted(order[v] for v in t))
-    node = go(ordered)
+    try:
+        node = go(ordered)
+    finally:
+        del go  # break the closure's reference to itself
     return None if node is None else Expression(d.universe, node)
 
 

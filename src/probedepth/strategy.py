@@ -141,7 +141,10 @@ def diagram_depth(d: DecisionDiagram) -> int:
         state[i] = 2
         return depth[i]
 
-    return visit(d.root)
+    try:
+        return visit(d.root)
+    finally:
+        del visit  # break the closure's reference to itself, which holds the depth tables
 
 
 def _diagram(names: tuple[str, ...], key: Callable, choose: Callable,

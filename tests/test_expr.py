@@ -81,6 +81,36 @@ class TestParsing:
         with pytest.raises(ex.ParseError):
             ex.parse_expressions("a @ b")
 
+    @pytest.mark.parametrize("text, message", [
+        # the token after a comment keeps the comment's column
+        ("a & # c\n", "1:5: expected expression, found '\\n'"),
+        ("a & # c", "1:5: expected expression, found 'end of input'"),
+        ("a\t@", "1:3: unexpected character '@'"),
+        # a bad character anywhere wins over an earlier syntax error
+        ("a & )\n@", "2:1: unexpected character '@'"),
+        ("vars: a\nb & 2", "2:5: unexpected character '2'"),
+        ("a\r\n& )", "2:1: expected expression, found '&'"),
+        ("vars:\n", "2:1: vars header declares no variables"),
+        ("vars: a a\n", "1:9: duplicate variable in vars header: 'a'"),
+        ("vars: a ; b\na", "1:9: expected variable name or end of header"),
+        ("a b", "1:3: unexpected token 'b'"),
+        ("vars a\nb", "1:6: unexpected token 'a'"),
+        ("", "1:1: empty input: no expressions"),
+        ("  # only a comment\n\n", "3:1: empty input: no expressions"),
+        ("((((a", "1:6: expected ')'"),
+        ("a\n\n  )", "3:3: expected expression, found ')'"),
+        ("!", "1:2: expected expression, found 'end of input'"),
+    ])
+    def test_parse_error_message(self, text, message):
+        with pytest.raises(ex.ParseError) as info:
+            ex.parse_expressions(text)
+        assert str(info.value) == message
+
+    def test_deep_nesting_is_parse_error(self):
+        # the column depends on the stack frames per level; only the text is pinned
+        with pytest.raises(ex.ParseError, match=r"^\d+:\d+: expression nested too deeply$"):
+            ex.parse_expressions("(" * 5000)
+
 
 # --- semantics --------------------------------------------------------------
 
@@ -212,14 +242,19 @@ def test_parse_print_roundtrip(e):
 
 @st.composite
 def _term_lists(draw):
-    """Term lists with repeats, the empty term now and then, and terms
-    nested inside other drawn terms."""
+    """Term lists with repeats, the empty term now and then, terms nested
+    inside other drawn terms, and a hub variable shared by many terms of
+    mixed sizes, so that some variables are in far more terms than others."""
     terms = draw(st.lists(st.frozensets(st.sampled_from("abcdef"), max_size=4),
                           max_size=12))
     nested = [frozenset(draw(st.sets(st.sampled_from(sorted(t)))))
               for t in terms if t and draw(st.booleans())]
     repeats = terms[:draw(st.integers(0, len(terms)))]
-    return draw(st.permutations(terms + nested + repeats))
+    spokes = draw(st.integers(0, 60))
+    hub = [t | {"h"} for t in draw(st.lists(
+        st.frozensets(st.sampled_from("abcdefghijkl"), max_size=4), min_size=spokes,
+        max_size=spokes))]
+    return draw(st.permutations(terms + nested + repeats + hub))
 
 
 @settings(max_examples=300, deadline=None)
@@ -227,6 +262,54 @@ def _term_lists(draw):
 def test_absorb_matches_pairwise(terms):
     assert ex.absorb(terms) == absorb_pairwise(terms)
     assert ex.absorb(iter(terms)) == absorb_pairwise(terms)
+
+
+def test_absorb_hub_matches_pairwise(rng):
+    """Hundreds of terms of sizes 1 to 5 around one hub variable, so that
+    absorb indexes its shorter terms."""
+    spokes = [f"s{i}" for i in range(40)]
+    terms = [frozenset(rng.sample(spokes, rng.randint(0, 4))) | {"h"} for _ in range(300)]
+    terms += [frozenset(rng.sample(spokes, rng.randint(1, 3))) for _ in range(30)]
+    assert ex.absorb(terms) == absorb_pairwise(terms)
+
+
+def _minimal_true_points(e: Expression) -> frozenset:
+    """The terms of the absorbed DNF of a monotone ``e``, read off its truth
+    table: the true points with no true point directly below them."""
+    t = ex.truth_table(e)
+
+    def true(row: int) -> bool:
+        return bool(t.bits >> row & 1)
+
+    below = [[row ^ (1 << i) for i in range(len(t.names)) if row >> i & 1]
+             for row in range(t.size)]
+    return frozenset(frozenset(name for i, name in enumerate(t.names) if row >> i & 1)
+                     for row in range(t.size)
+                     if true(row) and not any(map(true, below[row])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions())
+def test_expansion_matches_simplify_then_expand(e):
+    """Negation-free trees expand unsimplified; the terms, or the error, are
+    those of the simplified tree, and the terms are the minimal true points."""
+    simple = ex.simplify(e)
+    try:
+        expected = ex.to_monotone_dnf(simple).terms
+    except ex.ExprError as error:
+        with pytest.raises(ex.ExprError) as info:
+            ex.to_monotone_dnf(e)
+        assert str(info.value) == str(error)
+        return
+    assert ex.to_monotone_dnf(e).terms == expected
+    assert expected == _minimal_true_points(simple)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_expressions())
+def test_support_is_the_walked_support(e):
+    walked = {node.index for node in ex.walk(e.root) if isinstance(node, Var)}
+    assert e.support_indices() == tuple(sorted(walked))
 
 
 class TestMonotoneDnf:
@@ -245,6 +328,19 @@ class TestMonotoneDnf:
     def test_double_negation_accepted(self):
         d = ex.to_monotone_dnf(parse_one("!!a"))
         assert d.terms == frozenset([frozenset("a")])
+
+    @pytest.mark.parametrize("text, terms", [
+        ("!(1 & !a)", {"a"}),
+        ("0 & !a", set()),
+        ("1 | !a", {""}),
+    ])
+    def test_negation_simplified_away(self, text, terms):
+        d = ex.to_monotone_dnf(parse_one(text))
+        assert d.terms == frozenset(frozenset(t) for t in terms)
+
+    def test_negation_left_after_simplifying_rejected(self):
+        with pytest.raises(ex.ExprError, match="^expression contains negation; not monotone$"):
+            ex.to_monotone_dnf(parse_one("!(a & b)"))
 
     def test_constants(self):
         assert ex.to_monotone_dnf(parse_one("0")).terms == frozenset()

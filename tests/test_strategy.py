@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import (all_valuations, naive_depth, naive_greedy_probe, random_expression,
                       single)
 from probedepth import expr as ex
-from probedepth import families, strategy
+from probedepth import families, readonce, strategy
 from probedepth.expr import Expression, ExpressionSet, Valuation, VariableUniverse
 from probedepth.strategy import DecisionDiagram, Leaf, Probe
 
@@ -358,15 +358,22 @@ class TestDegreeRule:
 
 
 class TestNoReferenceCycles:
-    """The search and the diagram builders leave nothing for the cyclic
-    collector: their recursive closures release the memo, the node table
-    and the truth-table masks on return."""
+    """The search, the diagram builders and the other recursive walks leave
+    nothing for the cyclic collector: their recursive closures release the
+    memo, the node tables and the truth-table masks on return."""
 
     @pytest.mark.parametrize("call", [
         lambda s: strategy.optimal_depth(s).diagram,
         strategy.is_evasive,
         strategy.greedy_strategy,
-    ], ids=["optimal_depth", "is_evasive", "greedy_strategy"])
+        lambda s: ex.evaluate(s.members[0], Valuation(s.universe, (True,) * s.n)),
+        lambda s: ex.to_monotone_dnf(s.members[0]),
+        lambda s: readonce.factor_read_once(
+            ex.to_monotone_dnf(ex.parse_expressions("a & b | a & c & d | a & c & e").members[0])),
+        lambda s: strategy.diagram_depth(families.psi_strategy(0)),
+        lambda s: families.psi_strategy(2),
+    ], ids=["optimal_depth", "is_evasive", "greedy_strategy", "evaluate",
+            "to_monotone_dnf", "factor_read_once", "diagram_depth", "psi_strategy"])
     def test_collector_finds_nothing(self, call):
         paths = [" | ".join(f"{v}{i} & {v}{i + 1}" for i in range(6)) for v in "ab"]
         s = ex.parse_expressions("\n".join(paths))  # two disjoint 7-variable paths

@@ -10,12 +10,16 @@ variables), a few sets whose combined support exceeds the table cap, and
 psi(2) as printed by the first checkout's ``family psi 2``.  On each it runs
 ``depth --json``, ``strategy --out json`` with and without ``--greedy``,
 ``evasive`` plain and with ``--json``, and ``probe --answers`` on a seeded
-answer file.  It also runs ``family`` for psi 0-3, path 1-12 and 400, and
-``and`` and ``or`` 1-5.  Where the stdout of ``strategy --out json
---greedy`` differs, it also reports whether both diagrams give the same walk
-(probes, answers and labels) on every valuation.  Exits 1 if any call differs in any byte, 0
-otherwise.  Uses the standard library only; the inputs go to a temporary
-directory (``TMPDIR`` chooses where).
+answer file.  Two large files without a ``vars:`` header, a 300-edge tree
+2-DNF and a 400-variable DNF of a read-once formula, get ``evasive`` plain
+and with ``--json``, and ``factor``.  Malformed files get ``depth --json``
+and ``evasive``, so that parse errors are compared.  It also runs ``family``
+for psi 0-3, path 1-12 and 400, and ``and`` and ``or`` 1-5.  Where the stdout
+of ``strategy --out json --greedy`` differs, it also reports whether both
+diagrams give the same walk (probes, answers and labels) on every valuation.
+Exits 1 if any call differs in any byte, 0 otherwise.  Uses the standard
+library only; the inputs go to a temporary directory (``TMPDIR`` chooses
+where).
 """
 
 from __future__ import annotations
@@ -60,6 +64,48 @@ def corpus(rng: random.Random) -> dict[str, str]:
                    for part in (names[j * size:(j + 1) * size] for j in range(count))]
         files[f"wide{k}"] = f"vars: {' '.join(sorted(names))}\n" + "\n".join(members) + "\n"
     return files
+
+
+def tree_text(rng: random.Random, edges: int) -> str:
+    """A random tree on ``edges + 1`` shuffled names as a flat 2-DNF."""
+    names = [f"t{i}" for i in range(edges + 1)]
+    rng.shuffle(names)
+    pairs = [(names[rng.randrange(i)], names[i]) for i in range(1, edges + 1)]
+    rng.shuffle(pairs)
+    return " | ".join(f"{a}&{b}" for a, b in pairs) + "\n"
+
+
+def read_once_terms(rng: random.Random, names: list[str], conj: bool = False) -> list[list[str]]:
+    """The DNF terms of a random monotone read-once formula over ``names``
+    whose conjunctions hold one or two variables and one disjunction, so
+    that the DNF stays about as long as the formula."""
+    if len(names) == 1:
+        return [names]
+    if conj:
+        lead = rng.randint(1, min(2, len(names) - 1))
+        return [names[:lead] + t for t in read_once_terms(rng, names[lead:])]
+    cuts = sorted(rng.sample(range(1, len(names)), rng.randint(2, min(4, len(names))) - 1))
+    return [t for a, b in zip([0, *cuts], [*cuts, len(names)])
+            for t in read_once_terms(rng, names[a:b], True)]
+
+
+def large(rng: random.Random) -> dict[str, str]:
+    """Header-less files past the table cap, by name."""
+    names = [f"f{i}" for i in range(400)]
+    rng.shuffle(names)
+    terms = read_once_terms(rng, names)
+    rng.shuffle(terms)
+    return {"tree300": tree_text(rng, 300),
+            "factor400": " | ".join("&".join(t) for t in terms) + "\n"}
+
+
+# Parse errors: positions after comments, tabs and CRLF, a bad character
+# after an earlier syntax error, and the header's own errors.
+MALFORMED = {"comment-newline": "a & # c\n", "tab-bad-char": "a\t@",
+             "late-bad-char": "a & )\n@", "bad-digit": "vars: a\nb & 2",
+             "crlf": "a\r\n& )", "empty-header": "vars:\n",
+             "duplicate-header": "vars: a a\n", "extra-token": "a b",
+             "empty": "", "unclosed": "((((a"}
 
 
 def run(checkout: Path, argv: list[str]) -> tuple[int, str, str]:
@@ -125,14 +171,23 @@ def main(argv=None) -> int:
             return 1
         files["psi2"] = psi2
         runs = [(" ".join(call), call) for call in FAMILIES]  # (what to report, call)
-        for name, text in files.items():
+
+        def add(name: str, text: str, make_calls) -> None:
             path = work / f"{name}.txt"
-            path.write_text(text, encoding="utf-8")
-            names = text.splitlines()[0].split()[1:]  # every file has a vars: header
+            path.write_text(text, encoding="utf-8", newline="")
+            runs.extend((f"{name}: {' '.join(call[:1] + call[2:])}", call)
+                        for call in make_calls(str(path)))
+
+        for name, text in files.items():
+            names = text.splitlines()[0].split()[1:]  # each of these has a vars: header
             answers = work / f"{name}.answers.json"
             answers.write_text(json.dumps({n: rng.random() < 0.5 for n in names}))
-            runs += [(f"{name}: {' '.join(call[:1] + call[2:])}", call)
-                     for call in calls(str(path), str(answers))]
+            add(name, text, lambda path: calls(path, str(answers)))
+        for name, text in large(random.Random(SEED + 1)).items():
+            add(name, text, lambda path: [["evasive", path], ["evasive", path, "--json"],
+                                          ["factor", path]])
+        for name, text in MALFORMED.items():
+            add(name, text, lambda path: [["depth", path, "--json"], ["evasive", path]])
         for label, call in runs:
             total += 1
             old, new = run(args.old, call), run(args.new, call)
