@@ -558,8 +558,11 @@ class TruthTable:
         return self.bits.bit_count()
 
 
-def variable_masks(m: int) -> list[int]:
-    """For each position p < m, the table mask of the projection function x_p."""
+@functools.cache
+def variable_masks(m: int) -> tuple[int, ...]:
+    """For each position p < m, the table mask of the projection function x_p.
+    Cached per m, since every table build and search set-up asks for it;
+    callers keep m within a table cap, so the cache stays small."""
     masks = []
     size = 1 << m
     for p in range(m):
@@ -569,7 +572,7 @@ def variable_masks(m: int) -> list[int]:
             mask |= mask << length
             length <<= 1
         masks.append(mask)
-    return masks
+    return tuple(masks)
 
 
 @_nesting_guard("tabulate")
@@ -679,6 +682,15 @@ class MonotoneDnf:
                     self.universe.index(name)  # raises for the first unknown name
         object.__setattr__(self, "terms", absorb(self.terms))
 
+    @classmethod
+    def _of_absorbed(cls, universe: VariableUniverse, terms: Iterable[frozenset]) -> MonotoneDnf:
+        """A DNF of terms already absorbed and over ``universe``'s names,
+        built without checking or absorbing them again."""
+        dnf = object.__new__(cls)
+        object.__setattr__(dnf, "universe", universe)
+        object.__setattr__(dnf, "terms", frozenset(terms))
+        return dnf
+
     @property
     def max_term_size(self) -> int:
         return max((len(t) for t in self.terms), default=0)
@@ -740,7 +752,7 @@ def to_monotone_dnf(e: Expression) -> MonotoneDnf:
         return acc
 
     try:
-        return MonotoneDnf(e.universe, go(root))
+        return MonotoneDnf._of_absorbed(e.universe, go(root))
     finally:
         del go  # break the closure's reference to itself
 

@@ -12,6 +12,14 @@ builder.  The search tabulates every member over the combined support and
 caps it; greedy keeps one table per member support and caps only each
 member's.
 
+Transpositions.  The search memoises a state by its probed positions and
+each member's residual table, the member's values on the state's rows
+shifted down to the lowest of them, not by its answers: answers that leave
+every member the same function give one state, searched once, and one node
+of the witness.  Position p is table variable m - 1 - p, so the states of a
+search that tries low positions first fix the high table variables and
+their residuals stay narrow.
+
 Degree rule (Nisan & Szegedy 1994, deg(f) <= D(f), applied per state).
 Split a state's care rows into label classes, the rows that share one vector
 of member values.  Take a state with r unprobed positions and budget k < r.
@@ -31,7 +39,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Mapping, Optional, Union
 
@@ -149,23 +157,24 @@ def diagram_depth(d: DecisionDiagram) -> int:
 
 def _diagram(names: tuple[str, ...], key: Callable, choose: Callable,
              care: object) -> DecisionDiagram:
-    """The diagram ``choose(amask, avals, care)`` spells out: at each state a
-    ``Leaf``, or a position to probe and the ``care`` (the chooser's own
-    per-state data) to pass on after each answer.  ``names`` names the
-    positions.
+    """The diagram ``choose(k, amask, avals, care)`` spells out: at each state,
+    given its key k, a ``Leaf``, or a position to probe and the ``care`` (the
+    chooser's own per-state data) to pass on after each answer.  ``names``
+    names the positions.
 
-    States with equal ``key(amask, avals)`` share one node, so the caller
-    supplies a key that fixes everything its ``choose`` reads below the
-    state: the search keys by the whole state, greedy by what stays open
-    in each member (see ``greedy_strategy``)."""
+    States with equal ``k = key(amask, avals, care)`` share one node, so the
+    caller supplies a key that fixes everything its ``choose`` reads below
+    the state: the search keys by the residual member tables of the care
+    rows (see ``_Search.key``), greedy by what stays open in each member
+    (see ``greedy_strategy``)."""
     nodes: list[DiagramNode] = []
     node_at: dict[object, int] = {}
 
     def build(amask: int, avals: int, care: object) -> int:
-        k = key(amask, avals)
+        k = key(amask, avals, care)
         if k in node_at:
             return node_at[k]
-        node = choose(amask, avals, care)
+        node = choose(k, amask, avals, care)
         if not isinstance(node, Leaf):
             p, if_true, if_false = node
             bit = 1 << p
@@ -182,6 +191,19 @@ def _diagram(names: tuple[str, ...], key: Callable, choose: Callable,
     return DecisionDiagram(tuple(nodes), root)
 
 
+@cache
+def _frame(m: int) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]], int]:
+    """The search's per-m masks: the full row set, the rows that keep each
+    answer to each position (``keep[a][p]``, position p being table variable
+    m - 1 - p) and the rows of even weight."""
+    full = (1 << (1 << m)) - 1
+    if_true = variable_masks(m)[::-1]
+    even = 1  # by doubling: the upper half of each row block flips parity
+    for p in range(m):
+        even |= (((1 << (1 << p)) - 1) ^ even) << (1 << p)
+    return full, (tuple(full ^ t for t in if_true), if_true), even
+
+
 # witness-memo entries that are not a winning probe
 _LEAF = -1
 _REFUTED = -2
@@ -190,11 +212,14 @@ _REFUTED = -2
 class _Search:
     """Depth-bounded minimax search over partial assignments of the support.
 
-    A state is ``(amask, avals)``: the bitmask of probed support positions and
-    their answers.  Every member is tabulated over the combined support, so a
-    state's care set, the rows that agree with its answers, is one integer of
-    2^m bits, and answer a for position p narrows it to ``care & keep[a][p]``.
-    ``explored`` counts decided states over all rounds; ``budget`` caps it.
+    A state is ``amask``, the bitmask of probed support positions, and its
+    care set, the rows that agree with the answers.  Every member is
+    tabulated over the combined support, position p as table variable
+    m - 1 - p, so the care set is one integer of 2^m bits, and answer a for
+    position p narrows it to ``care & keep[a][p]``.  States are memoised
+    and shared by ``key``, the probed positions and the residual of each
+    distinct member table.  ``explored`` counts the distinct keys decided
+    over all rounds; ``budget`` caps it.
 
     The care set splits into label classes: the care rows that share one
     vector of member values.  One class means every member is constant.
@@ -211,16 +236,11 @@ class _Search:
         if len(combined) > cap:
             raise UniverseTooLarge(f"support size {len(combined)} exceeds cap {cap}")
         self.names = tuple(s.universe.names[i] for i in combined)
-        self.m = len(combined)
-        position = {idx: p for p, idx in enumerate(combined)}
-        self.members = [table_bits(member.root, position, self.m) for member in s.members]
-        self.full = (1 << (1 << self.m)) - 1
-        masks = variable_masks(self.m)
+        self.m = m = len(combined)
+        position = {idx: m - 1 - p for p, idx in enumerate(combined)}  # table variables
+        self.members = [table_bits(member.root, position, m) for member in s.members]
         self.distinct = list(dict.fromkeys(self.members))  # equal tables split alike
-        self.keep = [self.full ^ mask for mask in masks], masks
-        self.even = 1  # by doubling: the upper half of each row block flips parity
-        for p in range(self.m):
-            self.even |= (((1 << (1 << p)) - 1) ^ self.even) << (1 << p)
+        self.full, self.keep, self.even = _frame(m)
         self.explored = 0
         self.budget = budget
 
@@ -237,15 +257,30 @@ class _Search:
                     classes.append(c ^ ones)
         return classes
 
-    def within(self, k: int) -> Optional[dict[tuple[int, int], int]]:
+    def key(self, amask: int, care: int) -> tuple:
+        """The transposition key of a state: its probed positions and each
+        distinct member's residual, its table on the care rows shifted down
+        to the lowest of them.  States with equal keys have the same free
+        positions, budget and member functions of them."""
+        low = (care & -care).bit_length() - 1
+        return amask, *[(t & care) >> low for t in self.distinct]
+
+    def within(self, k: int) -> Optional[dict[tuple, int]]:
         """Is the minimax depth at most ``k``?  Returns the witness memo if so,
         else ``None``.
 
-        The memo maps each decided state to its winning probe, to ``_LEAF``
-        when the state is constant, or to ``_REFUTED``.  The budget left at a
-        state is always ``k - popcount(amask)``, so the key needs no depth.
-        Every remaining variable fits that budget at every state of a round
-        or at none, so a round with k >= m is not searched: its memo is empty.
+        The memo maps the ``key`` of each decided state to its winning probe,
+        to ``_LEAF`` when the state is constant, or to ``_REFUTED``.  The
+        budget left at a state is always ``k - popcount(amask)``, so the key
+        needs no depth.  States with equal keys have the same free positions,
+        budget and member functions.  Their care rows differ by the shift to
+        the lowest row, which at most flips the parity of every row at once,
+        and no balance test below sees that; so they get the same verdict and
+        the same first winning probe.  Keying by the residuals rather than
+        the answers changes which states are searched, not a depth, a verdict
+        or a walk.  Every remaining variable
+        fits the budget at every state of a round or at none, so a round with
+        k >= m is not searched: its memo is empty.
 
         Degree rule: a state with r > k unprobed positions is refuted when a
         label class C has a non-zero signed sum, sum over x in C of
@@ -272,9 +307,9 @@ class _Search:
         m = self.m
         if k >= m:
             return {}  # probing every position always suffices
-        memo: dict[tuple[int, int], int] = {}
+        memo: dict[tuple, int] = {}
         if_false, if_true = self.keep
-        even, split = self.even, self.split
+        even, split, state_key = self.even, self.split, self.key
         budget = self.budget
         gap = m - k  # r - k at every state: a probe takes one from both
         even_but = [even ^ t for t in if_true] if gap > 1 else None  # even outside p
@@ -297,8 +332,8 @@ class _Search:
                                 return True
             return False
 
-        def rec(amask: int, avals: int, care: int, k: int) -> bool:
-            key = (amask, avals)
+        def rec(amask: int, care: int, k: int) -> bool:
+            key = state_key(amask, care)
             hit = memo.get(key)
             if hit is not None:
                 return hit != _REFUTED
@@ -322,31 +357,36 @@ class _Search:
                 bit = 1 << p
                 if amask & bit:
                     continue
-                if rec(amask | bit, avals | bit, care & if_true[p], k - 1) and \
-                   rec(amask | bit, avals, care & if_false[p], k - 1):
+                if rec(amask | bit, care & if_true[p], k - 1) and \
+                   rec(amask | bit, care & if_false[p], k - 1):
                     memo[key] = p
                     return True
             return False
 
         try:
-            return memo if rec(0, 0, self.full, k) else None
+            return memo if rec(0, self.full, k) else None
         finally:
             del rec  # break the closure's reference to itself, which holds the memo
 
-    def witness(self, memo: dict[tuple[int, int], int]) -> DecisionDiagram:
-        """The diagram of a witness memo of ``within``.  A state missing from
-        the memo, as in a round ``within`` did not search, probes its lowest
+    def witness(self, memo: dict[tuple, int]) -> DecisionDiagram:
+        """The diagram of a witness memo of ``within``, one node per key, so
+        states the search shared share a node too.  A state missing from the
+        memo, as in a round ``within`` did not search, probes its lowest
         unassigned position until it is constant, which stays within the
         budget that let the round go unsearched."""
-        def choose(amask: int, avals: int, care: int) -> Union[Leaf, tuple[int, int, int]]:
-            p = memo.get((amask, avals))
-            if p is None and len(self.split(care)) > 1:
+        def key(amask: int, avals: int, care: int) -> tuple:
+            return self.key(amask, care)
+
+        def choose(k: tuple, amask: int, avals: int,
+                   care: int) -> Union[Leaf, tuple[int, int, int]]:
+            p = memo.get(k)
+            if p is None and any(t & care not in (0, care) for t in self.distinct):
                 p = (~amask & (amask + 1)).bit_length() - 1
             if p is None or p == _LEAF:
                 return Leaf(tuple(t & care != 0 for t in self.members))
             return p, care & self.keep[1][p], care & self.keep[0][p]
 
-        return _diagram(self.names, lambda amask, avals: (amask, avals), choose, self.full)
+        return _diagram(self.names, key, choose, self.full)
 
 
 def optimal_depth(s: ExpressionSet, budget: Optional[int] = None,
@@ -459,7 +499,7 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
             out |= hit[1]
         return out
 
-    def key(amask: int, avals: int) -> tuple:
+    def key(amask: int, avals: int, _care: None) -> tuple:
         out = []
         for i, (_, span, _, _, _) in enumerate(tables):
             at = (amask & span, avals & span)
@@ -467,11 +507,11 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
             out.append(at if label is None else label)
         return tuple(out)
 
-    def choose(amask: int, avals: int, _) -> Union[Leaf, tuple[int, None, None]]:
+    def choose(k: tuple, amask: int, avals: int, _) -> Union[Leaf, tuple[int, None, None]]:
         agree: dict[int, int] = {}
         rest = live(amask, avals, agree)
         if not rest:
-            return Leaf(key(amask, avals))  # every member is constant: its labels
+            return Leaf(k)  # every member is constant: its labels
         best, best_score = 0, len(combined) + 1
         while rest:
             bit = rest & -rest
@@ -553,15 +593,24 @@ _JSON_PROBE = ('    {\n      "kind": "probe",\n      "variable": %s,\n'
 def to_json(d: DecisionDiagram) -> str:
     """The bytes of ``json.dumps(doc, indent=2)`` for the document
     ``{"root": ..., "nodes": [...]}``, written from one template per node kind
-    rather than by the pure-Python indenting encoder."""
+    rather than by the pure-Python indenting encoder.  Each distinct label
+    vector and variable name is encoded once."""
+    leaves: dict[tuple[bool, ...], str] = {}
+    names: dict[str, str] = {}
     parts = []
     for node in d.nodes:
         if isinstance(node, Leaf):
-            labels = ",\n        ".join("true" if b else "false" for b in node.labels)
-            parts.append(_JSON_LEAF % (f"\n        {labels}\n      " if labels else ""))
+            text = leaves.get(node.labels)
+            if text is None:
+                labels = ",\n        ".join("true" if b else "false" for b in node.labels)
+                text = leaves[node.labels] = _JSON_LEAF % (
+                    f"\n        {labels}\n      " if labels else "")
+            parts.append(text)
         else:
-            parts.append(_JSON_PROBE % (encode_basestring_ascii(node.variable),
-                                        node.on_true, node.on_false))
+            name = names.get(node.variable)
+            if name is None:
+                name = names[node.variable] = encode_basestring_ascii(node.variable)
+            parts.append(_JSON_PROBE % (name, node.on_true, node.on_false))
     nodes = "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
     return '{\n  "root": %d,\n  "nodes": %s\n}' % (d.root, nodes)
 

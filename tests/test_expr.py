@@ -342,6 +342,14 @@ class TestMonotoneDnf:
         with pytest.raises(ex.ExprError, match="^expression contains negation; not monotone$"):
             ex.to_monotone_dnf(parse_one("!(a & b)"))
 
+    def test_top_level_terms_absorbed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ex, "absorb", lambda terms: calls.append(1) or absorb_pairwise(terms))
+        e = parse_one("a&b | a&c&d | e | f&g")
+        d = ex.to_monotone_dnf(e)
+        assert len(calls) == 1
+        assert d == ex.MonotoneDnf(e.universe, d.terms)
+
     def test_constants(self):
         assert ex.to_monotone_dnf(parse_one("0")).terms == frozenset()
         assert ex.to_monotone_dnf(parse_one("1")).terms == frozenset([frozenset()])

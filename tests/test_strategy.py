@@ -329,8 +329,8 @@ class TestDegreeRule:
         # degree 2 = depth: level r - 1 at budget r - 1 would refute the root
         ("(a&b)|(!a&c)", 2, 9),
         # budget r - 3 in the last round: level r - 2 at budget r - 2 gives
-        # depth 7; level r - 1 or r - 2 only one budget lower, 858 or 921 states
-        ("(a&b)|(b&c)|(c&d)\n(e&f)|(f&g)|(g&h)\n", 6, 402),
+        # depth 7; level r - 1 or r - 2 only one budget lower, 372 or 515 states
+        ("(a&b)|(b&c)|(c&d)\n(e&f)|(f&g)|(g&h)\n", 6, 114),
     ], ids=["mux", "two_paths4"])
     def test_level_thresholds(self, text, depth, states):
         s = single(text)
@@ -340,12 +340,12 @@ class TestDegreeRule:
         assert strategy.diagram_depth(report.diagram) == depth
 
     @pytest.mark.parametrize("s, depth, states, budget", [
-        (families.generate(families.FamilySpec("path", 15)), 15, 5565, 20_000),
+        (families.generate(families.FamilySpec("path", 15)), 15, 131, 20_000),
         (single("(a&b)|(b&c)|(c&d)|(d&e)|(e&f)|(f&g)\n"
-                "(h&i)|(i&j)|(j&k)|(k&l)|(l&m)|(m&n)\n"), 12, 15246, 50_000),
+                "(h&i)|(i&j)|(j&k)|(k&l)|(l&m)|(m&n)\n"), 12, 370, 50_000),
     ], ids=["path15", "two_paths7"])
     def test_non_evasive_refuted_early(self, s, depth, states, budget):
-        # parity alone needs 2 803 078 and 1 003 700 states
+        # parity alone needs 460 277 and 147 287 states
         report = strategy.optimal_depth(s, budget=budget)
         assert (report.depth, report.explored_states) == (depth, states)
 
@@ -355,6 +355,46 @@ class TestDegreeRule:
         assert report.diagram is report.diagram
         assert report.diagram == strategy.optimal_depth(s).diagram
         assert strategy.diagram_depth(report.diagram) == report.depth == 9
+
+
+class TestTranspositions:
+    """The search memoises states, and the witness shares nodes, by the
+    probed positions and the members' residual tables, so answers that leave
+    every member the same function are searched once and drawn once."""
+
+    @staticmethod
+    def disjoint_paths(size: int) -> ExpressionSet:
+        paths = [" | ".join(f"{v}{i} & {v}{i + 1}" for i in range(size - 1)) for v in "ab"]
+        return ex.parse_expressions("\n".join(paths))
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_shared_witness_is_exact_and_sound(self, seed):
+        rng = random.Random(seed)
+        universe = VariableUniverse(tuple(f"x{i}" for i in range(rng.randint(1, 6))))
+        members = tuple(Expression(universe, random_expression(rng, universe))
+                        for _ in range(rng.randint(1, 3)))
+        s = ExpressionSet(universe, members)
+        report = strategy.optimal_depth(s)
+        assert report.depth == naive_depth(s)
+        assert strategy.diagram_depth(report.diagram) == report.depth
+        for v in all_valuations(universe):
+            assert strategy.check_soundness(s, report.diagram, v)
+
+    @pytest.mark.parametrize("s, depth, nodes", [
+        (families.generate(families.FamilySpec("path", 10)), 11, 32),  # 573 keyed by answers
+        (disjoint_paths(8), 16, 67),  # 34 303 keyed by answers
+    ], ids=["path10", "two_paths8"])
+    def test_witness_node_count(self, s, depth, nodes):
+        d = strategy.optimal_depth(s).diagram
+        assert len(d.nodes) == nodes
+        assert strategy.diagram_depth(d) == depth
+
+    def test_twenty_positions_within_budget(self):
+        # keyed by answers, this search decides 529 473 states
+        report = strategy.optimal_depth(self.disjoint_paths(10), budget=2_000)
+        assert report.depth == 18
+        assert strategy.diagram_depth(report.diagram) == 18
 
 
 class TestNoReferenceCycles:

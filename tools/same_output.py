@@ -15,8 +15,9 @@ answer file.  Two large files without a ``vars:`` header, a 300-edge tree
 and with ``--json``, and ``factor``.  Malformed files get ``depth --json``
 and ``evasive``, so that parse errors are compared.  It also runs ``family``
 for psi 0-3, path 1-12 and 400, and ``and`` and ``or`` 1-5.  Where the stdout
-of ``strategy --out json --greedy`` differs, it also reports whether both
-diagrams give the same walk (probes, answers and labels) on every valuation.
+of ``strategy --out json``, exact or ``--greedy``, differs, it also reports
+whether both diagrams give the same walk (probes, answers and labels) on
+every valuation.
 Exits 1 if any call differs in any byte, 0 otherwise.  Uses the standard
 library only; the inputs go to a temporary directory (``TMPDIR`` chooses
 where).
@@ -133,8 +134,8 @@ def same_walks(old: str, new: str) -> bool:
     """Do two diagram JSON documents give the same walk on every valuation?
     Walks both in step from their roots, taking both answers at each probe.
     That checks every path; every path is some valuation's walk when no path
-    probes a variable twice, which holds for greedy (it probes only
-    unanswered variables)."""
+    probes a variable twice, which holds for the exact search and greedy
+    alike (both probe only unanswered variables)."""
     a, b = json.loads(old), json.loads(new)
     pending, done = [(a["root"], b["root"])], set()
     while pending:
@@ -196,7 +197,7 @@ def main(argv=None) -> int:
                     differences += 1
                     print(f"{label}: {what} differs\n"
                           f"  old: {str(a)[:300]!r}\n  new: {str(b)[:300]!r}")
-                    if what == "stdout" and "--greedy" in call and old[0] == new[0] == 0:
+                    if what == "stdout" and call[0] == "strategy" and old[0] == new[0] == 0:
                         print("  same walk on every valuation: "
                               + ("yes" if same_walks(a, b) else "NO"))
     print(f"{total} calls, {differences} differences")
