@@ -3,18 +3,18 @@
 A monotone 2-DNF is viewed as a graph: one edge per binary term, plus marks
 for singleton terms.  For acyclic graphs, non-evasiveness is equivalent to
 the existence of a recursively defined pattern.  ``find_pattern`` is the one
-detector: it builds the adjacency once, checks that the graph is a forest,
-and roots each edge component at its lowest variable.  A down pass computes
-per vertex whether it is special, has a special child and has a special
-grandchild; if the root is not special, one rerooting up pass computes the
-same flags towards each vertex's parent and so finds every vertex that is
-special as a root.  Both passes, and the witness built from one rooted tree,
-are O(n) overall.
+detector: it builds the adjacency once and roots each edge component at its
+lowest variable in the breadth-first walk that finds the component, so the
+walk yields a spanning tree; the graph is a forest when those trees hold
+every edge.  On each tree it tries, a down pass computes per vertex whether
+it is special, has a special child and has a special grandchild; if the root
+is not special, one rerooting up pass computes the same flags towards each
+vertex's parent and so finds every vertex that is special as a root.  Both
+passes, and the witness built from one rooted tree, are O(n) overall.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -91,8 +91,9 @@ class Pattern:
     def __hash__(self) -> int:
         return hash(tuple(self._shape()))
 
-    def __repr__(self) -> str:
-        """The dataclass form, ``Pattern(variable='v', children=(...))``."""
+    def _render(self, ends) -> str:
+        """The text of the tree: each node's opening and closing text,
+        ``ends(node)``, around its children's texts joined by ``", "``."""
         out = []
         stack: list = [self]
         while stack:
@@ -100,42 +101,28 @@ class Pattern:
             if isinstance(item, str):
                 out.append(item)
                 continue
-            out.append(f"Pattern(variable={item.variable!r}, children=(")
-            stack.append(",))" if len(item.children) == 1 else "))")
+            opening, closing = ends(item)
+            out.append(opening)
+            stack.append(closing)
             for i, c in enumerate(reversed(item.children)):
                 if i:
                     stack.append(", ")
                 stack.append(c)
         return "".join(out)
 
+    def __repr__(self) -> str:
+        """The dataclass form, ``Pattern(variable='v', children=(...))``."""
+        return self._render(lambda p: (f"Pattern(variable={p.variable!r}, children=(",
+                                       ",))" if len(p.children) == 1 else "))"))
+
     def labels(self) -> tuple[str, ...]:
         """The variables in preorder."""
-        out = []
-        stack = [self]
-        while stack:
-            p = stack.pop()
-            out.append(p.variable)
-            stack.extend(reversed(p.children))
-        return tuple(out)
+        return tuple(v for v, _ in self._shape())
 
     def __str__(self) -> str:
         """``v`` for a leaf, else ``v -> (child, child, ...)``."""
-        out = []
-        stack: list = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            out.append(item.variable)
-            if item.children:
-                out.append(" -> (")
-                stack.append(")")
-                for i, c in enumerate(reversed(item.children)):
-                    if i:
-                        stack.append(", ")
-                    stack.append(c)
-        return "".join(out)
+        return self._render(lambda p: (f"{p.variable} -> (", ")") if p.children
+                            else (p.variable, ""))
 
 
 def from_monotone_dnf(d: MonotoneDnf) -> GraphDnf:
@@ -172,66 +159,62 @@ def _adjacency(g: GraphDnf) -> dict[str, list[str]]:
     return adj
 
 
-def _edge_components(adj: dict[str, list[str]], order: dict[str, int]) -> list[list[str]]:
-    """Vertex lists, in universe order, of the components that hold an edge,
-    listed by their lowest variable (``adj`` keys are in universe order)."""
-    out: list[list[str]] = []
+_Tree = tuple[list[str], dict[str, list[str]]]  # BFS order, child lists
+
+
+def _rooted_tree(adj: dict[str, list[str]], root: str) -> _Tree:
+    """BFS order and child lists of a spanning tree of ``root``'s component,
+    rooted at ``root``: a vertex's children are its neighbours not reached
+    before it."""
+    bfs = [root]
+    children: dict[str, list[str]] = {root: []}
+    for v in bfs:  # grows while it is walked
+        kids = children[v]
+        for w in adj[v]:
+            if w not in children:
+                children[w] = []
+                kids.append(w)
+                bfs.append(w)
+    return bfs, children
+
+
+def _spanning_trees(adj: dict[str, list[str]]) -> list[_Tree]:
+    """The spanning tree of each component that holds an edge, rooted at its
+    lowest vertex, in the order of those roots (``adj`` keys are in universe
+    order)."""
+    trees: list[_Tree] = []
     seen: set[str] = set()
-    for start in adj:
-        if start in seen or not adj[start]:
-            continue
-        comp = [start]
-        seen.add(start)
-        for v in comp:  # grows while it is walked: a breadth-first search
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-        out.append(sorted(comp, key=order.get))
-    return out
+    for v in adj:
+        if adj[v] and v not in seen:
+            trees.append(_rooted_tree(adj, v))
+            seen.update(trees[-1][0])
+    return trees
 
 
-def _is_forest(g: GraphDnf, comps: list[list[str]]) -> bool:
-    # a simple graph is a forest iff each component has one edge fewer than
-    # it has vertices
-    return len(g.edges) == sum(len(c) - 1 for c in comps)
+def _is_forest(g: GraphDnf, trees: list[_Tree]) -> bool:
+    # the graph is a forest iff its spanning trees hold every edge; a tree
+    # has one edge fewer than it has vertices
+    return len(g.edges) == sum(len(bfs) - 1 for bfs, _ in trees)
 
 
 def is_acyclic(g: GraphDnf) -> bool:
     """Standard acyclicity of the edge set (the graph is a forest)."""
-    return _is_forest(g, _edge_components(_adjacency(g), _order(g)))
+    return _is_forest(g, _spanning_trees(_adjacency(g)))
 
 
 def components(g: GraphDnf) -> tuple[list[GraphDnf], tuple[str, ...]]:
     """Edge-connected components plus singleton-term components; variables in
     no term are returned separately as the free-variable set."""
+    order = _order(g)
     out: list[GraphDnf] = []
-    for comp in _edge_components(_adjacency(g), _order(g)):
-        members = set(comp)
+    for bfs, _ in _spanning_trees(_adjacency(g)):
+        members = set(bfs)
         edges = frozenset(e for e in g.edges if e <= members)
-        out.append(GraphDnf(VariableUniverse(tuple(comp)), edges, frozenset()))
+        out.append(GraphDnf(VariableUniverse(tuple(sorted(bfs, key=order.get))),
+                            edges, frozenset()))
     for v in g.singletons:
         out.append(GraphDnf(VariableUniverse((v,)), frozenset(), frozenset([v])))
     return out, g.free_variables()
-
-
-def _rooted_tree(adj: dict[str, list[str]], root: str) -> tuple[list[str], dict[str, list[str]]]:
-    """BFS order and child lists of the tree rooted at ``root``."""
-    order = [root]
-    children: dict[str, list[str]] = {root: []}
-    parent = {root: None}
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for w in adj[v]:
-            if w == parent[v]:
-                continue
-            parent[w] = v
-            children[w] = []
-            children[v].append(w)
-            order.append(w)
-            queue.append(w)
-    return order, children
 
 
 def find_pattern(g: GraphDnf) -> Optional[Pattern]:
@@ -244,29 +227,28 @@ def find_pattern(g: GraphDnf) -> Optional[Pattern]:
     tree is special when it is a non-singleton leaf, or when each of its
     children has a special grandchild.  The first special root yields the
     witness, the same one ``pattern_rooted_at`` gives for it.  Each
-    component is rooted once at its lowest variable; only if that root is
-    not special does a rerooting pass find the first special root.
+    component is rooted once at its lowest variable, by the walk that finds
+    it; only if that root is not special does a rerooting pass find the
+    first special root, which is rooted once more for its witness.
     Singleton-term components never admit a pattern.  Raises
     ``GraphDnfError`` on a cyclic graph.
     """
     adj = _adjacency(g)
-    order = _order(g)
-    comps = _edge_components(adj, order)
-    if not _is_forest(g, comps):
+    trees = _spanning_trees(adj)
+    if not _is_forest(g, trees):
         raise GraphDnfError("graph DNF is cyclic")
     free = g.free_variables()
     if free:
         return Pattern(free[0])
-    for comp in comps:
-        root = comp[0]
-        bfs, children = _rooted_tree(adj, root)
+    order = _order(g)
+    for bfs, children in trees:
+        root = bfs[0]
         flags = _down_flags(bfs, children)
         if flags[root][0]:
             return _build_witness(root, children, flags, order)
         roots = _special_roots(bfs, children, flags)
-        first = next((v for v in comp if v in roots), None)
-        if first is not None:
-            return _pattern_at(adj, order, first)
+        if roots:
+            return _pattern_at(adj, order, min(roots, key=order.get))
     return None
 
 

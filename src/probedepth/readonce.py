@@ -4,12 +4,16 @@ Overall read-once, non-simplifiable expression sets are evasive; this module
 provides the syntactic checks behind that sufficient condition and a
 factorization procedure that rewrites monotone prime-implicant DNFs into
 read-once form when the recursive common-factor/component split succeeds.
+``evasive_by_read_once`` is one pass over the members: one walk of each
+member's tree counts its variable occurrences and finds its constants, and a
+member that fails the check as written is factored, when it has no ``Not``.
+A factored form holds each of its DNF's variables once and no constant below
+its root, so it is never walked.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Optional
 
 from .expr import (
@@ -19,53 +23,44 @@ from .expr import (
     ExpressionSet,
     MonotoneDnf,
     Node,
-    Not,
     Or,
     Var,
+    _nesting_guard,
     to_monotone_dnf,
     walk,
 )
 
 
-@dataclass(frozen=True)
-class OccurrenceIndex:
-    """Literal occurrence tallies, per member and across an expression set."""
-
-    per_member: tuple[dict[str, int], ...]
-    total: dict[str, int]
-
-    @classmethod
-    def of(cls, s: ExpressionSet) -> "OccurrenceIndex":
-        per_member = tuple(_occurrences(m) for m in s.members)
-        total: Counter = Counter()
-        for counts in per_member:
-            total.update(counts)
-        return cls(per_member, dict(total))
-
-
-def _occurrences(e: Expression) -> dict[str, int]:
+def _scan(e: Expression) -> tuple[Counter, bool]:
+    """One walk of ``e``'s tree: the occurrences of each variable index, and
+    whether a constant occurs below the root (``e`` is simplifiable)."""
     counts: Counter = Counter()
+    constant = False
     for node in walk(e.root):
-        if isinstance(node, Var):
-            counts[e.universe.names[node.index]] += 1
-    return dict(counts)
+        kind = type(node)
+        if kind is Var:
+            counts[node.index] += 1
+        elif kind is Const:
+            constant = True
+    return counts, constant and type(e.root) is not Const
 
 
 def is_read_once(e: Expression) -> bool:
     """Does every variable occur at most once in the syntax tree?"""
-    return all(c <= 1 for c in _occurrences(e).values())
+    return all(c <= 1 for c in _scan(e)[0].values())
 
 
 def is_overall_read_once(s: ExpressionSet) -> bool:
     """Does every variable occur at most once across all members?"""
-    return all(c <= 1 for c in OccurrenceIndex.of(s).total.values())
+    total: Counter = Counter()
+    for m in s.members:
+        total.update(_scan(m)[0])
+    return all(c <= 1 for c in total.values())
 
 
 def is_non_simplifiable(e: Expression) -> bool:
     """A constant, or an expression containing no constant occurrence."""
-    if isinstance(e.root, Const):
-        return True
-    return not any(isinstance(n, Const) for n in walk(e.root))
+    return not _scan(e)[1]
 
 
 def evasive_by_read_once(s: ExpressionSet) -> Optional[bool]:
@@ -73,38 +68,27 @@ def evasive_by_read_once(s: ExpressionSet) -> Optional[bool]:
     read-once, every member is non-simplifiable and every universe variable
     occurs; ``None`` when inconclusive (never ``False``).
 
-    When the direct check fails, monotone members are first rewritten via
-    ``factor_read_once`` (evasiveness is preserved under equivalence).
+    A member that is not read-once and non-simplifiable as written is
+    rewritten via ``factor_read_once`` when it has no ``Not`` (evasiveness is
+    preserved under equivalence), else the test is inconclusive.
     """
-    if _read_once_evasive(s.members, s):
-        return True
-    factored: list[Expression] = []
-    for m in s.members:
-        if is_read_once(m) and is_non_simplifiable(m):
-            factored.append(m)
-            continue
-        if any(isinstance(n, Not) for n in walk(m.root)):
-            return None
-        f = factor_read_once(to_monotone_dnf(m))
-        if f is None:
-            return None
-        factored.append(f)
-    if _read_once_evasive(tuple(factored), s):
-        return True
-    return None
-
-
-def _read_once_evasive(members: tuple[Expression, ...], s: ExpressionSet) -> bool:
     total: Counter = Counter()
-    for m in members:
-        if not is_non_simplifiable(m):
-            return False
-        total.update(_occurrences(m))
+    for m in s.members:
+        counts, simplifiable = _scan(m)
+        if simplifiable or any(c > 1 for c in counts.values()):
+            if m._negated:
+                return None
+            d = to_monotone_dnf(m)
+            if factor_read_once(d) is None:
+                return None
+            counts = Counter(map(s.universe.index, set().union(*d.terms)))
+        total.update(counts)
     if any(c > 1 for c in total.values()):
-        return False
-    return set(total) == set(s.universe.names)
+        return None
+    return True if len(total) == s.n else None
 
 
+@_nesting_guard("factor")
 def factor_read_once(d: MonotoneDnf) -> Optional[Expression]:
     """Recursively factor an absorbed monotone DNF into a read-once form.
 

@@ -20,19 +20,12 @@ of the witness.  Position p is table variable m - 1 - p, so the states of a
 search that tries low positions first fix the high table variables and
 their residuals stay narrow.
 
-Degree rule (Nisan & Szegedy 1994, deg(f) <= D(f), applied per state).
-Split a state's care rows into label classes, the rows that share one vector
-of member values.  Take a state with r unprobed positions and budget k < r.
-It is refuted as soon as some class C and some set S of unprobed positions
-with |S| > k have a non-zero signed sum, sum over x in C of (-1)^|x & S|:
-  1. every leaf of a diagram of depth at most k fixes at most k positions, so
-     some position of S is free in it, and its signed sum over S is 0;
-  2. every member is constant on a leaf, so a class is a union of leaves;
-  3. so every class of a state of depth at most k sums to 0 over every such S.
-The search checks three levels: S = all r positions, which is Rivest &
-Vuillemin's parity argument (1976), a class with more even-weight rows than
-odd-weight ones, or fewer; then all but one position when k <= r - 2; then
-all but two when k <= r - 3.
+Degree rule (Nisan & Szegedy 1994, deg(f) <= D(f), applied per state).  A
+state with r unprobed positions and budget k < r is refuted when a label
+class, the state's rows that share one vector of member values, has a
+non-zero signed sum over a set of more than k unprobed positions.  The
+search checks three levels of it, the top one being Rivest & Vuillemin's
+parity argument (1976); the proof and the levels are in ``_Search.within``.
 """
 
 from __future__ import annotations
@@ -156,13 +149,13 @@ def diagram_depth(d: DecisionDiagram) -> int:
 
 
 def _diagram(names: tuple[str, ...], key: Callable, choose: Callable,
-             care: object) -> DecisionDiagram:
-    """The diagram ``choose(k, amask, avals, care)`` spells out: at each state,
-    given its key k, a ``Leaf``, or a position to probe and the ``care`` (the
-    chooser's own per-state data) to pass on after each answer.  ``names``
-    names the positions.
+             start: object) -> DecisionDiagram:
+    """The diagram ``choose(k, amask, state)`` spells out: at each state,
+    given its key k, a ``Leaf``, or a position to probe and the chooser's own
+    per-state value to pass on after each answer, true first.  The root's
+    value is ``start``.  ``names`` names the positions.
 
-    States with equal ``k = key(amask, avals, care)`` share one node, so the
+    States with equal ``k = key(amask, state)`` share one node, so the
     caller supplies a key that fixes everything its ``choose`` reads below
     the state: the search keys by the residual member tables of the care
     rows (see ``_Search.key``), greedy by what stays open in each member
@@ -170,22 +163,21 @@ def _diagram(names: tuple[str, ...], key: Callable, choose: Callable,
     nodes: list[DiagramNode] = []
     node_at: dict[object, int] = {}
 
-    def build(amask: int, avals: int, care: object) -> int:
-        k = key(amask, avals, care)
+    def build(amask: int, state: object) -> int:
+        k = key(amask, state)
         if k in node_at:
             return node_at[k]
-        node = choose(k, amask, avals, care)
+        node = choose(k, amask, state)
         if not isinstance(node, Leaf):
             p, if_true, if_false = node
             bit = 1 << p
-            node = Probe(names[p], build(amask | bit, avals | bit, if_true),
-                         build(amask | bit, avals, if_false))
+            node = Probe(names[p], build(amask | bit, if_true), build(amask | bit, if_false))
         nodes.append(node)
         node_at[k] = len(nodes) - 1
         return node_at[k]
 
     try:
-        root = build(0, 0, care)
+        root = build(0, start)
     finally:
         del build  # break the closure's reference to itself, which holds the node table
     return DecisionDiagram(tuple(nodes), root)
@@ -223,12 +215,8 @@ class _Search:
 
     The care set splits into label classes: the care rows that share one
     vector of member values.  One class means every member is constant.
-    ``even`` holds the rows of even weight.  A state with r unprobed positions
-    and budget k < r is refuted when a class has a non-zero signed sum over a
-    set S of more than k unprobed positions: each leaf of a diagram of depth
-    at most k leaves a position of S free, so its sum over S is 0, and each
-    class is a union of leaves (Nisan & Szegedy's degree bound; see
-    ``within``).  Parity, S = every unprobed position, is its top level.
+    ``even`` holds the rows of even weight, which the degree rule reads; see
+    ``within`` for the rule and its proof.
     """
 
     def __init__(self, s: ExpressionSet, cap: int, budget: Optional[int] = None):
@@ -374,11 +362,7 @@ class _Search:
         memo, as in a round ``within`` did not search, probes its lowest
         unassigned position until it is constant, which stays within the
         budget that let the round go unsearched."""
-        def key(amask: int, avals: int, care: int) -> tuple:
-            return self.key(amask, care)
-
-        def choose(k: tuple, amask: int, avals: int,
-                   care: int) -> Union[Leaf, tuple[int, int, int]]:
+        def choose(k: tuple, amask: int, care: int) -> Union[Leaf, tuple[int, int, int]]:
             p = memo.get(k)
             if p is None and any(t & care not in (0, care) for t in self.distinct):
                 p = (~amask & (amask + 1)).bit_length() - 1
@@ -386,7 +370,7 @@ class _Search:
                 return Leaf(tuple(t & care != 0 for t in self.members))
             return p, care & self.keep[1][p], care & self.keep[0][p]
 
-        return _diagram(self.names, key, choose, self.full)
+        return _diagram(self.names, self.key, choose, self.full)
 
 
 def optimal_depth(s: ExpressionSet, budget: Optional[int] = None,
@@ -499,7 +483,7 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
             out |= hit[1]
         return out
 
-    def key(amask: int, avals: int, _care: None) -> tuple:
+    def key(amask: int, avals: int) -> tuple:
         out = []
         for i, (_, span, _, _, _) in enumerate(tables):
             at = (amask & span, avals & span)
@@ -507,7 +491,7 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
             out.append(at if label is None else label)
         return tuple(out)
 
-    def choose(k: tuple, amask: int, avals: int, _) -> Union[Leaf, tuple[int, None, None]]:
+    def choose(k: tuple, amask: int, avals: int) -> Union[Leaf, tuple[int, int, int]]:
         agree: dict[int, int] = {}
         rest = live(amask, avals, agree)
         if not rest:
@@ -520,11 +504,11 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
                         live(amask | bit, avals, agree, bit).bit_count())
             if score < best_score:
                 best, best_score = bit.bit_length() - 1, score
-        return best, None, None
+        return best, avals | 1 << best, avals
 
     live(0, 0, {})  # the root's key
     names = tuple(s.universe.names[i] for i in combined)
-    return _diagram(names, key, choose, None)
+    return _diagram(names, key, choose, 0)
 
 
 # --- execution --------------------------------------------------------------

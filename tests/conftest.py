@@ -7,8 +7,10 @@ tables, so agreement with the optimized search is meaningful evidence.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
+import sys
 from importlib import resources
 from typing import Optional
 
@@ -209,6 +211,28 @@ def random_read_once_set(rng: random.Random, max_vars: int = 10) -> ExpressionSe
                                   random_read_once_node(rng, indices[start:end])))
         start = end
     return ExpressionSet(universe, tuple(members))
+
+
+def nested_read_once_dnf(levels: int) -> str:
+    """The flat DNF of a0 & (b0 | a1 & (b1 | ... a_levels)), one line: its
+    read-once form is nested ``levels`` times."""
+    terms = [[f"a{j}" for j in range(i + 1)] + [f"b{i}"] for i in range(levels)]
+    terms.append([f"a{j}" for j in range(levels + 1)])
+    return " | ".join("&".join(t) for t in terms) + "\n"
+
+
+@contextlib.contextmanager
+def recursion_limit(frames: int):
+    """Lower the recursion limit to ``frames`` above the current depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def random_cnf_dnf(rng: random.Random, conjunctive: bool) -> Expression:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fixture_text, load_schema
+from conftest import fixture_text, load_schema, nested_read_once_dnf, recursion_limit
 from probedepth import cli, graphdnf, strategy
 
 
@@ -340,6 +340,14 @@ class TestFamilyAndFactor:
         f = write(tmp_path, "e.txt", "(a&b)|(b&c)|(c&a)\n")
         code, _, err = run(capsys, "factor", f)
         assert code == 1
+
+    def test_factor_too_deep_is_one_error_line(self, tmp_path, capsys):
+        # a flat DNF whose read-once form is nested 120 levels deep
+        f = write(tmp_path, "e.txt", nested_read_once_dnf(120))
+        with recursion_limit(150):
+            code, out, err = run(capsys, "factor", f)
+        assert (code, out) == (1, "")
+        assert err == "error: expression nested too deeply to factor\n"
 
 
 class TestCrosscheck:

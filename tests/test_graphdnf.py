@@ -49,6 +49,20 @@ class TestConstruction:
         triangle = dnf_of("(a&b)|(b&c)|(c&a)")
         assert not graphdnf.is_acyclic(graphdnf.from_monotone_dnf(triangle))
 
+    @pytest.mark.parametrize("header, names", [
+        ("vars: a b c d e f", [("a", "b", "c"), ("d", "e", "f")]),  # the path first
+        ("vars: d e f a b c", [("d", "e", "f"), ("a", "b", "c")]),  # the triangle first
+    ])
+    def test_triangle_beside_path(self, header, names):
+        g = graphdnf.from_monotone_dnf(dnf_of(f"{header}\n(a&b)|(b&c)|(d&e)|(e&f)|(f&d)"))
+        assert not graphdnf.is_acyclic(g)
+        with pytest.raises(graphdnf.GraphDnfError):
+            graphdnf.find_pattern(g)
+        comps, free = graphdnf.components(g)
+        assert [c.universe.names for c in comps] == names
+        assert frozenset().union(*(c.edges for c in comps)) == g.edges
+        assert free == ()
+
     def test_components_and_free_variables(self):
         g = graphdnf.from_monotone_dnf(dnf_of("vars: a b c d e\n(a&b)|c"))
         comps, free = graphdnf.components(g)

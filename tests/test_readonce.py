@@ -1,11 +1,59 @@
 """Unit and property tests for read-once analysis and factorization."""
 
-import pytest
+from collections import Counter
 
-from conftest import random_read_once_set, single
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (
+    naive_depth,
+    nested_read_once_dnf,
+    random_monotone_dnf,
+    random_read_once_set,
+    recursion_limit,
+    single,
+)
 from probedepth import expr as ex
 from probedepth import readonce, strategy
-from probedepth.expr import Const, Expression, ExpressionSet, VariableUniverse
+from probedepth.expr import Const, Var, VariableUniverse
+
+
+@st.composite
+def read_once_text(draw, names: list[str], negate: bool) -> str:
+    """A read-once formula over ``names``, each used once; with ``negate``,
+    any subformula may be negated."""
+    if len(names) == 1:
+        text = names[0]
+    else:
+        cut = draw(st.integers(1, len(names) - 1))
+        op = draw(st.sampled_from([" & ", " | "]))
+        text = (f"({draw(read_once_text(names[:cut], negate))}{op}"
+                f"{draw(read_once_text(names[cut:], negate))})")
+    if negate and draw(st.booleans()):
+        text = "!" + text
+    return text
+
+
+@st.composite
+def candidate_sets(draw):
+    """Sets of 1-3 read-once members over disjoint parts of up to 6
+    variables, as they are or with a shared variable, negation or a
+    constant, sometimes with a universe variable that occurs nowhere."""
+    n = draw(st.integers(1, 6))
+    names = draw(st.permutations([f"x{i}" for i in range(n)]))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=2))) if n > 1 else []
+    kind = draw(st.sampled_from(["read_once", "shared", "negation", "constant"]))
+    members = [draw(read_once_text(names[a:b], kind == "negation"))
+               for a, b in zip([0, *cuts], [*cuts, n])]
+    i = draw(st.integers(0, len(members) - 1))
+    op = draw(st.sampled_from([" & ", " | "]))
+    if kind == "shared":
+        members[i] = f"({members[i]}{op}{draw(st.sampled_from(names))})"
+    elif kind == "constant":
+        members[i] = f"({members[i]}{op}{draw(st.sampled_from('01'))})"
+    universe = [f"x{i}" for i in range(n)] + (["y"] if draw(st.booleans()) else [])
+    return ex.parse_expressions(f"vars: {' '.join(universe)}\n" + "\n".join(members) + "\n")
 
 
 class TestChecks:
@@ -23,11 +71,6 @@ class TestChecks:
         assert readonce.is_non_simplifiable(single("a & b").members[0])
         assert readonce.is_non_simplifiable(single("0").members[0])
         assert not readonce.is_non_simplifiable(single("a & 1").members[0])
-
-    def test_occurrence_index(self):
-        idx = readonce.OccurrenceIndex.of(single("a & a & b\nb\n"))
-        assert idx.total == {"a": 2, "b": 2}
-        assert idx.per_member[0] == {"a": 2, "b": 1}
 
 
 class TestEvasiveByReadOnce:
@@ -55,6 +98,14 @@ class TestEvasiveByReadOnce:
                 confirmed += 1
                 assert strategy.is_evasive(s)
         assert confirmed > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(candidate_sets())
+    def test_true_is_sound(self, s):
+        verdict = readonce.evasive_by_read_once(s)
+        assert verdict in (True, None)
+        if verdict:
+            assert naive_depth(s) == s.n
 
     def test_induction_step(self, rng):
         # one restriction stays non-simplifiable read-once on n-1 variables
@@ -114,3 +165,32 @@ class TestFactorization:
             assert readonce.is_read_once(f)
             assert ex.equivalent(f, d.to_expression())
         assert successes > 0
+
+    def test_factored_form_holds_each_dnf_variable_once(self, rng):
+        dnfs = [random_monotone_dnf(rng, max_vars=7) for _ in range(80)]
+        for _ in range(40):  # DNFs of read-once formulas always factor
+            s = random_read_once_set(rng, max_vars=8)
+            for m in s.members:
+                if not m._negated:
+                    dnfs.append(ex.to_monotone_dnf(m))
+        factored = 0
+        for d in dnfs:
+            f = readonce.factor_read_once(d)
+            if f is None:
+                continue
+            factored += 1
+            nodes = list(ex.walk(f.root))
+            names = Counter(d.universe.names[n.index] for n in nodes if type(n) is Var)
+            assert names == Counter(d.variables())
+            assert not any(type(n) is Const for n in nodes[1:])
+        assert factored > 60
+
+    def test_deep_nesting_is_expr_error(self):
+        # the factored form is 120 levels deep, each two frames of the
+        # recursion; past the default limit this input takes long to build
+        d = ex.to_monotone_dnf(single(nested_read_once_dnf(120)).members[0])
+        with recursion_limit(150):
+            with pytest.raises(ex.NestingTooDeep, match="nested too deeply to factor"):
+                readonce.factor_read_once(d)
+        f = readonce.factor_read_once(d)  # at the default limit it factors
+        assert f is not None and readonce.is_read_once(f)

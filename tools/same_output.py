@@ -12,8 +12,11 @@ psi(2) as printed by the first checkout's ``family psi 2``.  On each it runs
 ``evasive`` plain and with ``--json``, and ``probe --answers`` on a seeded
 answer file.  Two large files without a ``vars:`` header, a 300-edge tree
 2-DNF and a 400-variable DNF of a read-once formula, get ``evasive`` plain
-and with ``--json``, and ``factor``.  Malformed files get ``depth --json``
-and ``evasive``, so that parse errors are compared.  It also runs ``family``
+and with ``--json``, and ``factor``.  Three forests for the acyclic
+detector get ``evasive`` plain and with ``--json``: one whose later
+component holds the first special root, one with a free variable, and a
+triangle beside a path past the cap (exit 1).  Malformed files get
+``depth --json`` and ``evasive``, so that parse errors are compared.  It also runs ``family``
 for psi 0-3, path 1-12 and 400, and ``and`` and ``or`` 1-5.  Where the stdout
 of ``strategy --out json``, exact or ``--greedy``, differs, it also reports
 whether both diagrams give the same walk (probes, answers and labels) on
@@ -99,6 +102,16 @@ def large(rng: random.Random) -> dict[str, str]:
     return {"tree300": tree_text(rng, 300),
             "factor400": " | ".join("&".join(t) for t in terms) + "\n"}
 
+
+# Acyclic detector inputs: the lowest component, the path a-b-c, has no special
+# root, and the path p-q-r-s is rooted at q, which is not special, so its
+# witness is rooted at p; a forest with the free variable f; and a triangle
+# after a 21-vertex path, which the detector rejects and the search, past the
+# cap, cannot take.
+FORESTS = {"forest-later-root": "vars: a b c q p r s\n(a&b)|(b&c)|(p&q)|(q&r)|(r&s)\n",
+           "forest-free": "vars: a b c d e f\n(a&b)|(b&c)|(d&e)\n",
+           "path-and-triangle": " | ".join(f"x{i}&x{i + 1}" for i in range(20))
+                                + " | t0&t1 | t1&t2 | t2&t0\n"}
 
 # Parse errors: positions after comments, tabs and CRLF, a bad character
 # after an earlier syntax error, and the header's own errors.
@@ -187,6 +200,8 @@ def main(argv=None) -> int:
         for name, text in large(random.Random(SEED + 1)).items():
             add(name, text, lambda path: [["evasive", path], ["evasive", path, "--json"],
                                           ["factor", path]])
+        for name, text in FORESTS.items():
+            add(name, text, lambda path: [["evasive", path], ["evasive", path, "--json"]])
         for name, text in MALFORMED.items():
             add(name, text, lambda path: [["depth", path, "--json"], ["evasive", path]])
         for label, call in runs:
