@@ -130,13 +130,18 @@ def cmd_strategy(args) -> int:
     return EXIT_OK
 
 
-def _parse_answer(text: str) -> bool:
-    lowered = text.strip().lower()
+def _parse_answer(value: object) -> bool:
+    """An answer line or answers-file value: an answer string, a JSON
+    boolean, or the integer 0 or 1."""
+    if type(value) in (bool, int) and value in (0, 1):
+        return bool(value)
+    lowered = value.strip().lower() if isinstance(value, str) else None
     if lowered in ("y", "yes", "true", "1"):
         return True
     if lowered in ("n", "no", "false", "0"):
         return False
-    raise DomainFailure(f"cannot interpret answer {text!r}")
+    shown = json.dumps(value) if lowered is None else repr(value)
+    raise DomainFailure(f"cannot interpret answer {shown}")
 
 
 def cmd_probe(args) -> int:
@@ -149,8 +154,7 @@ def cmd_probe(args) -> int:
             raise DomainFailure(f"answers file is not JSON: {exc}") from None
         if not isinstance(raw, dict):
             raise DomainFailure("answers file must hold a JSON object")
-        source = {k: _parse_answer(v) if isinstance(v, str) else bool(v)
-                  for k, v in raw.items()}
+        source = {k: _parse_answer(v) for k, v in raw.items()}
     else:
         def source(name: str) -> bool:
             sys.stdout.write(f"{name}? [y/n] ")

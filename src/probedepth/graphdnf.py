@@ -206,12 +206,14 @@ def components(g: GraphDnf) -> tuple[list[GraphDnf], tuple[str, ...]]:
     """Edge-connected components plus singleton-term components; variables in
     no term are returned separately as the free-variable set."""
     order = _order(g)
-    out: list[GraphDnf] = []
-    for bfs, _ in _spanning_trees(_adjacency(g)):
-        members = set(bfs)
-        edges = frozenset(e for e in g.edges if e <= members)
-        out.append(GraphDnf(VariableUniverse(tuple(sorted(bfs, key=order.get))),
-                            edges, frozenset()))
+    trees = _spanning_trees(_adjacency(g))
+    at = {v: c for c, (bfs, _) in enumerate(trees) for v in bfs}
+    edges: list[list[frozenset[str]]] = [[] for _ in trees]
+    for e in g.edges:
+        edges[at[next(iter(e))]].append(e)  # both endpoints are in one component
+    out = [GraphDnf(VariableUniverse(tuple(sorted(bfs, key=order.get))), frozenset(held),
+                    frozenset())
+           for (bfs, _), held in zip(trees, edges)]
     for v in g.singletons:
         out.append(GraphDnf(VariableUniverse((v,)), frozenset(), frozenset([v])))
     return out, g.free_variables()

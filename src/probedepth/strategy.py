@@ -9,8 +9,11 @@ from its memo.  Variables outside every member's support never help, so
 positions index the combined support; a universe variable absent from all
 members makes the set non-evasive.  The search and greedy share the diagram
 builder.  The search tabulates every member over the combined support and
-caps it; greedy keeps one table per member support and caps only each
-member's.
+caps it.  Greedy caps only each member's support: its state is each
+member's residual function, the member's label once constant, else the
+positions it depends on and its table over exactly those, and a probe
+restricts (``_fix``) and compacts (``_compact``) only the members that
+hold it.
 
 Transpositions.  The search memoises a state by its probed positions and
 each member's residual table, the member's values on the state's rows
@@ -39,9 +42,9 @@ from typing import Callable, Mapping, Optional, Union
 from .expr import (
     DEFAULT_TABLE_CAP,
     ExpressionSet,
-    SupportTooLarge,
     Valuation,
     table_bits,
+    truth_table,
     variable_masks,
 )
 
@@ -158,8 +161,8 @@ def _diagram(names: tuple[str, ...], key: Callable, choose: Callable,
     States with equal ``k = key(amask, state)`` share one node, so the
     caller supplies a key that fixes everything its ``choose`` reads below
     the state: the search keys by the residual member tables of the care
-    rows (see ``_Search.key``), greedy by what stays open in each member
-    (see ``greedy_strategy``)."""
+    rows (see ``_Search.key``); greedy's state, its members' residual
+    functions, is its own key (see ``greedy_strategy``)."""
     nodes: list[DiagramNode] = []
     node_at: dict[object, int] = {}
 
@@ -194,6 +197,36 @@ def _frame(m: int) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]], int]:
     for p in range(m):
         even |= (((1 << (1 << p)) - 1) ^ even) << (1 << p)
     return full, (tuple(full ^ t for t in if_true), if_true), even
+
+
+def _fix(t: int, k: int, q: int, a: bool) -> int:
+    """The table ``t`` over k variables with variable q set to ``a``, over the
+    other k - 1 in their order: q moves to the top by adjacent δ-swaps
+    (Knuth, TAOCP 4A §7.1.3), and the half where it reads ``a`` stays."""
+    masks = variable_masks(k)
+    for j in range(q, k - 1):
+        d = 1 << j  # swap the rows with x_j = 1, x_(j+1) = 0 with their partners
+        y = (t ^ t >> d) & masks[j] & ~masks[j + 1]
+        t ^= y | y << d
+    half = 1 << (k - 1)
+    return t >> half if a else t & ((1 << half) - 1)
+
+
+def _compact(held: int, t: int) -> Union[bool, tuple[int, int]]:
+    """The member with table ``t`` over the positions set in ``held``, the
+    q-th lowest being table variable q, as its label where ``t`` is constant,
+    else as the positions it depends on and its table over exactly those."""
+    k = held.bit_count()
+    if t == 0 or t + 1 == 1 << (1 << k):
+        return t != 0
+    masks, rest = variable_masks(k), held
+    for q in reversed(range(k)):
+        bit = 1 << rest.bit_length() - 1  # the position of table variable q
+        rest ^= bit
+        if (t & masks[q]) >> (1 << q) == t & ~masks[q]:  # both halves agree
+            t = _fix(t, held.bit_count(), q, False)
+            held ^= bit
+    return held, t
 
 
 # witness-memo entries that are not a winning probe
@@ -426,89 +459,55 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
     far.  Each state probes the live variable minimizing, over both answers,
     the worse live count, the lowest universe index winning ties.
 
-    Greedy supplies the diagram's node key: per member, its label where it is
-    constant, else its slice of the state (the answers inside its support).
-    States with equal keys share one node, which is sound: the choice reads
-    only the non-constant members' slices, a constant member stays constant
-    below the state, and ties go to the lowest position, so equal keys give
-    equal subdiagrams.  Every leaf with one label vector is one node.  What
-    lies below a state still repeats once per label vector of its constant
-    members, since the leaves tell those apart: k disjoint 6-variable paths
-    give 20 * 2^k - 19 nodes, where keying by the whole state gave 319 999
-    at k = 4.
+    A state is its members' residual functions: per member, its label where
+    it is constant, else the positions it depends on and its table over
+    exactly those (``_compact``).  A probe restricts only the members that
+    hold the position (``_fix``).  The live variables are the union of the
+    non-constant members' positions, so the choice reads nothing but the
+    state, and the state is its own node key: answers that leave every
+    member the same function share one node, and once every member is
+    constant the state is the leaf's labels.  k disjoint 6-variable paths
+    give 13 * 2^k - 12 nodes (196 at k = 4), and path(12) gives 28.
     """
     supports = [m.support_indices() for m in s.members]
-    for support in supports:
-        if len(support) > cap:
-            raise SupportTooLarge(f"support size {len(support)} exceeds cap {cap}")
     combined = sorted(set().union(*supports))
     position = {idx: p for p, idx in enumerate(combined)}
-    by_size = {k: variable_masks(k) for k in {len(support) for support in supports}}
-    # per member: its positions, their bits, its projection masks, its full
-    # row set and its truth table over its own support
-    tables = []
-    for member, support in zip(s.members, supports):
-        k = len(support)
-        local = {idx: q for q, idx in enumerate(support)}
-        held = tuple(position[idx] for idx in support)
-        tables.append((held, sum(1 << p for p in held), by_size[k],
-                       (1 << (1 << k)) - 1, table_bits(member.root, local, k)))
-    seen: list[dict] = [{} for _ in supports]  # per member slice: (label if constant, live)
+    start = tuple(_compact(sum(1 << position[idx] for idx in support), truth_table(m, cap).bits)
+                  for m, support in zip(s.members, supports))
 
-    def live(a: int, v: int, agree: dict[int, int], bit: int = 0) -> int:
-        """Positions some non-constant member depends on after answers ``v`` on
-        ``a``, filling ``seen``.  ``agree`` holds, by support span, the rows that
-        agree with every answer but ``bit``'s."""
+    @cache
+    def fix(member: tuple[int, int], p: int, a: bool) -> Union[bool, tuple[int, int]]:
+        held, t = member
+        q = (held & ((1 << p) - 1)).bit_count()
+        return _compact(held ^ 1 << p, _fix(t, held.bit_count(), q, a))
+
+    def child(state: tuple, p: int, a: bool) -> tuple:
+        return tuple([fix(m, p, a) if isinstance(m, tuple) and m[0] >> p & 1 else m
+                      for m in state])
+
+    def live(state: tuple) -> int:
         out = 0
-        for i, (held, span, masks, ones, t) in enumerate(tables):
-            hit = seen[i].get((a & span, v & span))
-            if hit is None:
-                if span not in agree:
-                    agree[span] = ones
-                    for q, p in enumerate(held):
-                        if (a ^ bit) >> p & 1:
-                            agree[span] &= masks[q] if v >> p & 1 else ~masks[q]
-                rows = agree[span]
-                if span & bit:
-                    mask = masks[held.index(bit.bit_length() - 1)]
-                    rows &= mask if v & bit else ~mask
-                t &= rows
-                depends = 0
-                if t and t != rows:
-                    for q, p in enumerate(held):
-                        # its true rows with x_q = 1, moved onto their x_q = 0 partners
-                        if not a >> p & 1 and (t & masks[q]) >> (1 << q) != t & ~masks[q]:
-                            depends |= 1 << p
-                hit = seen[i][a & span, v & span] = (None if depends else t != 0, depends)
-            out |= hit[1]
+        for m in state:
+            if isinstance(m, tuple):
+                out |= m[0]
         return out
 
-    def key(amask: int, avals: int) -> tuple:
-        out = []
-        for i, (_, span, _, _, _) in enumerate(tables):
-            at = (amask & span, avals & span)
-            label = seen[i][at][0]  # filled by the scoring pass of the parent state
-            out.append(at if label is None else label)
-        return tuple(out)
-
-    def choose(k: tuple, amask: int, avals: int) -> Union[Leaf, tuple[int, int, int]]:
-        agree: dict[int, int] = {}
-        rest = live(amask, avals, agree)
+    def choose(state: tuple, amask: int, _: tuple) -> Union[Leaf, tuple[int, tuple, tuple]]:
+        rest = live(state)
         if not rest:
-            return Leaf(k)  # every member is constant: its labels
+            return Leaf(state)  # every member is constant: its labels
         best, best_score = 0, len(combined) + 1
         while rest:
-            bit = rest & -rest
-            rest ^= bit
-            score = max(live(amask | bit, avals | bit, agree, bit).bit_count(),
-                        live(amask | bit, avals, agree, bit).bit_count())
+            p = (rest & -rest).bit_length() - 1
+            rest ^= 1 << p
+            score = max(live(child(state, p, True)).bit_count(),
+                        live(child(state, p, False)).bit_count())
             if score < best_score:
-                best, best_score = bit.bit_length() - 1, score
-        return best, avals | 1 << best, avals
+                best, best_score = p, score
+        return best, child(state, best, True), child(state, best, False)
 
-    live(0, 0, {})  # the root's key
     names = tuple(s.universe.names[i] for i in combined)
-    return _diagram(names, key, choose, 0)
+    return _diagram(names, lambda amask, state: state, choose, start)
 
 
 # --- execution --------------------------------------------------------------

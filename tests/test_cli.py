@@ -228,6 +228,23 @@ class TestProbe:
         assert code == 1
         assert "no answer" in err
 
+    def test_answers_file_integers(self, tmp_path, capsys):
+        f = write(tmp_path, "e.txt", "vars: x y z\nx & y\nx | z\n")
+        a = write(tmp_path, "a.json", json.dumps({"x": 1, "y": 0, "z": 1}))
+        code, out, _ = run(capsys, "probe", f, "--answers", a)
+        assert code == 0
+        assert "probe x -> true\nprobe y -> false\n" in out
+
+    @pytest.mark.parametrize("value, shown", [
+        (None, "null"), ([1], "[1]"), (2, "2"), (1.0, "1.0"), ({}, "{}"), ("maybe", "'maybe'"),
+    ])
+    def test_answers_file_rejects_non_answers(self, tmp_path, capsys, value, shown):
+        f = write(tmp_path, "e.txt", "a & b\n")
+        a = write(tmp_path, "a.json", json.dumps({"a": value, "b": True}))
+        code, out, err = run(capsys, "probe", f, "--answers", a)
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot interpret answer {shown}\n"
+
     def test_interactive_session(self, tmp_path, capsys, monkeypatch):
         f = write(tmp_path, "e.txt", "a & b\n")
         monkeypatch.setattr("sys.stdin", io.StringIO("Y\nFALSE\n"))
@@ -394,6 +411,7 @@ for _ in range(3000):
     (["prov", "eval", "--db", "{db}", "--query", "{latin1}"], {}, 2),
     (["probe", "{expr}", "--answers", "{not_json}"], {}, 1),
     (["probe", "{expr}", "--answers", "{json_list}"], {}, 1),
+    (["probe", "{expr}", "--answers", "{null_answer}"], {}, 1),
     (["crosscheck", "--max-nodes", "0"], {}, 1),
     (["crosscheck", "--max-nodes", "-2"], {}, 1),
     (["prov", "eval", "--db", "{db}", "--query", "{atom_query}"], {}, 1),
@@ -402,14 +420,15 @@ for _ in range(3000):
     (["prov", "eval", "--db", "{db}", "--query", "{columns_query}"], {}, 1),
     (["prov", "eval", "--db", "{db}", "--query", "{deep_query}"], {}, 1),
 ], ids=["cap-not-int", "expr-not-utf8", "db-not-utf8", "query-not-utf8",
-        "answers-not-json", "answers-not-object", "max-nodes-0",
+        "answers-not-json", "answers-not-object", "answer-null", "max-nodes-0",
         "max-nodes-negative", "atom-not-object", "on-not-pair",
         "contains-value-not-string", "columns-not-list", "query-nested-too-deep"])
 def test_bad_input_one_line_error(tmp_path, capsys, monkeypatch, argv, env, expected):
     files = {"expr": b"a & b\n", "latin1": "vars: \xe9\n".encode("latin-1"),
              "db": fixture_text("acquisitions_db.json").encode(),
              "query": fixture_text("founder_institutes_query.json").encode(),
-             "not_json": b"{x", "json_list": b"[1]", "atom_query": ATOM_QUERY.encode(),
+             "not_json": b"{x", "json_list": b"[1]",
+             "null_answer": b'{"a": true, "b": null}', "atom_query": ATOM_QUERY.encode(),
              "on_query": ON_QUERY.encode(), "contains_query": CONTAINS_QUERY.encode(),
              "columns_query": COLUMNS_QUERY.encode(), "deep_query": DEEP_QUERY.encode()}
     paths = {}

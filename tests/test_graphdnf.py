@@ -69,6 +69,15 @@ class TestConstruction:
         assert len(comps) == 2
         assert free == ("d", "e")
 
+    def test_many_one_edge_components(self):
+        names = [f"v{i}" for i in range(4000)]
+        g = graphdnf.from_monotone_dnf(dnf_of(
+            f"vars: {' '.join(names)}\n" + " | ".join(f"{a}&{b}" for a, b in zip(names[::2], names[1::2]))))
+        comps, free = graphdnf.components(g)
+        assert [c.universe.names for c in comps] == list(zip(names[::2], names[1::2]))
+        assert [c.edges for c in comps] == [frozenset([frozenset(c.universe.names)]) for c in comps]
+        assert free == ()
+
 
 class TestPatternDetection:
     def test_path2_psi0_shape_has_pattern(self):

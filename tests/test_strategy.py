@@ -204,10 +204,10 @@ class TestGreedy:
 
 
 class TestGreedySharing:
-    """Greedy shares a node between states that agree on every member that is
-    not yet constant and on the labels of the others, so k disjoint paths
-    give 20 * 2^k - 19 nodes: one copy of what remains per label vector of
-    the members already constant, not the product of the members' diagrams."""
+    """Greedy shares a node between states that leave every member the same
+    residual function, so k disjoint paths give 13 * 2^k - 12 nodes: one copy
+    of what remains per label vector of the members already constant, not
+    the product of the members' diagrams."""
 
     @staticmethod
     def disjoint_paths(k: int) -> ExpressionSet:
@@ -216,7 +216,7 @@ class TestGreedySharing:
                    for part in (names[6 * j:6 * j + 6] for j in range(k))]
         return ex.parse_expressions(f"vars: {' '.join(names)}\n" + "\n".join(members))
 
-    @pytest.mark.parametrize("k, nodes", [(2, 61), (3, 141), (4, 301)])
+    @pytest.mark.parametrize("k, nodes", [(2, 40), (3, 92), (4, 196)])
     def test_disjoint_paths_node_count(self, k, nodes):
         d = strategy.greedy_strategy(self.disjoint_paths(k))
         assert len(d.nodes) == nodes
@@ -239,6 +239,70 @@ class TestGreedySharing:
     def test_psi1_depth_is_2k_plus_3(self):
         d = strategy.greedy_strategy(families.generate(families.FamilySpec("psi", 1)))
         assert strategy.diagram_depth(d) == 5 == strategy.diagram_depth(families.psi_strategy(1))
+
+    def test_psi2_depth_is_2k_plus_3_past_the_default_cap(self):
+        s = families.generate(families.FamilySpec("psi", 2))  # one 22-variable member
+        d = strategy.greedy_strategy(s, cap=22)
+        assert strategy.diagram_depth(d) == 7 == strategy.diagram_depth(families.psi_strategy(2))
+        rng = random.Random(2)
+        for _ in range(2000):
+            v = Valuation(s.universe, tuple(rng.random() < 0.5 for _ in range(s.n)))
+            assert strategy.check_soundness(s, d, v)
+
+    def test_path_answers_with_one_residual_share_a_node(self):
+        # probing v_i of the path v0-...-v12 and answering false leaves the
+        # path after it whatever came before, so most of the tree merges
+        d = strategy.greedy_strategy(families.generate(families.FamilySpec("path", 12)))
+        assert len(d.nodes) == 28
+        assert strategy.diagram_depth(d) == 13
+
+
+class TestResidualTables:
+    """``_fix`` and ``_compact``, greedy's per-member state, against
+    restriction of the syntax tree and a fresh truth table."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_fix_and_compact_match_restrict(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 6)
+        universe = VariableUniverse(tuple(f"x{i}" for i in range(n)))
+        e = Expression(universe, random_expression(rng, universe))
+        support = e.support_indices()
+        t = ex.truth_table(e).bits
+        held = sum(1 << i for i in support)  # positions are universe indices here
+        assert self.named(universe, strategy._compact(held, t)) == self.compacted(e)
+        for q, i in enumerate(support):
+            name = universe.names[i]
+            for value in (True, False):
+                restricted = ex.restrict(e, name, value)
+                rest = [restricted.universe.index(universe.names[j]) for j in support if j != i]
+                fixed = strategy._fix(t, len(support), q, value)
+                assert fixed == ex.table_bits(restricted.root,
+                                              {j: pos for pos, j in enumerate(rest)}, len(rest))
+                assert self.named(universe, strategy._compact(held ^ 1 << i, fixed)) \
+                    == self.compacted(restricted)
+
+    @staticmethod
+    def named(universe: VariableUniverse, member):
+        """A ``_compact`` result with its positions as the names they index."""
+        if isinstance(member, bool):
+            return member
+        held, t = member
+        return tuple(name for i, name in enumerate(universe.names) if held >> i & 1), t
+
+    @staticmethod
+    def compacted(e: Expression):
+        """The label of a constant ``e``, else the names it depends on and its
+        truth table over exactly those: the others are set to false."""
+        constant = ex.is_constant(e)
+        if constant is not None:
+            return constant
+        for name in e.support():
+            if ex.equivalent(ex.restrict(e, name, True), ex.restrict(e, name, False)):
+                e = ex.restrict(e, name, False)
+        table = ex.truth_table(e)
+        return table.names, table.bits
 
 
 class TestBoundedSearch:

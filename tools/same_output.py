@@ -20,7 +20,7 @@ triangle beside a path past the cap (exit 1).  Malformed files get
 for psi 0-3, path 1-12 and 400, and ``and`` and ``or`` 1-5.  Where the stdout
 of ``strategy --out json``, exact or ``--greedy``, differs, it also reports
 whether both diagrams give the same walk (probes, answers and labels) on
-every valuation.
+every valuation, and both diagrams' node counts.
 Exits 1 if any call differs in any byte, 0 otherwise.  Uses the standard
 library only; the inputs go to a temporary directory (``TMPDIR`` chooses
 where).
@@ -214,7 +214,9 @@ def main(argv=None) -> int:
                           f"  old: {str(a)[:300]!r}\n  new: {str(b)[:300]!r}")
                     if what == "stdout" and call[0] == "strategy" and old[0] == new[0] == 0:
                         print("  same walk on every valuation: "
-                              + ("yes" if same_walks(a, b) else "NO"))
+                              + ("yes" if same_walks(a, b) else "NO")
+                              + f"; nodes: {len(json.loads(a)['nodes'])}"
+                              f" -> {len(json.loads(b)['nodes'])}")
     print(f"{total} calls, {differences} differences")
     return 1 if differences else 0
 
