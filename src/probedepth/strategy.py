@@ -2,33 +2,34 @@
 
 The depth of a state is 0 when every member is constant, and otherwise
 ``1 + min over probes of the worse branch``.  One memoized, depth-bounded
-search decides "depth at most k?" over partial assignments of the combined
-support and keeps the winning probe of each state it proves.  The exact depth
-comes from descending deepening over that search, and the witness diagram
-from its memo.  Variables outside every member's support never help, so
-positions index the combined support; a universe variable absent from all
-members makes the set non-evasive.  The search and greedy share the diagram
-builder.  The search tabulates every member over the combined support and
-caps it.  Greedy caps only each member's support: its state is each
-member's residual function, the member's label once constant, else the
-positions it depends on and its table over exactly those, and a probe
-restricts (``_fix``) and compacts (``_compact``) only the members that
-hold it.
+search decides "depth at most k?" and keeps the winning probe of each state
+it proves.  The exact depth comes from descending deepening over that
+search, and the witness diagram from its memo.  Variables outside every
+member's support never help, so positions index the combined support; a
+universe variable absent from all members makes the set non-evasive.
 
-Transpositions.  The search memoises a state by its probed positions and
-each member's residual table, the member's values on the state's rows
-shifted down to the lowest of them, not by its answers: answers that leave
-every member the same function give one state, searched once, and one node
-of the witness.  Position p is table variable m - 1 - p, so the states of a
-search that tries low positions first fix the high table variables and
-their residuals stay narrow.
+The search and greedy keep one state form, residual functions: the
+positions some member still depends on, and tables over exactly those, the
+lowest position as the top table variable.  A probe restricts the tables
+(``_fix``) and drops every position no table depends on any more
+(``_compact``), so no state holds a dead position, none is probed, and a
+state with no positions is a leaf.  The search keeps the distinct members
+in one state and caps the combined support; greedy keeps each member as its
+own and caps only each member's support.  Both give the diagram builder
+their states as node keys.
+
+Transpositions.  The search memoises a state by its budget, its number of
+positions r and its tables, not by its answers or its positions: answers
+that leave the members the same functions of r variables give one entry,
+searched once, whichever positions those are.  A state with r no more than
+its budget is proved without search, by probing its positions in turn.
 
 Degree rule (Nisan & Szegedy 1994, deg(f) <= D(f), applied per state).  A
-state with r unprobed positions and budget k < r is refuted when a label
-class, the state's rows that share one vector of member values, has a
-non-zero signed sum over a set of more than k unprobed positions.  The
-search checks three levels of it, the top one being Rivest & Vuillemin's
-parity argument (1976); the proof and the levels are in ``_Search.within``.
+state with r positions and budget k < r is refuted when a label class, the
+rows that share one vector of member values, has a non-zero signed sum over
+a set of more than k positions.  The search checks three levels of it, the
+top one being Rivest & Vuillemin's parity argument (1976); the proof and
+the levels are in ``_refuted``.
 """
 
 from __future__ import annotations
@@ -42,9 +43,10 @@ from typing import Callable, Mapping, Optional, Union
 from .expr import (
     DEFAULT_TABLE_CAP,
     ExpressionSet,
+    Node,
+    SupportTooLarge,
     Valuation,
     table_bits,
-    truth_table,
     variable_masks,
 )
 
@@ -151,105 +153,160 @@ def diagram_depth(d: DecisionDiagram) -> int:
         del visit  # break the closure's reference to itself, which holds the depth tables
 
 
-def _diagram(names: tuple[str, ...], key: Callable, choose: Callable,
-             start: object) -> DecisionDiagram:
-    """The diagram ``choose(k, amask, state)`` spells out: at each state,
-    given its key k, a ``Leaf``, or a position to probe and the chooser's own
-    per-state value to pass on after each answer, true first.  The root's
-    value is ``start``.  ``names`` names the positions.
-
-    States with equal ``k = key(amask, state)`` share one node, so the
-    caller supplies a key that fixes everything its ``choose`` reads below
-    the state: the search keys by the residual member tables of the care
-    rows (see ``_Search.key``); greedy's state, its members' residual
-    functions, is its own key (see ``greedy_strategy``)."""
+def _diagram(names: tuple[str, ...], choose: Callable, start: tuple) -> DecisionDiagram:
+    """The diagram ``choose(state)`` spells out: at each state a ``Leaf``, or
+    a position to probe and the states after each answer, true first.  The
+    root's state is ``start``; ``names`` names the positions.  A state is its
+    own node key, so ``choose`` reads nothing but the state, and equal states
+    share one node."""
     nodes: list[DiagramNode] = []
-    node_at: dict[object, int] = {}
+    node_at: dict[tuple, int] = {}
 
-    def build(amask: int, state: object) -> int:
-        k = key(amask, state)
-        if k in node_at:
-            return node_at[k]
-        node = choose(k, amask, state)
+    def build(state: tuple) -> int:
+        i = node_at.get(state)
+        if i is not None:
+            return i
+        node = choose(state)
         if not isinstance(node, Leaf):
             p, if_true, if_false = node
-            bit = 1 << p
-            node = Probe(names[p], build(amask | bit, if_true), build(amask | bit, if_false))
+            node = Probe(names[p], build(if_true), build(if_false))
         nodes.append(node)
-        node_at[k] = len(nodes) - 1
-        return node_at[k]
+        node_at[state] = len(nodes) - 1
+        return len(nodes) - 1
 
     try:
-        root = build(0, start)
+        root = build(start)
     finally:
         del build  # break the closure's reference to itself, which holds the node table
     return DecisionDiagram(tuple(nodes), root)
 
 
 @cache
-def _frame(m: int) -> tuple[int, tuple[tuple[int, ...], tuple[int, ...]], int]:
-    """The search's per-m masks: the full row set, the rows that keep each
-    answer to each position (``keep[a][p]``, position p being table variable
-    m - 1 - p) and the rows of even weight."""
-    full = (1 << (1 << m)) - 1
-    if_true = variable_masks(m)[::-1]
+def _frame(r: int) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
+    """The masks of tables over r variables: the full row set, the rows where
+    each variable is set, the rows of even weight, and for each variable j
+    below the top the rows with x_j = 1 and x_(j+1) = 0, which a δ-swap of
+    the two exchanges with their partners."""
+    masks = variable_masks(r)
     even = 1  # by doubling: the upper half of each row block flips parity
-    for p in range(m):
-        even |= (((1 << (1 << p)) - 1) ^ even) << (1 << p)
-    return full, (tuple(full ^ t for t in if_true), if_true), even
+    for j in range(r):
+        even |= (((1 << (1 << j)) - 1) ^ even) << (1 << j)
+    swaps = tuple(masks[j] & ~masks[j + 1] for j in range(r - 1))
+    return (1 << (1 << r)) - 1, masks, even, swaps
 
 
-def _fix(t: int, k: int, q: int, a: bool) -> int:
-    """The table ``t`` over k variables with variable q set to ``a``, over the
-    other k - 1 in their order: q moves to the top by adjacent δ-swaps
+def _table(node: Node, support: list[int]) -> int:
+    """The table of ``node`` over the universe indices ``support``, in
+    ascending order, the first as the top table variable."""
+    k = len(support)
+    return table_bits(node, {idx: k - 1 - q for q, idx in enumerate(support)}, k)
+
+
+def _fix(t: int, r: int, q: int, a: bool) -> int:
+    """The table ``t`` over r variables with variable q set to ``a``, over the
+    other r - 1 in their order: q moves to the top by adjacent δ-swaps
     (Knuth, TAOCP 4A §7.1.3), and the half where it reads ``a`` stays."""
-    masks = variable_masks(k)
-    for j in range(q, k - 1):
-        d = 1 << j  # swap the rows with x_j = 1, x_(j+1) = 0 with their partners
-        y = (t ^ t >> d) & masks[j] & ~masks[j + 1]
-        t ^= y | y << d
-    half = 1 << (k - 1)
+    if q < r - 1:
+        swaps = _frame(r)[3]
+        for j in range(q, r - 1):
+            d = 1 << j
+            y = (t ^ t >> d) & swaps[j]
+            t ^= y | y << d
+    half = 1 << (r - 1)
     return t >> half if a else t & ((1 << half) - 1)
 
 
-def _compact(held: int, t: int) -> Union[bool, tuple[int, int]]:
-    """The member with table ``t`` over the positions set in ``held``, the
-    q-th lowest being table variable q, as its label where ``t`` is constant,
-    else as the positions it depends on and its table over exactly those."""
-    k = held.bit_count()
-    if t == 0 or t + 1 == 1 << (1 << k):
-        return t != 0
-    masks, rest = variable_masks(k), held
-    for q in reversed(range(k)):
-        bit = 1 << rest.bit_length() - 1  # the position of table variable q
-        rest ^= bit
-        if (t & masks[q]) >> (1 << q) == t & ~masks[q]:  # both halves agree
-            t = _fix(t, held.bit_count(), q, False)
-            held ^= bit
-    return held, t
+def _compact(held: int, tables: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """``tables`` over the positions set in ``held``, the lowest as the top
+    table variable, without the positions that no table depends on: those
+    positions and the tables over the rest."""
+    r = held.bit_count()
+    masks, rest = _frame(r)[1], held
+    for q in reversed(range(r)):  # q's position is the lowest in rest
+        d, m = 1 << q, masks[q]
+        for t in tables:
+            if (t ^ t << d) & m:  # the halves where x_q is 1 and 0 differ
+                break
+        else:
+            tables = tuple([_fix(t, held.bit_count(), q, False) for t in tables])
+            held ^= rest & -rest
+        rest &= rest - 1
+    return held, tables
 
 
-# witness-memo entries that are not a winning probe
-_LEAF = -1
-_REFUTED = -2
+def _restrict(held: int, tables: tuple[int, ...], p: int,
+              a: bool) -> tuple[int, tuple[int, ...]]:
+    """The state ``(held, tables)`` of ``_compact`` with position p, which
+    it holds, answered ``a``."""
+    r, q = held.bit_count(), (held >> p + 1).bit_count()  # p's table variable
+    return _compact(held ^ 1 << p, tuple([_fix(t, r, q, a) for t in tables]))
+
+
+def _refuted(tables: tuple[int, ...], r: int, k: int) -> bool:
+    """The degree rule: does a label class of ``tables`` over r variables
+    sum to non-zero over a set S of more than k of them, which refutes
+    depth k?
+
+    The signed sum of a class C over S is sum over x in C of
+    (-1)^|x & S|.  Proof: (1) every leaf of a diagram of depth at most k
+    fixes at most k variables, so some variable of S is free in it and its
+    sum over S is 0; (2) a class is a union of such leaves, since a leaf
+    fixes every member; (3) so every class sums to 0 over S.  The sum is 0
+    exactly when half the rows of C have even weight on S.  Three levels
+    are checked, the cheap ones first:
+      - |S| = r (Rivest & Vuillemin's parity): the rows of ``even``;
+      - |S| = r - 1, when k <= r - 2: even outside variable p, for each p;
+      - |S| = r - 2, when k <= r - 3: even outside p and q, for each pair.
+    The full row set sums to 0 over every non-empty S, so all classes but
+    one need checking.  The rule refutes only states the search would
+    refute anyway, so proved states keep their first winning probe.
+    """
+    full, masks, even, _ = _frame(r)
+    classes = [full]
+    for t in tables:  # each table splits every class c into c & t and the rest
+        for i in range(len(classes)):
+            c = classes[i]
+            ones = c & t
+            if ones and ones != c:
+                classes[i] = ones
+                classes.append(c ^ ones)
+    classes.pop()  # its sums vanish when the others' do
+    for c in classes:  # |S| = r
+        if 2 * (c & even).bit_count() != c.bit_count():
+            return True
+    if k > r - 2:
+        return False
+    for c in classes:
+        n, evens = c.bit_count(), c & even
+        ones = [c & m for m in masks]
+        halves = [evens ^ o for o in ones]  # even outside p
+        if any(2 * h.bit_count() != n for h in halves):
+            return True
+        if k <= r - 3:
+            for i, h in enumerate(halves):
+                for o in ones[i + 1:]:
+                    if 2 * (h ^ o).bit_count() != n:
+                        return True
+    return False
+
+
+# the memo entry of a state refuted, or still being searched
+_REFUTED = -1
 
 
 class _Search:
-    """Depth-bounded minimax search over partial assignments of the support.
+    """Depth-bounded minimax search over the members' residual functions.
 
-    A state is ``amask``, the bitmask of probed support positions, and its
-    care set, the rows that agree with the answers.  Every member is
-    tabulated over the combined support, position p as table variable
-    m - 1 - p, so the care set is one integer of 2^m bits, and answer a for
-    position p narrows it to ``care & keep[a][p]``.  States are memoised
-    and shared by ``key``, the probed positions and the residual of each
-    distinct member table.  ``explored`` counts the distinct keys decided
-    over all rounds; ``budget`` caps it.
-
-    The care set splits into label classes: the care rows that share one
-    vector of member values.  One class means every member is constant.
-    ``even`` holds the rows of even weight, which the degree rule reads; see
-    ``within`` for the rule and its proof.
+    Every member is tabulated over the combined support, and the root is
+    ``_compact`` of the distinct tables over all of it; each state after it
+    is a ``_restrict``, ``(held, tables)``, so the tables stay as wide as
+    the state's own positions.  ``memo`` maps the key ``(k, r, tables)`` of
+    each state searched, k its budget and r its number of positions, to its
+    winning probe, the rank of the position among the state's from the
+    lowest, or to ``_REFUTED``.  Equal keys have equal verdicts, so one memo
+    serves every round, and its size counts the states explored; ``budget``
+    caps it.  States with r <= k, or with k = 0 < r, are decided without
+    an entry.
     """
 
     def __init__(self, s: ExpressionSet, cap: int, budget: Optional[int] = None):
@@ -257,175 +314,88 @@ class _Search:
         if len(combined) > cap:
             raise UniverseTooLarge(f"support size {len(combined)} exceeds cap {cap}")
         self.names = tuple(s.universe.names[i] for i in combined)
-        self.m = m = len(combined)
-        position = {idx: m - 1 - p for p, idx in enumerate(combined)}  # table variables
-        self.members = [table_bits(member.root, position, m) for member in s.members]
-        self.distinct = list(dict.fromkeys(self.members))  # equal tables split alike
-        self.full, self.keep, self.even = _frame(m)
-        self.explored = 0
+        self.members = [_table(member.root, combined) for member in s.members]
+        # equal tables split alike, so the state keeps each distinct one once
+        self.root = _compact((1 << len(combined)) - 1, tuple(dict.fromkeys(self.members)))
+        self.memo: dict[tuple, int] = {}
         self.budget = budget
 
-    def split(self, care: int) -> list[int]:
-        """The label classes of ``care``: each member splits every class c into
-        ``c & t`` and the rest, when both are non-empty."""
-        classes = [care]
-        for t in self.distinct:
-            for i in range(len(classes)):
-                c = classes[i]
-                ones = c & t
-                if ones and ones != c:
-                    classes[i] = ones
-                    classes.append(c ^ ones)
-        return classes
+    def within(self, k: int) -> bool:
+        """Is the minimax depth at most ``k``?  Tries the positions of each
+        state from the lowest up, and refutes by ``_refuted`` first."""
+        memo, budget = self.memo, self.budget
 
-    def key(self, amask: int, care: int) -> tuple:
-        """The transposition key of a state: its probed positions and each
-        distinct member's residual, its table on the care rows shifted down
-        to the lowest of them.  States with equal keys have the same free
-        positions, budget and member functions of them."""
-        low = (care & -care).bit_length() - 1
-        return amask, *[(t & care) >> low for t in self.distinct]
-
-    def within(self, k: int) -> Optional[dict[tuple, int]]:
-        """Is the minimax depth at most ``k``?  Returns the witness memo if so,
-        else ``None``.
-
-        The memo maps the ``key`` of each decided state to its winning probe,
-        to ``_LEAF`` when the state is constant, or to ``_REFUTED``.  The
-        budget left at a state is always ``k - popcount(amask)``, so the key
-        needs no depth.  States with equal keys have the same free positions,
-        budget and member functions.  Their care rows differ by the shift to
-        the lowest row, which at most flips the parity of every row at once,
-        and no balance test below sees that; so they get the same verdict and
-        the same first winning probe.  Keying by the residuals rather than
-        the answers changes which states are searched, not a depth, a verdict
-        or a walk.  Every remaining variable
-        fits the budget at every state of a round or at none, so a round with
-        k >= m is not searched: its memo is empty.
-
-        Degree rule: a state with r > k unprobed positions is refuted when a
-        label class C has a non-zero signed sum, sum over x in C of
-        (-1)^|x & S|, for a set S of unprobed positions with |S| > k.  Proof:
-        (1) every leaf of a diagram of depth at most k fixes at most k
-        positions, so some position of S is free in it and its sum over S is
-        0; (2) a class is a union of such leaves, since a leaf fixes every
-        member; (3) so every class sums to 0 over S.  Probed positions are
-        constant on C, so the sum is 0 exactly when half the rows of C have
-        even weight outside the unprobed positions not in S.  Three levels
-        are checked, the cheap ones first:
-          - |S| = r (Rivest & Vuillemin's parity): the rows of ``even``;
-          - |S| = r - 1, when k <= r - 2: even outside p, ``even ^ keep[1][p]``,
-            for each unprobed p;
-          - |S| = r - 2, when k <= r - 3: even outside p and q, one more XOR
-            with ``keep[1][q]``, for each pair.
-        k - r is the same at every state of a round, so the levels that apply
-        are fixed per round; ``is_evasive`` asks k = m - 1 and never reaches
-        the lower two.  The care set is a subcube, so its own sum over every
-        non-empty S is 0, and all classes but one need checking.  The rule
-        refutes only states the search would refute anyway, so proved states
-        keep their first winning probe.
-        """
-        m = self.m
-        if k >= m:
-            return {}  # probing every position always suffices
-        memo: dict[tuple, int] = {}
-        if_false, if_true = self.keep
-        even, split, state_key = self.even, self.split, self.key
-        budget = self.budget
-        gap = m - k  # r - k at every state: a probe takes one from both
-        even_but = [even ^ t for t in if_true] if gap > 1 else None  # even outside p
-
-        def refuted_below(amask: int, classes: list[int]) -> bool:
-            """Does a class sum to non-zero over every unprobed position but
-            one, or (k <= r - 3) but two?  Kept out of ``rec``, so that rounds
-            these levels never reach, as in ``is_evasive``, keep its frame small."""
-            free = [p for p in range(m) if not amask >> p & 1]
-            for c in classes:
-                n = c.bit_count()
-                halves = [c & even_but[p] for p in free]  # |S| = r - 1
-                if any(2 * h.bit_count() != n for h in halves):
-                    return True
-                if gap > 2:  # |S| = r - 2: c & (even_but[p] ^ if_true[q])
-                    ones = [c & if_true[q] for q in free]
-                    for i, h in enumerate(halves):
-                        for t in ones[i + 1:]:
-                            if 2 * (h ^ t).bit_count() != n:
-                                return True
-            return False
-
-        def rec(amask: int, care: int, k: int) -> bool:
-            key = state_key(amask, care)
+        def rec(held: int, tables: tuple[int, ...], k: int) -> bool:
+            r = held.bit_count()
+            if r <= k:
+                return True
+            if k == 0:
+                return False
+            key = k, r, tables
             hit = memo.get(key)
             if hit is not None:
                 return hit != _REFUTED
-            self.explored += 1
-            if budget is not None and self.explored > budget:
+            if budget is not None and len(memo) >= budget:
                 raise BudgetExceeded(f"state budget {budget} exhausted")
-            classes = split(care)
-            if len(classes) == 1:
-                memo[key] = _LEAF
-                return True
             memo[key] = _REFUTED
-            if k <= 0:
+            if _refuted(tables, r, k):
                 return False
-            classes.pop()  # its sums vanish when the others' do
-            for c in classes:  # |S| = r
-                if 2 * (c & even).bit_count() != c.bit_count():
-                    return False
-            if gap > 1 and refuted_below(amask, classes):
-                return False
-            for p in range(m):
-                bit = 1 << p
-                if amask & bit:
-                    continue
-                if rec(amask | bit, care & if_true[p], k - 1) and \
-                   rec(amask | bit, care & if_false[p], k - 1):
-                    memo[key] = p
+            rest = held
+            for rank in range(r):
+                p = (rest & -rest).bit_length() - 1
+                rest ^= 1 << p
+                if rec(*_restrict(held, tables, p, True), k - 1) and \
+                   rec(*_restrict(held, tables, p, False), k - 1):
+                    memo[key] = rank
                     return True
             return False
 
         try:
-            return memo if rec(0, self.full, k) else None
+            return rec(*self.root, k)
         finally:
             del rec  # break the closure's reference to itself, which holds the memo
 
-    def witness(self, memo: dict[tuple, int]) -> DecisionDiagram:
-        """The diagram of a witness memo of ``within``, one node per key, so
-        states the search shared share a node too.  A state missing from the
-        memo, as in a round ``within`` did not search, probes its lowest
-        unassigned position until it is constant, which stays within the
-        budget that let the round go unsearched."""
-        def choose(k: tuple, amask: int, care: int) -> Union[Leaf, tuple[int, int, int]]:
-            p = memo.get(k)
-            if p is None and any(t & care not in (0, care) for t in self.distinct):
-                p = (~amask & (amask + 1)).bit_length() - 1
-            if p is None or p == _LEAF:
-                return Leaf(tuple(t & care != 0 for t in self.members))
-            return p, care & self.keep[1][p], care & self.keep[0][p]
+    def witness(self, depth: int) -> DecisionDiagram:
+        """The diagram of the memo's proof of ``depth``: one node per state
+        and budget, the budget capped at the state's r, since every state
+        with r <= k probes its lowest position."""
+        slot = {t: i for i, t in enumerate(dict.fromkeys(self.members))}
+        labels = [slot[t] for t in self.members]
 
-        return _diagram(self.names, self.key, choose, self.full)
+        def choose(state: tuple) -> Union[Leaf, tuple[int, tuple, tuple]]:
+            k, held, tables = state
+            if not held:
+                return Leaf(tuple(tables[i] == 1 for i in labels))
+            r = held.bit_count()
+            rest = held
+            for _ in range(0 if r <= k else self.memo[k, r, tables]):
+                rest &= rest - 1
+            p = (rest & -rest).bit_length() - 1
+            after = [_restrict(held, tables, p, a) for a in (True, False)]
+            return p, *((min(k - 1, h.bit_count()), h, t) for h, t in after)
+
+        held, tables = self.root
+        return _diagram(self.names, choose, (min(depth, held.bit_count()), held, tables))
 
 
 def optimal_depth(s: ExpressionSet, budget: Optional[int] = None,
                   cap: int = DEFAULT_TABLE_CAP) -> DepthReport:
     """Exact minimum worst-case probe count for ``s`` with a witness diagram.
 
-    Descending deepening: ``within(k)`` for k = m - 1, m - 2, ... until the
-    first refutation; depth m always holds.  A successful round stops at its
-    first winning probe, so only the last round searches fully.  ``budget``
-    caps the explored states of all rounds together; exceeding it raises
-    ``BudgetExceeded`` rather than returning an approximation.
+    Descending deepening: ``within(k)`` for k = r - 1, r - 2, ... until the
+    first refutation, r being the root's number of positions; depth r
+    always holds.  A successful round stops at its first winning probe, so
+    only the last round searches fully.  ``budget`` caps the explored states
+    of all rounds together; exceeding it raises ``BudgetExceeded`` rather
+    than returning an approximation.
     """
     search = _Search(s, cap, budget)
-    depth, memo = search.m, {}
-    while depth > 0:
-        witness = search.within(depth - 1)
-        if witness is None:
-            break
-        depth, memo = depth - 1, witness
+    depth = search.root[0].bit_count()
+    while depth > 0 and search.within(depth - 1):
+        depth -= 1
     return DepthReport(depth=depth, n=s.n, evasive=(depth == s.n),
-                       explored_states=search.explored,
-                       witness=partial(search.witness, memo))
+                       explored_states=len(search.memo),
+                       witness=partial(search.witness, depth))
 
 
 def decide_depth_at_most(s: ExpressionSet, k: int, budget: Optional[int] = None,
@@ -433,16 +403,16 @@ def decide_depth_at_most(s: ExpressionSet, k: int, budget: Optional[int] = None,
     """DEC-BDD-DEPTH: is the depth of ``s`` at most ``k``?"""
     if k < 0:
         raise StrategyError("k must be non-negative")
-    return _Search(s, cap, budget).within(k) is not None
+    return _Search(s, cap, budget).within(k)
 
 
 def is_evasive(s: ExpressionSet, budget: Optional[int] = None,
                cap: int = DEFAULT_TABLE_CAP) -> bool:
     """DEC-BDD-EVASIVE: is depth ``n - 1`` out of reach, so that the depth
-    equals the universe size?  Decided by the exact search.  Its budget is
-    one less than the unprobed positions at every state, so of the degree
-    rule only the top level, parity, applies: an evasive set with an
-    unbalanced label class is decided at the root."""
+    equals the universe size?  Decided by the exact search.  A set with a
+    dead or absent variable is proved at the root; otherwise the root's
+    budget is one less than its positions, and an evasive set with an
+    unbalanced label class is refuted there by parity."""
     if s.n == 0:
         return True  # depth 0 = n
     return not decide_depth_at_most(s, s.n - 1, budget=budget, cap=cap)
@@ -459,43 +429,41 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
     far.  Each state probes the live variable minimizing, over both answers,
     the worse live count, the lowest universe index winning ties.
 
-    A state is its members' residual functions: per member, its label where
-    it is constant, else the positions it depends on and its table over
-    exactly those (``_compact``).  A probe restricts only the members that
-    hold the position (``_fix``).  The live variables are the union of the
-    non-constant members' positions, so the choice reads nothing but the
-    state, and the state is its own node key: answers that leave every
-    member the same function share one node, and once every member is
-    constant the state is the leaf's labels.  k disjoint 6-variable paths
-    give 13 * 2^k - 12 nodes (196 at k = 4), and path(12) gives 28.
+    A state is its members' residual functions, each a ``_compact`` state
+    of one table, with no positions once the member is constant.  A probe
+    restricts only the members that hold the position.  The live variables
+    are the union of the members' positions, so the choice reads nothing
+    but the state, and the state is its own node key: answers that leave
+    every member the same function share one node.  k disjoint 6-variable
+    paths give 13 * 2^k - 12 nodes (196 at k = 4), and path(12) gives 28.
     """
     supports = [m.support_indices() for m in s.members]
     combined = sorted(set().union(*supports))
     position = {idx: p for p, idx in enumerate(combined)}
-    start = tuple(_compact(sum(1 << position[idx] for idx in support), truth_table(m, cap).bits)
-                  for m, support in zip(s.members, supports))
+    start = []
+    for member, support in zip(s.members, supports):
+        if len(support) > cap:
+            raise SupportTooLarge(f"support size {len(support)} exceeds cap {cap}")
+        held = sum(1 << position[idx] for idx in support)
+        start.append(_compact(held, (_table(member.root, support),)))
 
     @cache
-    def fix(member: tuple[int, int], p: int, a: bool) -> Union[bool, tuple[int, int]]:
-        held, t = member
-        q = (held & ((1 << p) - 1)).bit_count()
-        return _compact(held ^ 1 << p, _fix(t, held.bit_count(), q, a))
+    def fix(member: tuple[int, tuple[int]], p: int, a: bool) -> tuple[int, tuple[int]]:
+        return _restrict(*member, p, a)
 
     def child(state: tuple, p: int, a: bool) -> tuple:
-        return tuple([fix(m, p, a) if isinstance(m, tuple) and m[0] >> p & 1 else m
-                      for m in state])
+        return tuple([fix(m, p, a) if m[0] >> p & 1 else m for m in state])
 
     def live(state: tuple) -> int:
         out = 0
-        for m in state:
-            if isinstance(m, tuple):
-                out |= m[0]
+        for held, _ in state:
+            out |= held
         return out
 
-    def choose(state: tuple, amask: int, _: tuple) -> Union[Leaf, tuple[int, tuple, tuple]]:
+    def choose(state: tuple) -> Union[Leaf, tuple[int, tuple, tuple]]:
         rest = live(state)
         if not rest:
-            return Leaf(state)  # every member is constant: its labels
+            return Leaf(tuple(t == 1 for _, (t,) in state))  # every member is constant
         best, best_score = 0, len(combined) + 1
         while rest:
             p = (rest & -rest).bit_length() - 1
@@ -507,7 +475,7 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
         return best, child(state, best, True), child(state, best, False)
 
     names = tuple(s.universe.names[i] for i in combined)
-    return _diagram(names, lambda amask, state: state, choose, start)
+    return _diagram(names, choose, tuple(start))
 
 
 # --- execution --------------------------------------------------------------
@@ -516,22 +484,17 @@ AnswerSource = Union[Mapping[str, bool], Callable[[str], bool]]
 
 
 def run_session(d: DecisionDiagram, answers: AnswerSource) -> Transcript:
-    """Walk the diagram, probing via ``answers`` until a leaf is reached."""
+    """Walk the diagram, probing via ``answers`` until a leaf is reached.
+    Raises ``AnswersExhausted`` where ``answers`` gives no value or ``None``."""
     probes: list[tuple[str, bool]] = []
     i = d.root
     while True:
         node = d.nodes[i]
         if isinstance(node, Leaf):
             return Transcript(tuple(probes), node.labels)
-        if callable(answers):
-            value = answers(node.variable)
-            if value is None:
-                raise AnswersExhausted(f"no answer for variable {node.variable!r}")
-        else:
-            try:
-                value = answers[node.variable]
-            except KeyError:
-                raise AnswersExhausted(f"no answer for variable {node.variable!r}") from None
+        value = answers(node.variable) if callable(answers) else answers.get(node.variable)
+        if value is None:  # a missing answer, or one given as None
+            raise AnswersExhausted(f"no answer for variable {node.variable!r}")
         value = bool(value)
         probes.append((node.variable, value))
         i = node.on_true if value else node.on_false

@@ -65,9 +65,11 @@ class TestExamples:
         assert strategy.diagram_depth(report.diagram) == 2
 
     def test_budget_exceeded(self):
-        # path(3) is not evasive and its root classes are balanced: 15 states
+        # path(3) is not evasive and its root classes are balanced: 3 states
+        s = single("(a&b)|(b&c)|(c&d)")
+        assert strategy.optimal_depth(s, budget=3).explored_states == 3
         with pytest.raises(strategy.BudgetExceeded):
-            strategy.optimal_depth(single("(a&b)|(b&c)|(c&d)"), budget=3)
+            strategy.optimal_depth(s, budget=2)
 
 
 class TestAgainstNaiveOracle:
@@ -258,8 +260,19 @@ class TestGreedySharing:
 
 
 class TestResidualTables:
-    """``_fix`` and ``_compact``, greedy's per-member state, against
-    restriction of the syntax tree and a fresh truth table."""
+    """``_frame``, ``_fix`` and ``_compact``, the one state form of the search
+    and greedy, against enumerated rows, restriction of the syntax tree and a
+    fresh truth table."""
+
+    @pytest.mark.parametrize("r", range(7))
+    def test_frame_rows(self, r):
+        full, masks, even, swaps = strategy._frame(r)
+        rows = range(1 << r)
+        assert full == sum(1 << x for x in rows)
+        assert masks == tuple(sum(1 << x for x in rows if x >> j & 1) for j in range(r))
+        assert even == sum(1 << x for x in rows if x.bit_count() % 2 == 0)
+        assert swaps == tuple(sum(1 << x for x in rows if x >> j & 3 == 1)
+                              for j in range(r - 1))
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -269,40 +282,52 @@ class TestResidualTables:
         universe = VariableUniverse(tuple(f"x{i}" for i in range(n)))
         e = Expression(universe, random_expression(rng, universe))
         support = e.support_indices()
-        t = ex.truth_table(e).bits
+        t = self.table(e, support)
         held = sum(1 << i for i in support)  # positions are universe indices here
-        assert self.named(universe, strategy._compact(held, t)) == self.compacted(e)
-        for q, i in enumerate(support):
+        assert self.named(universe, strategy._compact(held, (t,))) == self.compacted(e)
+        for rank, i in enumerate(support):
             name = universe.names[i]
             for value in (True, False):
                 restricted = ex.restrict(e, name, value)
                 rest = [restricted.universe.index(universe.names[j]) for j in support if j != i]
-                fixed = strategy._fix(t, len(support), q, value)
-                assert fixed == ex.table_bits(restricted.root,
-                                              {j: pos for pos, j in enumerate(rest)}, len(rest))
-                assert self.named(universe, strategy._compact(held ^ 1 << i, fixed)) \
+                fixed = strategy._fix(t, len(support), len(support) - 1 - rank, value)
+                assert fixed == self.table(restricted, rest)
+                assert self.named(universe, strategy._compact(held ^ 1 << i, (fixed,))) \
                     == self.compacted(restricted)
+                assert strategy._restrict(held, (t,), i, value) \
+                    == strategy._compact(held ^ 1 << i, (fixed,))
+
+    def test_compact_keeps_what_any_table_depends_on(self):
+        # over a, b, c (a the top table variable): a & b and b | c drop
+        # nothing together; alone, each drops the position it ignores
+        s = ex.parse_expressions("vars: a b c\na & b\nb | c\n")
+        first, second = (self.table(m, [0, 1, 2]) for m in s.members)
+        assert strategy._compact(0b111, (first, second)) == (0b111, (first, second))
+        assert strategy._compact(0b111, (first,)) == (0b011, (self.table(s.members[0], [0, 1]),))
+        assert strategy._compact(0b111, (second,)) == (0b110, (self.table(s.members[1], [1, 2]),))
 
     @staticmethod
-    def named(universe: VariableUniverse, member):
-        """A ``_compact`` result with its positions as the names they index."""
-        if isinstance(member, bool):
-            return member
-        held, t = member
+    def table(e: Expression, support: list[int]) -> int:
+        """The table of ``e`` over the universe indices ``support``, the first
+        as the top table variable."""
+        k = len(support)
+        return ex.table_bits(e.root, {j: k - 1 - q for q, j in enumerate(support)}, k)
+
+    @staticmethod
+    def named(universe: VariableUniverse, state):
+        """A one-table ``_compact`` state with its positions as the names they
+        index."""
+        held, (t,) = state
         return tuple(name for i, name in enumerate(universe.names) if held >> i & 1), t
 
     @staticmethod
     def compacted(e: Expression):
-        """The label of a constant ``e``, else the names it depends on and its
-        truth table over exactly those: the others are set to false."""
-        constant = ex.is_constant(e)
-        if constant is not None:
-            return constant
+        """The names ``e`` depends on and its table over exactly those, the
+        first as the top table variable: the others are set to false."""
         for name in e.support():
             if ex.equivalent(ex.restrict(e, name, True), ex.restrict(e, name, False)):
                 e = ex.restrict(e, name, False)
-        table = ex.truth_table(e)
-        return table.names, table.bits
+        return e.support(), TestResidualTables.table(e, e.support_indices())
 
 
 class TestBoundedSearch:
@@ -354,10 +379,12 @@ class TestParityRule:
     def test_balanced_root_classes(self, text, depth):
         # parity cannot refute the root, so the search decides below it
         s = single(text)
-        search = strategy._Search(s, cap=20)
-        classes = search.split(search.full)
-        assert len(classes) > 1
-        assert all(2 * (c & search.even).bit_count() == c.bit_count() for c in classes)
+        held, (t,) = strategy._Search(s, cap=20).root
+        r = held.bit_count()
+        full, _, even, _ = strategy._frame(r)
+        assert r == s.n and 0 < t < full
+        assert all(2 * (c & even).bit_count() == c.bit_count() for c in (t, full ^ t))
+        assert not strategy._refuted((t,), r, r - 1)
         report = strategy.optimal_depth(s)
         assert report.depth == naive_depth(s) == depth
         assert report.explored_states > 1
@@ -374,8 +401,8 @@ class TestParityRule:
 
 
 class TestDegreeRule:
-    """Below parity: classes with a non-zero signed sum over all unprobed
-    positions but one (budget at most r - 2) or but two (at most r - 3)."""
+    """Below parity: classes with a non-zero signed sum over all of a state's
+    r positions but one (budget at most r - 2) or but two (at most r - 3)."""
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.integers(0, 2**32 - 1))
@@ -391,10 +418,10 @@ class TestDegreeRule:
 
     @pytest.mark.parametrize("text, depth, states", [
         # degree 2 = depth: level r - 1 at budget r - 1 would refute the root
-        ("(a&b)|(!a&c)", 2, 9),
+        ("(a&b)|(!a&c)", 2, 2),
         # budget r - 3 in the last round: level r - 2 at budget r - 2 gives
-        # depth 7; level r - 1 or r - 2 only one budget lower, 372 or 515 states
-        ("(a&b)|(b&c)|(c&d)\n(e&f)|(f&g)|(g&h)\n", 6, 114),
+        # depth 7; level r - 1 or r - 2 only one budget lower, 32 or 19 states
+        ("(a&b)|(b&c)|(c&d)\n(e&f)|(f&g)|(g&h)\n", 6, 13),
     ], ids=["mux", "two_paths4"])
     def test_level_thresholds(self, text, depth, states):
         s = single(text)
@@ -404,12 +431,12 @@ class TestDegreeRule:
         assert strategy.diagram_depth(report.diagram) == depth
 
     @pytest.mark.parametrize("s, depth, states, budget", [
-        (families.generate(families.FamilySpec("path", 15)), 15, 131, 20_000),
+        (families.generate(families.FamilySpec("path", 15)), 15, 19, 20_000),
         (single("(a&b)|(b&c)|(c&d)|(d&e)|(e&f)|(f&g)\n"
-                "(h&i)|(i&j)|(j&k)|(k&l)|(l&m)|(m&n)\n"), 12, 370, 50_000),
+                "(h&i)|(i&j)|(j&k)|(k&l)|(l&m)|(m&n)\n"), 12, 31, 50_000),
     ], ids=["path15", "two_paths7"])
     def test_non_evasive_refuted_early(self, s, depth, states, budget):
-        # parity alone needs 460 277 and 147 287 states
+        # parity alone needs 2 934 and 1 976 states
         report = strategy.optimal_depth(s, budget=budget)
         assert (report.depth, report.explored_states) == (depth, states)
 
@@ -422,9 +449,10 @@ class TestDegreeRule:
 
 
 class TestTranspositions:
-    """The search memoises states, and the witness shares nodes, by the
-    probed positions and the members' residual tables, so answers that leave
-    every member the same function are searched once and drawn once."""
+    """The search memoises states by their budget and the members' residual
+    tables, and the witness shares nodes by those and the positions, so
+    answers that leave every member the same function are searched once and
+    drawn once."""
 
     @staticmethod
     def disjoint_paths(size: int) -> ExpressionSet:
@@ -446,8 +474,8 @@ class TestTranspositions:
             assert strategy.check_soundness(s, report.diagram, v)
 
     @pytest.mark.parametrize("s, depth, nodes", [
-        (families.generate(families.FamilySpec("path", 10)), 11, 32),  # 573 keyed by answers
-        (disjoint_paths(8), 16, 67),  # 34 303 keyed by answers
+        (families.generate(families.FamilySpec("path", 10)), 11, 22),  # 573 keyed by answers
+        (disjoint_paths(8), 16, 46),  # 34 303 keyed by answers
     ], ids=["path10", "two_paths8"])
     def test_witness_node_count(self, s, depth, nodes):
         d = strategy.optimal_depth(s).diagram
@@ -456,9 +484,39 @@ class TestTranspositions:
 
     def test_twenty_positions_within_budget(self):
         # keyed by answers, this search decides 529 473 states
-        report = strategy.optimal_depth(self.disjoint_paths(10), budget=2_000)
-        assert report.depth == 18
+        report = strategy.optimal_depth(self.disjoint_paths(10), budget=50)
+        assert (report.depth, report.explored_states) == (18, 49)
         assert strategy.diagram_depth(report.diagram) == 18
+
+
+class TestNoDeadProbes:
+    """States hold only the positions some member still depends on, so no
+    probe of an exact witness or of a greedy diagram leads to one node on
+    both answers."""
+
+    @staticmethod
+    def dead_probes(d: DecisionDiagram) -> int:
+        return sum(isinstance(node, Probe) and node.on_true == node.on_false for node in d.nodes)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_random_sets(self, seed):
+        rng = random.Random(seed)
+        universe = VariableUniverse(tuple(f"x{i}" for i in range(rng.randint(1, 6))))
+        members = tuple(Expression(universe, random_expression(rng, universe))
+                        for _ in range(rng.randint(1, 3)))
+        s = ExpressionSet(universe, members)
+        assert self.dead_probes(strategy.optimal_depth(s).diagram) == 0
+        assert self.dead_probes(strategy.greedy_strategy(s)) == 0
+
+    @pytest.mark.parametrize("s", [families.generate(families.FamilySpec("path", 12)),
+                                   TestTranspositions.disjoint_paths(7)],
+                             ids=["path12", "two_paths7"])
+    def test_paths(self, s):
+        # probing every position in turn where the budget allows it gave
+        # 12 and 21 such probes
+        assert self.dead_probes(strategy.optimal_depth(s).diagram) == 0
+        assert self.dead_probes(strategy.greedy_strategy(s)) == 0
 
 
 class TestNoReferenceCycles:
@@ -540,3 +598,10 @@ class TestDiagramPlumbing:
         assert t.probe_count == 2
         with pytest.raises(strategy.AnswersExhausted):
             strategy.run_session(d, {"a": True})
+
+    @pytest.mark.parametrize("answers", [{"a": None, "b": True}, lambda name: None],
+                             ids=["mapping", "callable"])
+    def test_run_session_none_is_no_answer(self, answers):
+        d = strategy.optimal_depth(single("a & b")).diagram
+        with pytest.raises(strategy.AnswersExhausted):
+            strategy.run_session(d, answers)

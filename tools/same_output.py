@@ -20,7 +20,8 @@ triangle beside a path past the cap (exit 1).  Malformed files get
 for psi 0-3, path 1-12 and 400, and ``and`` and ``or`` 1-5.  Where the stdout
 of ``strategy --out json``, exact or ``--greedy``, differs, it also reports
 whether both diagrams give the same walk (probes, answers and labels) on
-every valuation, and both diagrams' node counts.
+every valuation, and both diagrams' node counts, each with its number of
+dead probes (probe nodes whose two answers lead to the same node).
 Exits 1 if any call differs in any byte, 0 otherwise.  Uses the standard
 library only; the inputs go to a temporary directory (``TMPDIR`` chooses
 where).
@@ -169,6 +170,14 @@ def same_walks(old: str, new: str) -> bool:
     return True
 
 
+def shape(doc: str) -> str:
+    """A diagram JSON document's node count and, in parentheses, its number
+    of dead probes: probe nodes whose two answers lead to the same node."""
+    nodes = json.loads(doc)["nodes"]
+    dead = sum(n["kind"] == "probe" and n["true"] == n["false"] for n in nodes)
+    return f"{len(nodes)} ({dead})"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old", type=Path)
@@ -215,8 +224,7 @@ def main(argv=None) -> int:
                     if what == "stdout" and call[0] == "strategy" and old[0] == new[0] == 0:
                         print("  same walk on every valuation: "
                               + ("yes" if same_walks(a, b) else "NO")
-                              + f"; nodes: {len(json.loads(a)['nodes'])}"
-                              f" -> {len(json.loads(b)['nodes'])}")
+                              + f"; nodes (dead probes): {shape(a)} -> {shape(b)}")
     print(f"{total} calls, {differences} differences")
     return 1 if differences else 0
 
