@@ -34,13 +34,18 @@ class UsageError(Exception):
 
 
 def _cap() -> int:
+    """``PROBEDEPTH_CAP``: a count of variables, so a negative one is a usage
+    error, as a negative ``--budget`` is."""
     raw = os.environ.get("PROBEDEPTH_CAP")
     if not raw:
         return ex.DEFAULT_TABLE_CAP
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise UsageError(f"PROBEDEPTH_CAP must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise UsageError(f"PROBEDEPTH_CAP must be non-negative, got {value}")
+    return value
 
 
 def _state_budget(text: str) -> int:

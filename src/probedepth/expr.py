@@ -696,18 +696,24 @@ class MonotoneDnf:
         return max((len(t) for t in self.terms), default=0)
 
     def variables(self) -> tuple[str, ...]:
-        used = set().union(*self.terms) if self.terms else set()
-        return tuple(n for n in self.universe.names if n in used)
+        """The names that occur in a term, in universe order."""
+        return tuple(sorted(set().union(*self.terms), key=self.universe._positions.__getitem__))
+
+    def ordered_terms(self) -> list[tuple[int, ...]]:
+        """Each term as its variables' universe positions, ascending, and
+        the terms in lexicographic order: the one order every printed or
+        encoded form of the DNF follows."""
+        at = self.universe._positions
+        return sorted(tuple(sorted(map(at.__getitem__, t))) for t in self.terms)
 
     def to_expression(self) -> Expression:
         if not self.terms:
             return Expression(self.universe, Const(False))
         if frozenset() in self.terms:
             return Expression(self.universe, Const(True))
-        order = {n: i for i, n in enumerate(self.universe.names)}
         term_nodes = []
-        for term in sorted(self.terms, key=lambda t: sorted(order[v] for v in t)):
-            vs = [Var(order[v]) for v in sorted(term, key=order.get)]
+        for term in self.ordered_terms():
+            vs = [Var(i) for i in term]
             term_nodes.append(vs[0] if len(vs) == 1 else And(tuple(vs)))
         root = term_nodes[0] if len(term_nodes) == 1 else Or(tuple(term_nodes))
         return Expression(self.universe, root)

@@ -2,15 +2,17 @@
 
 A monotone 2-DNF is viewed as a graph: one edge per binary term, plus marks
 for singleton terms.  For acyclic graphs, non-evasiveness is equivalent to
-the existence of a recursively defined pattern.  ``find_pattern`` is the one
-detector: it builds the adjacency once and roots each edge component at its
-lowest variable in the breadth-first walk that finds the component, so the
-walk yields a spanning tree; the graph is a forest when those trees hold
-every edge.  On each tree it tries, a down pass computes per vertex whether
-it is special, has a special child and has a special grandchild; if the root
-is not special, one rerooting up pass computes the same flags towards each
-vertex's parent and so finds every vertex that is special as a root.  Both
-passes, and the witness built from one rooted tree, are O(n) overall.
+the existence of a recursively defined pattern.  A ``GraphDnf`` builds its
+adjacency once, in universe order, in the loop that checks its terms, and
+every walk reads it.  ``find_pattern`` is the one detector: it roots each
+edge component at its lowest variable in the breadth-first walk that finds
+the component, so the walk yields a spanning tree; the graph is a forest
+when those trees hold every edge.  On each tree it tries, a down pass
+computes per vertex whether it is special, has a special child and has a
+special grandchild; if the root is not special, one rerooting up pass
+computes the same flags towards each vertex's parent and so finds every
+vertex that is special as a root.  Both passes, and the witness built from
+one rooted tree, are O(n) overall.
 """
 
 from __future__ import annotations
@@ -28,35 +30,39 @@ class GraphDnfError(ValueError):
 @dataclass(frozen=True)
 class GraphDnf:
     """A monotone 2-DNF as a graph: binary terms are edges, unary terms are
-    singleton marks.  After preprocessing no singleton variable touches an
-    edge."""
+    singleton marks.  No singleton variable touches an edge."""
 
     universe: VariableUniverse
     edges: frozenset[frozenset[str]]
     singletons: frozenset[str]
 
     def __post_init__(self):
-        endpoints: set[str] = set()
+        # The loop that checks the edges builds the adjacency: each term
+        # variable's neighbours, keys and lists in universe order.  Not a
+        # field: equality, hashing and repr stay those of the terms.
+        adj: dict[str, list[str]] = {}
         for edge in self.edges:
             if len(edge) != 2:
                 raise GraphDnfError(f"edge must have two distinct endpoints: {set(edge)}")
-            for v in edge:
-                self.universe.index(v)
-            endpoints.update(edge)
+            a, b = edge
+            self.universe.index(a)
+            self.universe.index(b)
+            adj.setdefault(a, []).append(b)
+            adj.setdefault(b, []).append(a)
         for v in self.singletons:
             self.universe.index(v)
-            if v in endpoints:
+            if v in adj:
                 raise GraphDnfError(f"singleton variable {v!r} touches an edge")
+            adj[v] = []
+        at = self.universe.index
+        object.__setattr__(self, "_adjacency",
+                           {v: sorted(adj[v], key=at) for v in sorted(adj, key=at)})
 
     def term_variables(self) -> tuple[str, ...]:
-        used = set(self.singletons)
-        for e in self.edges:
-            used.update(e)
-        return tuple(n for n in self.universe.names if n in used)
+        return tuple(self._adjacency)
 
     def free_variables(self) -> tuple[str, ...]:
-        used = set(self.term_variables())
-        return tuple(n for n in self.universe.names if n not in used)
+        return tuple(n for n in self.universe.names if n not in self._adjacency)
 
     def to_monotone_dnf(self) -> MonotoneDnf:
         terms = set(self.edges) | {frozenset([v]) for v in self.singletons}
@@ -126,8 +132,8 @@ class Pattern:
 
 
 def from_monotone_dnf(d: MonotoneDnf) -> GraphDnf:
-    """Encode a monotone 2-DNF as a graph; singleton terms delete their
-    incident edges (subsumption)."""
+    """Encode a monotone 2-DNF as a graph.  The DNF is absorbed, so no edge
+    touches a singleton term's variable."""
     singletons: set[str] = set()
     edges: set[frozenset[str]] = set()
     for term in d.terms:
@@ -139,24 +145,7 @@ def from_monotone_dnf(d: MonotoneDnf) -> GraphDnf:
             singletons.add(next(iter(term)))
         else:
             edges.add(term)
-    edges = {e for e in edges if not (e & singletons)}
     return GraphDnf(d.universe, frozenset(edges), frozenset(singletons))
-
-
-def _order(g: GraphDnf) -> dict[str, int]:
-    return {n: i for i, n in enumerate(g.universe.names)}
-
-
-def _adjacency(g: GraphDnf) -> dict[str, list[str]]:
-    order = _order(g)
-    adj: dict[str, list[str]] = {v: [] for v in g.term_variables()}
-    for e in g.edges:
-        a, b = sorted(e, key=order.get)
-        adj[a].append(b)
-        adj[b].append(a)
-    for v in adj:
-        adj[v].sort(key=order.get)
-    return adj
 
 
 _Tree = tuple[list[str], dict[str, list[str]]]  # BFS order, child lists
@@ -199,20 +188,19 @@ def _is_forest(g: GraphDnf, trees: list[_Tree]) -> bool:
 
 def is_acyclic(g: GraphDnf) -> bool:
     """Standard acyclicity of the edge set (the graph is a forest)."""
-    return _is_forest(g, _spanning_trees(_adjacency(g)))
+    return _is_forest(g, _spanning_trees(g._adjacency))
 
 
 def components(g: GraphDnf) -> tuple[list[GraphDnf], tuple[str, ...]]:
     """Edge-connected components plus singleton-term components; variables in
     no term are returned separately as the free-variable set."""
-    order = _order(g)
-    trees = _spanning_trees(_adjacency(g))
+    trees = _spanning_trees(g._adjacency)
     at = {v: c for c, (bfs, _) in enumerate(trees) for v in bfs}
     edges: list[list[frozenset[str]]] = [[] for _ in trees]
     for e in g.edges:
         edges[at[next(iter(e))]].append(e)  # both endpoints are in one component
-    out = [GraphDnf(VariableUniverse(tuple(sorted(bfs, key=order.get))), frozenset(held),
-                    frozenset())
+    out = [GraphDnf(VariableUniverse(tuple(sorted(bfs, key=g.universe.index))),
+                    frozenset(held), frozenset())
            for (bfs, _), held in zip(trees, edges)]
     for v in g.singletons:
         out.append(GraphDnf(VariableUniverse((v,)), frozenset(), frozenset([v])))
@@ -235,41 +223,37 @@ def find_pattern(g: GraphDnf) -> Optional[Pattern]:
     Singleton-term components never admit a pattern.  Raises
     ``GraphDnfError`` on a cyclic graph.
     """
-    adj = _adjacency(g)
-    trees = _spanning_trees(adj)
+    trees = _spanning_trees(g._adjacency)
     if not _is_forest(g, trees):
         raise GraphDnfError("graph DNF is cyclic")
     free = g.free_variables()
     if free:
         return Pattern(free[0])
-    order = _order(g)
     for bfs, children in trees:
         root = bfs[0]
         flags = _down_flags(bfs, children)
         if flags[root][0]:
-            return _build_witness(root, children, flags, order)
+            return _build_witness(root, children, flags, g.universe)
         roots = _special_roots(bfs, children, flags)
         if roots:
-            return _pattern_at(adj, order, min(roots, key=order.get))
+            return _pattern_at(g, min(roots, key=g.universe.index))
     return None
 
 
 def pattern_rooted_at(g: GraphDnf, root: str) -> Optional[Pattern]:
     """The witness pattern rooted at ``root`` for a connected acyclic
     all-binary-term graph DNF, or ``None`` if ``root`` is not special."""
-    adj = _adjacency(g)
-    if root not in adj:
+    if root not in g._adjacency:
         raise GraphDnfError(f"variable {root!r} occurs in no edge")
-    return _pattern_at(adj, _order(g), root)
+    return _pattern_at(g, root)
 
 
-def _pattern_at(adj: dict[str, list[str]], order: dict[str, int],
-                root: str) -> Optional[Pattern]:
-    bfs, children = _rooted_tree(adj, root)
+def _pattern_at(g: GraphDnf, root: str) -> Optional[Pattern]:
+    bfs, children = _rooted_tree(g._adjacency, root)
     flags = _down_flags(bfs, children)
     if not flags[root][0]:
         return None
-    return _build_witness(root, children, flags, order)
+    return _build_witness(root, children, flags, g.universe)
 
 
 _Flags = tuple[bool, bool, bool]  # special, has a special child, has a special grandchild
@@ -325,14 +309,14 @@ def _special_roots(bfs: list[str], children: dict[str, list[str]],
 
 
 def _build_witness(root: str, children: dict[str, list[str]],
-                   flags: dict[str, _Flags], order: dict[str, int]) -> Pattern:
+                   flags: dict[str, _Flags], universe: VariableUniverse) -> Pattern:
     """The pattern of a special root: below each pattern node, for each of
     its children, the lowest special grandchild of that child."""
     below: dict[str, list[str]] = {}
     nodes = [root]
     for v in nodes:  # grows while it is walked, parents before children
         below[v] = [min((w for z in children[y] for w in children[z] if flags[w][0]),
-                        key=order.get)
+                        key=universe.index)
                     for y in children[v]]
         nodes.extend(below[v])
     built: dict[str, Pattern] = {}
@@ -345,10 +329,9 @@ def decide_evasive_acyclic(d: MonotoneDnf, universe: Optional[VariableUniverse] 
     """Linear-time evasiveness decision for acyclic monotone 2-DNFs, over
     ``universe`` when given (else the DNF's own): evasive iff
     ``find_pattern`` finds no witness."""
-    g = from_monotone_dnf(d)
     if universe is not None:
-        g = GraphDnf(universe, g.edges, g.singletons)
-    return find_pattern(g) is None
+        d = MonotoneDnf._of_absorbed(universe, d.terms)  # the graph checks the names
+    return find_pattern(from_monotone_dnf(d)) is None
 
 
 def to_dot(g: GraphDnf, pattern: Optional[Pattern] = None) -> str:
@@ -365,9 +348,9 @@ def to_dot(g: GraphDnf, pattern: Optional[Pattern] = None) -> str:
             attrs.append("fillcolor=lightblue")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  {v}{suffix};")
-    order = _order(g)
-    for e in sorted(g.edges, key=lambda e: sorted(order[v] for v in e)):
-        a, b = sorted(e, key=order.get)
-        lines.append(f"  {a} -- {b};")
+    done: set[str] = set()
+    for a, neighbours in g._adjacency.items():  # each edge from its lower end
+        done.add(a)
+        lines.extend(f"  {a} -- {b};" for b in neighbours if b not in done)
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -288,7 +288,9 @@ def eval_query(db: AnnotatedDatabase, q: Query) -> ProvenancedResult:
     except RecursionError:
         raise QueryError("query nested too deeply to evaluate") from None
     ordered = sorted(rows.items(), key=lambda kv: tuple(map(str, kv[0])))
-    out = tuple((values, MonotoneDnf(db.universe, terms)) for values, terms in ordered)
+    # every row's terms are absorbed already, by ``_merge`` or the join
+    out = tuple((values, MonotoneDnf._of_absorbed(db.universe, terms))
+                for values, terms in ordered)
     return ProvenancedResult(columns, out)
 
 
@@ -315,12 +317,11 @@ def dnf_to_database(d: MonotoneDnf, k: int) -> tuple[AnnotatedDatabase, Query]:
         raise ProvenanceError(f"some term exceeds size {k}")
     if any(not t for t in d.terms):
         raise ProvenanceError("constant-True DNF has no database encoding")
-    order = {n: i for i, n in enumerate(d.universe.names)}
-    variables = d.variables()
-    r_tuples = tuple(AnnotatedTuple((v,), v) for v in variables)
+    names = d.universe.names
+    r_tuples = tuple(AnnotatedTuple((v,), v) for v in d.variables())
     s_tuples = []
-    for term in sorted(d.terms, key=lambda t: sorted(order[v] for v in t)):
-        vs = sorted(term, key=order.get)
+    for term in d.ordered_terms():
+        vs = [names[i] for i in term]
         padded = vs + [vs[0]] * (k - len(vs))  # repeat a variable to pad
         s_tuples.append(AnnotatedTuple(tuple(padded), vs[0]))
     db = AnnotatedDatabase((
@@ -348,9 +349,13 @@ def load_database(text: str) -> AnnotatedDatabase:
     for raw in doc["relations"]:
         try:
             name = raw["name"]
-            columns = tuple(raw["columns"])
+            if not isinstance(name, str):
+                raise SchemaError(f"relation name must be a string: {name!r}")
+            columns = _strings(raw["columns"], "columns must be a list of strings")
             tuples = []
             for t in raw["tuples"]:
+                if not isinstance(t["values"], list):
+                    raise SchemaError(f"tuple values must be a list: {t['values']!r}")
                 values = tuple(t["values"])
                 annotation = t["annotation"]
                 if not _IDENT_RE.fullmatch(annotation):

@@ -101,21 +101,20 @@ def factor_read_once(d: MonotoneDnf) -> Optional[Expression]:
         return Expression(d.universe, Const(False))
     if frozenset() in d.terms:
         return Expression(d.universe, Const(True))
-    order = {n: i for i, n in enumerate(d.universe.names)}
 
     def conj(parts: list[Node]) -> Node:
         return parts[0] if len(parts) == 1 else And(tuple(parts))
 
-    def go(terms: list[frozenset[str]]) -> Optional[Node]:
+    def go(terms: list[frozenset[int]]) -> Optional[Node]:
+        """The read-once form of ``terms``, sets of universe positions."""
         if len(terms) == 1:
-            return conj([Var(order[v]) for v in sorted(terms[0], key=order.get)])
+            return conj([Var(i) for i in sorted(terms[0])])
         common = frozenset.intersection(*terms)
         if common:
             rest = go([t - common for t in terms])
             if rest is None:
                 return None
-            head = [Var(order[v]) for v in sorted(common, key=order.get)]
-            return conj(head + [rest])
+            return conj([Var(i) for i in sorted(common)] + [rest])
         groups = _cooccurrence_groups(terms)
         if len(groups) == 1:
             return None
@@ -127,15 +126,14 @@ def factor_read_once(d: MonotoneDnf) -> Optional[Expression]:
             parts.append(sub)
         return Or(tuple(parts))
 
-    ordered = sorted(d.terms, key=lambda t: sorted(order[v] for v in t))
     try:
-        node = go(ordered)
+        node = go(list(map(frozenset, d.ordered_terms())))
     finally:
         del go  # break the closure's reference to itself
     return None if node is None else Expression(d.universe, node)
 
 
-def _cooccurrence_groups(terms: list[frozenset[str]]) -> list[list[frozenset[str]]]:
+def _cooccurrence_groups(terms: list[frozenset[int]]) -> list[list[frozenset[int]]]:
     """Partition terms by connectivity of shared variables."""
     parent = list(range(len(terms)))
 
@@ -145,14 +143,14 @@ def _cooccurrence_groups(terms: list[frozenset[str]]) -> list[list[frozenset[str
             i = parent[i]
         return i
 
-    by_var: dict[str, int] = {}
+    by_var: dict[int, int] = {}
     for i, t in enumerate(terms):
         for v in t:
             if v in by_var:
                 parent[find(i)] = find(by_var[v])
             else:
                 by_var[v] = i
-    groups: dict[int, list[frozenset[str]]] = {}
+    groups: dict[int, list[frozenset[int]]] = {}
     for i, t in enumerate(terms):
         groups.setdefault(find(i), []).append(t)
     return [groups[r] for r in sorted(groups)]

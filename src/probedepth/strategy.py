@@ -562,13 +562,37 @@ def to_json(d: DecisionDiagram) -> str:
 
 
 def from_json(text: str) -> DecisionDiagram:
-    doc = json.loads(text)
-    nodes: list[DiagramNode] = []
-    for raw in doc["nodes"]:
-        if raw["kind"] == "leaf":
-            nodes.append(Leaf(tuple(bool(b) for b in raw["labels"])))
-        elif raw["kind"] == "probe":
-            nodes.append(Probe(raw["variable"], int(raw["true"]), int(raw["false"])))
-        else:
-            raise MalformedDiagram(f"unknown node kind {raw['kind']!r}")
-    return DecisionDiagram(tuple(nodes), int(doc["root"]))
+    """The diagram of a ``to_json`` document.  Raises ``MalformedDiagram``
+    for any other document: invalid JSON, a missing or mistyped field, a
+    node index out of range, or a label that is not a JSON boolean."""
+    try:
+        doc = json.loads(text)
+        raws = doc["nodes"]
+        if not isinstance(raws, list):
+            raise MalformedDiagram(f"nodes must be a list: {raws!r}")
+
+        def index(raw) -> int:
+            if type(raw) is not int or not 0 <= raw < len(raws):
+                raise MalformedDiagram(f"node index {raw!r} out of range")
+            return raw
+
+        nodes: list[DiagramNode] = []
+        for raw in raws:
+            if raw["kind"] == "leaf":
+                labels = raw["labels"]
+                if not isinstance(labels, list) or any(type(b) is not bool for b in labels):
+                    raise MalformedDiagram(f"labels must be a list of booleans: {labels!r}")
+                nodes.append(Leaf(tuple(labels)))
+            elif raw["kind"] == "probe":
+                if not isinstance(raw["variable"], str):
+                    raise MalformedDiagram(f"variable must be a string: {raw['variable']!r}")
+                nodes.append(Probe(raw["variable"], index(raw["true"]), index(raw["false"])))
+            else:
+                raise MalformedDiagram(f"unknown node kind {raw['kind']!r}")
+        return DecisionDiagram(tuple(nodes), index(doc["root"]))
+    except json.JSONDecodeError as exc:
+        raise MalformedDiagram(f"invalid JSON: {exc}") from None
+    except (KeyError, TypeError) as exc:
+        raise MalformedDiagram(f"malformed diagram document: {exc!r}") from None
+    except RecursionError:
+        raise MalformedDiagram("diagram document nested too deeply to read") from None

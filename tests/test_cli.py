@@ -142,19 +142,22 @@ class TestEvasive:
         assert "error" in err
 
     def test_detector_runs_once(self, tmp_path, capsys, monkeypatch):
-        calls = {"_adjacency": 0, "find_pattern": 0}
+        # one graph built (its adjacency with it), one spanning-tree walk,
+        # one detector call
+        calls = {"__post_init__": 0, "_spanning_trees": 0, "find_pattern": 0}
         for name in calls:
-            original = getattr(graphdnf, name)
+            owner = graphdnf.GraphDnf if name == "__post_init__" else graphdnf
+            original = getattr(owner, name)
 
             def counted(*a, name=name, original=original):
                 calls[name] += 1
                 return original(*a)
 
-            monkeypatch.setattr(graphdnf, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         f = write(tmp_path, "e.txt", "vars: a b c d e f\n(a&b)|(b&c)|(c&d)|(e&f)\n")
         code, out, _ = run(capsys, "evasive", f)
         assert code == 0 and "pattern:" in out
-        assert calls == {"_adjacency": 1, "find_pattern": 1}
+        assert calls == {"__post_init__": 1, "_spanning_trees": 1, "find_pattern": 1}
 
 
     def test_long_paths(self, tmp_path, capsys):
@@ -406,6 +409,7 @@ for _ in range(3000):
 
 @pytest.mark.parametrize("argv, env, expected", [
     (["depth", "{expr}"], {"PROBEDEPTH_CAP": "abc"}, 2),
+    (["depth", "{expr}"], {"PROBEDEPTH_CAP": "-3"}, 2),
     (["depth", "{latin1}"], {}, 2),
     (["prov", "eval", "--db", "{latin1}", "--query", "{query}"], {}, 2),
     (["prov", "eval", "--db", "{db}", "--query", "{latin1}"], {}, 2),
@@ -419,7 +423,7 @@ for _ in range(3000):
     (["prov", "eval", "--db", "{db}", "--query", "{contains_query}"], {}, 1),
     (["prov", "eval", "--db", "{db}", "--query", "{columns_query}"], {}, 1),
     (["prov", "eval", "--db", "{db}", "--query", "{deep_query}"], {}, 1),
-], ids=["cap-not-int", "expr-not-utf8", "db-not-utf8", "query-not-utf8",
+], ids=["cap-not-int", "cap-negative", "expr-not-utf8", "db-not-utf8", "query-not-utf8",
         "answers-not-json", "answers-not-object", "answer-null", "max-nodes-0",
         "max-nodes-negative", "atom-not-object", "on-not-pair",
         "contains-value-not-string", "columns-not-list", "query-nested-too-deep"])

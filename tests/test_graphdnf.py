@@ -24,12 +24,11 @@ class TestConstruction:
         assert g.singletons == frozenset("d")
 
     def test_singleton_subsumes_incident_edges(self):
-        # a | (a&b): absorption already removes the edge, but a singleton
-        # arriving beside an edge is also cleaned up here
+        # a | (a&b): absorption removes the edge before the graph is built
         d = MonotoneDnf(VariableUniverse(("a", "b")),
-                        frozenset([frozenset("a")]))
-        g = GraphDnf(d.universe, frozenset(), frozenset("a"))
-        assert g.singletons == frozenset("a")
+                        frozenset([frozenset("a"), frozenset("ab")]))
+        g = graphdnf.from_monotone_dnf(d)
+        assert g.singletons == frozenset("a") and g.edges == frozenset()
 
     def test_wide_term_rejected(self):
         with pytest.raises(graphdnf.GraphDnfError):
@@ -112,6 +111,21 @@ class TestPatternDetection:
             d = MonotoneDnf(u, terms)
             evasive = graphdnf.decide_evasive_acyclic(d)
             assert evasive == (n % 3 != 0), f"path with {n} edges"
+
+    def test_decision_builds_one_graph(self, monkeypatch):
+        built = []
+        original = GraphDnf.__post_init__
+
+        def counted(g):
+            built.append(g)
+            original(g)
+
+        monkeypatch.setattr(GraphDnf, "__post_init__", counted)
+        d = MonotoneDnf(VariableUniverse(("a", "b", "c")), frozenset([frozenset("ab")]))
+        # over a wider universe, c is free: not evasive
+        assert graphdnf.decide_evasive_acyclic(d, VariableUniverse(("c", "b", "a"))) is False
+        assert graphdnf.decide_evasive_acyclic(d) is False
+        assert [g.universe.names for g in built] == [("c", "b", "a"), ("a", "b", "c")]
 
     def test_witness_implies_non_evasive(self, rng):
         for _ in range(50):
@@ -318,3 +332,12 @@ class TestDot:
         assert "peripheries=2" in dot
         assert "fillcolor=lightblue" in dot
         assert "w -- x;" in dot
+
+    def test_dot_follows_universe_order(self):
+        # vertices in universe order; each edge from its lower end, the edges
+        # in lexicographic order of their ends' positions, not of their names
+        g = graphdnf.from_monotone_dnf(dnf_of("vars: d b g e a c f\n(a&b)|(b&d)|(c&e)|(d&e)|f"))
+        assert graphdnf.to_dot(g, graphdnf.find_pattern(g)) == (
+            "graph dnf {\n  d;\n  b;\n  g [style=filled, fillcolor=lightblue];\n  e;\n"
+            "  a;\n  c;\n  f [peripheries=2];\n"
+            "  d -- b;\n  d -- e;\n  b -- a;\n  e -- c;\n}\n")

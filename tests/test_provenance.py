@@ -414,6 +414,18 @@ class TestSerialization:
         with pytest.raises(pv.SchemaError, match=message):
             pv.query_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("relation, message", [
+        ({"name": "R", "columns": "ab", "tuples": []}, "columns must be a list of strings"),
+        ({"name": "R", "columns": ["a", 1], "tuples": []}, "columns must be a list of strings"),
+        ({"name": "R", "columns": ["a", "b"], "tuples": [{"values": "ab", "annotation": "x"}]},
+         "values must be a list"),
+        ({"name": 7, "columns": ["a"], "tuples": []}, "name must be a string"),
+        ({"name": ["R"], "columns": ["a"], "tuples": []}, "name must be a string"),
+    ])
+    def test_malformed_relation_fields_rejected(self, relation, message):
+        with pytest.raises(pv.SchemaError, match=message):
+            pv.load_database(json.dumps({"relations": [relation]}))
+
     def test_deeply_nested_query_rejected(self, fixture_db):
         text = '{"op": "scan", "relation": "Roles"}'
         for _ in range(3000):

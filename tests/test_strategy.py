@@ -564,6 +564,32 @@ class TestDiagramPlumbing:
         back = strategy.from_json(strategy.to_json(d))
         assert back == d
 
+    @pytest.mark.parametrize("doc", [
+        '{"root": 0, "nodes": [{"kind": "probe", "variable": "x", "true": -1, "false": 1},'
+        ' {"kind": "leaf", "labels": [true]}]}',
+        '{"root": 0, "nodes": [{"kind": "probe", "variable": "x", "true": 5, "false": 1},'
+        ' {"kind": "leaf", "labels": [true]}]}',
+        '{"root": 0, "nodes": [{"kind": "probe", "variable": "x", "true": true, "false": 0}]}',
+        '{"root": 2, "nodes": [{"kind": "leaf", "labels": [true]}]}',
+        '{"root": 0, "nodes": [{"kind": "leaf"}]}',
+        '{"root": 0, "nodes": [{"kind": "leaf", "labels": ["false"]}]}',
+        '{"root": 0, "nodes": [{"kind": "leaf", "labels": "tf"}]}',
+        '{"root": 0, "nodes": [{"kind": "probe", "variable": 3, "true": 0, "false": 0}]}',
+        '{"root": 0, "nodes": [{"kind": "fork"}]}',
+        '{"root": 0, "nodes": [[]]}',
+        '{"root": 0, "nodes": {}}',
+        '{"nodes": []}',
+        '[]',
+        '{"root": 0,',
+        '[' * 100_000,
+    ], ids=["negative-index", "dangling-index", "boolean-index", "dangling-root",
+            "missing-labels", "string-label", "labels-not-list", "variable-not-string",
+            "unknown-kind", "node-not-object", "nodes-not-list", "missing-root",
+            "not-object", "invalid-json", "nested-too-deep"])
+    def test_from_json_rejects_malformed(self, doc):
+        with pytest.raises(strategy.MalformedDiagram):
+            strategy.from_json(doc)
+
     @staticmethod
     def dumped(d: DecisionDiagram) -> str:
         nodes = [{"kind": "leaf", "labels": list(node.labels)} if isinstance(node, Leaf)

@@ -17,7 +17,12 @@ detector get ``evasive`` plain and with ``--json``: one whose later
 component holds the first special root, one with a free variable, and a
 triangle beside a path past the cap (exit 1).  Malformed files get
 ``depth --json`` and ``evasive``, so that parse errors are compared.  It also runs ``family``
-for psi 0-3, path 1-12 and 400, and ``and`` and ``or`` 1-5.  Where the stdout
+for psi 0-3, path 1-12 and 400, and ``and`` and ``or`` 1-5, and ``prov eval``
+on the shipped fixtures.  Seeded monotone DNFs, ``DNFS`` each with terms of
+at most k = 2 and k = 3 variables and a ``vars:`` header out of alphabetical
+order, get ``prov to-db`` at their k, which writes into the checkout's own
+directory, and then ``prov eval`` on what it wrote; the written files are
+compared too.  Where the stdout
 of ``strategy --out json``, exact or ``--greedy``, differs, it also reports
 whether both diagrams give the same walk (probes, answers and labels) on
 every valuation, and both diagrams' node counts, each with its number of
@@ -40,6 +45,7 @@ from pathlib import Path
 
 SEED = 0
 SETS = 40
+DNFS = 3
 
 
 def random_node(rng: random.Random, names: list[str], depth: int) -> str:
@@ -68,6 +74,22 @@ def corpus(rng: random.Random) -> dict[str, str]:
         members = [" | ".join(f"{a}&{b}" for a, b in zip(part, part[1:]))
                    for part in (names[j * size:(j + 1) * size] for j in range(count))]
         files[f"wide{k}"] = f"vars: {' '.join(sorted(names))}\n" + "\n".join(members) + "\n"
+    return files
+
+
+def monotone_dnfs(rng: random.Random) -> dict[str, tuple[str, int]]:
+    """Expression files of monotone k-DNFs, with their k, by name."""
+    files = {}
+    for k in (2, 3):
+        for j in range(DNFS):
+            names = [f"d{i}" for i in range(rng.randint(3, 9))]
+            rng.shuffle(names)
+            # few unit terms, since each absorbs every other term it is in
+            terms = {" & ".join(rng.sample(names, 1 if rng.random() < 0.15
+                                           else rng.randint(2, k)))
+                     for _ in range(rng.randint(3, 10))}
+            files[f"dnf-k{k}-{j}"] = (f"vars: {' '.join(names)}\n"
+                                      + " | ".join(sorted(terms)) + "\n", k)
     return files
 
 
@@ -123,11 +145,19 @@ MALFORMED = {"comment-newline": "a & # c\n", "tab-bad-char": "a\t@",
              "empty": "", "unclosed": "((((a"}
 
 
-def run(checkout: Path, argv: list[str]) -> tuple[int, str, str]:
+def run(checkout: Path, argv: list[str], cwd: Path) -> tuple[int, str, str]:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     done = subprocess.run([sys.executable, "-m", "probedepth", *argv], env=env,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, cwd=cwd)
     return done.returncode, done.stdout, done.stderr
+
+
+def outcome(checkout: Path, argv: list[str], cwd: Path, written) -> tuple:
+    """Exit code, stdout and stderr of a call, then the text of each file in
+    ``written`` it left in ``cwd`` (``None`` for one it did not write)."""
+    return (*run(checkout, argv, cwd),
+            *((cwd / f).read_text(encoding="utf-8") if (cwd / f).exists() else None
+              for f in written))
 
 
 def calls(path: str, answers: str) -> list[list[str]]:
@@ -188,17 +218,22 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         files = corpus(rng)
-        code, psi2, err = run(args.old, ["family", "psi", "2"])
+        # each checkout runs in a directory of its own, where the files it
+        # writes go
+        for side in ("old", "new"):
+            (work / side).mkdir()
+        code, psi2, err = run(args.old, ["family", "psi", "2"], work)
         if code != 0:
             print(f"family psi 2 failed in {args.old}: {err.strip()}", file=sys.stderr)
             return 1
         files["psi2"] = psi2
-        runs = [(" ".join(call), call) for call in FAMILIES]  # (what to report, call)
+        # (what to report, call, files the call writes)
+        runs = [(" ".join(call), call, ()) for call in FAMILIES]
 
         def add(name: str, text: str, make_calls) -> None:
             path = work / f"{name}.txt"
             path.write_text(text, encoding="utf-8", newline="")
-            runs.extend((f"{name}: {' '.join(call[:1] + call[2:])}", call)
+            runs.extend((f"{name}: {' '.join(call[:1] + call[2:])}", call, ())
                         for call in make_calls(str(path)))
 
         for name, text in files.items():
@@ -213,10 +248,25 @@ def main(argv=None) -> int:
             add(name, text, lambda path: [["evasive", path], ["evasive", path, "--json"]])
         for name, text in MALFORMED.items():
             add(name, text, lambda path: [["depth", path, "--json"], ["evasive", path]])
-        for label, call in runs:
+        fixtures = args.old / "src" / "probedepth" / "fixtures"
+        for fixture in ("acquisitions_db.json", "founder_institutes_query.json"):
+            (work / fixture).write_bytes((fixtures / fixture).read_bytes())
+        runs.append(("fixtures: prov eval", ["prov", "eval", "--db",
+                     str(work / "acquisitions_db.json"), "--query",
+                     str(work / "founder_institutes_query.json")], ()))
+        for name, (text, k) in monotone_dnfs(random.Random(SEED + 2)).items():
+            (work / f"{name}.txt").write_text(text, encoding="utf-8")
+            written = (f"{name}.db.json", f"{name}.query.json")
+            runs.append((f"{name}: prov to-db --k {k}",
+                         ["prov", "to-db", "--dnf", str(work / f"{name}.txt"), "--k", str(k),
+                          "--out-db", written[0], "--out-query", written[1]], written))
+            runs.append((f"{name}: prov eval of to-db",
+                         ["prov", "eval", "--db", written[0], "--query", written[1]], ()))
+        for label, call, written in runs:
             total += 1
-            old, new = run(args.old, call), run(args.new, call)
-            for what, a, b in zip(("exit code", "stdout", "stderr"), old, new):
+            old, new = (outcome(checkout, call, work / side, written)
+                        for checkout, side in ((args.old, "old"), (args.new, "new")))
+            for what, a, b in zip(("exit code", "stdout", "stderr", *written), old, new):
                 if a != b:
                     differences += 1
                     print(f"{label}: {what} differs\n"
