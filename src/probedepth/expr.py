@@ -241,9 +241,6 @@ class PartialValuation:
                 raise ExprError(f"variable assigned twice: {name!r}")
             seen.add(name)
 
-    def as_dict(self) -> dict[str, bool]:
-        return dict(self.assignment)
-
     def extended(self, name: str, value: bool) -> "PartialValuation":
         return PartialValuation(self.universe, self.assignment + ((name, bool(value)),))
 
@@ -553,9 +550,6 @@ class TruthTable:
 
     def as_bitstring(self) -> str:
         return "".join(str((self.bits >> i) & 1) for i in range(self.size))
-
-    def count_ones(self) -> int:
-        return self.bits.bit_count()
 
 
 @functools.cache

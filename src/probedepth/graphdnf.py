@@ -58,9 +58,6 @@ class GraphDnf:
         object.__setattr__(self, "_adjacency",
                            {v: sorted(adj[v], key=at) for v in sorted(adj, key=at)})
 
-    def term_variables(self) -> tuple[str, ...]:
-        return tuple(self._adjacency)
-
     def free_variables(self) -> tuple[str, ...]:
         return tuple(n for n in self.universe.names if n not in self._adjacency)
 

@@ -16,7 +16,10 @@ lowest position as the top table variable.  A probe restricts the tables
 state with no positions is a leaf.  The search keeps the distinct members
 in one state and caps the combined support; greedy keeps each member as its
 own and caps only each member's support.  Both give the diagram builder
-their states as node keys.
+their states as node keys.  Greedy scores its candidate probes from each
+member's flip rows (``_flips``), which give the positions the member keeps
+after each answer to each of its positions, and restricts only the probe
+it picks.
 
 Transpositions.  The search memoises a state by its budget, its number of
 positions r and its tables, not by its answers or its positions: answers
@@ -123,34 +126,36 @@ class Transcript:
 def diagram_depth(d: DecisionDiagram) -> int:
     """Longest root-to-leaf edge count; 0 for a single-leaf diagram.
 
-    Raises ``MalformedDiagram`` on dangling indices or cycles.
+    Raises ``MalformedDiagram`` on dangling indices or cycles.  Walks with
+    an explicit stack, so a diagram of any depth is measured.
     """
     n = len(d.nodes)
     if not 0 <= d.root < n:
         raise MalformedDiagram(f"root index {d.root} out of range")
     depth: dict[int, int] = {}
-    state: dict[int, int] = {}  # 1 = on stack, 2 = done
-
-    def visit(i: int) -> int:
-        if not 0 <= i < n:
-            raise MalformedDiagram(f"node index {i} out of range")
-        if state.get(i) == 1:
-            raise MalformedDiagram("diagram contains a cycle")
-        if state.get(i) == 2:
-            return depth[i]
-        state[i] = 1
+    on_path: set[int] = set()  # probes whose children are still being measured
+    stack = [d.root]
+    while stack:
+        i = stack[-1]
         node = d.nodes[i]
-        if isinstance(node, Leaf):
+        if i in depth:
+            stack.pop()
+        elif isinstance(node, Leaf):
             depth[i] = 0
+            stack.pop()
+        elif i in on_path:  # every node above it on the stack is measured
+            depth[i] = 1 + max(depth[node.on_true], depth[node.on_false])
+            on_path.remove(i)
+            stack.pop()
         else:
-            depth[i] = 1 + max(visit(node.on_true), visit(node.on_false))
-        state[i] = 2
-        return depth[i]
-
-    try:
-        return visit(d.root)
-    finally:
-        del visit  # break the closure's reference to itself, which holds the depth tables
+            on_path.add(i)
+            for c in (node.on_true, node.on_false):
+                if not 0 <= c < n:
+                    raise MalformedDiagram(f"node index {c} out of range")
+                if c in on_path:
+                    raise MalformedDiagram("diagram contains a cycle")
+                stack.append(c)
+    return depth[d.root]
 
 
 def _diagram(names: tuple[str, ...], choose: Callable, start: tuple) -> DecisionDiagram:
@@ -214,6 +219,38 @@ def _fix(t: int, r: int, q: int, a: bool) -> int:
             t ^= y | y << d
     half = 1 << (r - 1)
     return t >> half if a else t & ((1 << half) - 1)
+
+
+def _flips(t: int, r: int) -> tuple[int, ...]:
+    """The flip rows of the table ``t`` over r variables: for each variable
+    j, the rows x with x_j = 1 where flipping x_j changes ``t``, the
+    sensitive rows of Nisan (1989).  ``t`` depends on j exactly when flip
+    row j is non-empty.  Flipping x_j leaves every other variable as it is,
+    so ``t`` with variable q != j set to ``a`` depends on j exactly when
+    flip row j meets the rows where x_q reads ``a``."""
+    masks = _frame(r)[1]
+    return tuple([(t ^ t << (1 << j)) & masks[j] for j in range(r)])
+
+
+def _kept(held: int, tables: tuple[int]) -> dict[int, tuple[int, int]]:
+    """For each position p of the one-table state ``(held, tables)``, the
+    positions ``_restrict`` keeps with p answered true and with p answered
+    false, read from the table's flip rows without restricting it."""
+    (t,) = tables
+    r = held.bit_count()
+    full, masks = _frame(r)[:2]
+    flips = _flips(t, r)
+    bits, rest = [], held  # each table variable's position bit, the top variable first
+    while rest:
+        bits.append(rest & -rest)
+        rest &= rest - 1
+    bits.reverse()
+
+    def where(rows: int) -> int:
+        return sum(b for f, b in zip(flips, bits) if f & rows)
+
+    return {b.bit_length() - 1: (where(masks[q]) & ~b, where(full ^ masks[q]))
+            for q, b in enumerate(bits)}
 
 
 def _compact(held: int, tables: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -436,6 +473,12 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
     but the state, and the state is its own node key: answers that leave
     every member the same function share one node.  k disjoint 6-variable
     paths give 13 * 2^k - 12 nodes (196 at k = 4), and path(12) gives 28.
+
+    Scoring restricts nothing.  The first time a member state is seen,
+    ``_kept`` reads from its flip rows, for each of its positions and each
+    answer, the positions ``_restrict`` would keep.  A candidate's live
+    counts are then ORs of these sets and of the other members' positions,
+    and only the chosen probe is restricted.
     """
     supports = [m.support_indices() for m in s.members]
     combined = sorted(set().union(*supports))
@@ -451,25 +494,31 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
     def fix(member: tuple[int, tuple[int]], p: int, a: bool) -> tuple[int, tuple[int]]:
         return _restrict(*member, p, a)
 
+    kept = cache(_kept)
+
     def child(state: tuple, p: int, a: bool) -> tuple:
         return tuple([fix(m, p, a) if m[0] >> p & 1 else m for m in state])
 
-    def live(state: tuple) -> int:
-        out = 0
-        for held, _ in state:
-            out |= held
-        return out
-
     def choose(state: tuple) -> Union[Leaf, tuple[int, tuple, tuple]]:
-        rest = live(state)
+        rest = 0
+        for held, _ in state:
+            rest |= held
         if not rest:
             return Leaf(tuple(t == 1 for _, (t,) in state))  # every member is constant
         best, best_score = 0, len(combined) + 1
         while rest:
             p = (rest & -rest).bit_length() - 1
             rest ^= 1 << p
-            score = max(live(child(state, p, True)).bit_count(),
-                        live(child(state, p, False)).bit_count())
+            on_true = on_false = 0
+            for m in state:
+                if m[0] >> p & 1:
+                    if_true, if_false = kept(*m)[p]
+                    on_true |= if_true
+                    on_false |= if_false
+                else:
+                    on_true |= m[0]
+                    on_false |= m[0]
+            score = max(on_true.bit_count(), on_false.bit_count())
             if score < best_score:
                 best, best_score = p, score
         return best, child(state, best, True), child(state, best, False)
@@ -564,16 +613,19 @@ def to_json(d: DecisionDiagram) -> str:
 def from_json(text: str) -> DecisionDiagram:
     """The diagram of a ``to_json`` document.  Raises ``MalformedDiagram``
     for any other document: invalid JSON, a missing or mistyped field, a
-    node index out of range, or a label that is not a JSON boolean."""
+    root index out of range, a probe whose answers do not lead to earlier
+    nodes, or a label that is not a JSON boolean.  ``to_json`` writes every
+    node after the nodes it leads to, and requiring that order keeps cycles
+    out of the diagrams read."""
     try:
         doc = json.loads(text)
         raws = doc["nodes"]
         if not isinstance(raws, list):
             raise MalformedDiagram(f"nodes must be a list: {raws!r}")
 
-        def index(raw) -> int:
-            if type(raw) is not int or not 0 <= raw < len(raws):
-                raise MalformedDiagram(f"node index {raw!r} out of range")
+        def index(raw, end: int) -> int:
+            if type(raw) is not int or not 0 <= raw < end:
+                raise MalformedDiagram(f"node index {raw!r} not below {end}")
             return raw
 
         nodes: list[DiagramNode] = []
@@ -586,10 +638,11 @@ def from_json(text: str) -> DecisionDiagram:
             elif raw["kind"] == "probe":
                 if not isinstance(raw["variable"], str):
                     raise MalformedDiagram(f"variable must be a string: {raw['variable']!r}")
-                nodes.append(Probe(raw["variable"], index(raw["true"]), index(raw["false"])))
+                nodes.append(Probe(raw["variable"], index(raw["true"], len(nodes)),
+                                   index(raw["false"], len(nodes))))
             else:
                 raise MalformedDiagram(f"unknown node kind {raw['kind']!r}")
-        return DecisionDiagram(tuple(nodes), index(doc["root"]))
+        return DecisionDiagram(tuple(nodes), index(doc["root"], len(nodes)))
     except json.JSONDecodeError as exc:
         raise MalformedDiagram(f"invalid JSON: {exc}") from None
     except (KeyError, TypeError) as exc:

@@ -246,8 +246,23 @@ class TestGreedySharing:
         s = families.generate(families.FamilySpec("psi", 2))  # one 22-variable member
         d = strategy.greedy_strategy(s, cap=22)
         assert strategy.diagram_depth(d) == 7 == strategy.diagram_depth(families.psi_strategy(2))
+        assert len(d.nodes) == 36
         rng = random.Random(2)
         for _ in range(2000):
+            v = Valuation(s.universe, tuple(rng.random() < 0.5 for _ in range(s.n)))
+            assert strategy.check_soundness(s, d, v)
+
+    def test_mux4(self):
+        # 4 address and 16 data variables; the exact depth is 5 too
+        address = [f"a{j}" for j in range(4)]
+        terms = [" & ".join([a if i >> j & 1 else f"!{a}" for j, a in enumerate(address)]
+                            + [f"d{i}"]) for i in range(16)]
+        s = single(f"vars: {' '.join(address + [f'd{i}' for i in range(16)])}\n"
+                   + " | ".join(terms) + "\n")
+        d = strategy.greedy_strategy(s)
+        assert (strategy.diagram_depth(d), len(d.nodes)) == (5, 33)
+        rng = random.Random(5)
+        for _ in range(500):
             v = Valuation(s.universe, tuple(rng.random() < 0.5 for _ in range(s.n)))
             assert strategy.check_soundness(s, d, v)
 
@@ -296,6 +311,23 @@ class TestResidualTables:
                     == self.compacted(restricted)
                 assert strategy._restrict(held, (t,), i, value) \
                     == strategy._compact(held ^ 1 << i, (fixed,))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_flip_rows_give_what_restrict_keeps(self, seed):
+        # greedy scores probes by _kept and restricts only the one it picks
+        rng = random.Random(seed)
+        universe = VariableUniverse(tuple(f"x{i}" for i in range(rng.randint(1, 7))))
+        e = Expression(universe, random_expression(rng, universe, rng.randint(2, 4)))
+        support = e.support_indices()
+        held = sum(1 << i for i in support)  # may hold positions e ignores
+        t = self.table(e, support)
+        for state in ((held, (t,)), strategy._compact(held, (t,))):
+            kept = strategy._kept(*state)
+            assert sorted(kept) == [i for i in support if state[0] >> i & 1]
+            for p, answers in kept.items():
+                assert answers == tuple(strategy._restrict(*state, p, a)[0]
+                                        for a in (True, False))
 
     def test_compact_keeps_what_any_table_depends_on(self):
         # over a, b, c (a the top table variable): a & b and b | c drop
@@ -559,10 +591,19 @@ class TestDiagramPlumbing:
         with pytest.raises(strategy.MalformedDiagram):
             strategy.diagram_depth(d)
 
+    def test_long_chain(self):
+        # probe i leads to probe i + 1 on both answers; the last to a leaf
+        n = 3000
+        d = DecisionDiagram(tuple(Probe(f"x{i}", i + 1, i + 1) for i in range(n))
+                            + (Leaf((True,)),), 0)
+        assert strategy.diagram_depth(d) == n
+
     def test_json_roundtrip(self):
-        d = strategy.optimal_depth(single("vars: x y z\nx & y\nx | z\n")).diagram
-        back = strategy.from_json(strategy.to_json(d))
-        assert back == d
+        # each writer puts a node after the nodes it leads to, as reading requires
+        for d in (strategy.optimal_depth(single("vars: x y z\nx & y\nx | z\n")).diagram,
+                  strategy.greedy_strategy(single("vars: a b c d e\n(a&b)|(b&c)|(c&d)\n!e | a\n")),
+                  families.psi_strategy(2)):
+            assert strategy.from_json(strategy.to_json(d)) == d
 
     @pytest.mark.parametrize("doc", [
         '{"root": 0, "nodes": [{"kind": "probe", "variable": "x", "true": -1, "false": 1},'
@@ -582,10 +623,14 @@ class TestDiagramPlumbing:
         '[]',
         '{"root": 0,',
         '[' * 100_000,
+        '{"root": 0, "nodes": [{"kind": "probe", "variable": "x", "true": 0, "false": 0}]}',
+        '{"root": 1, "nodes": [{"kind": "probe", "variable": "x", "true": 1, "false": 2},'
+        ' {"kind": "probe", "variable": "y", "true": 0, "false": 2},'
+        ' {"kind": "leaf", "labels": [true]}]}',
     ], ids=["negative-index", "dangling-index", "boolean-index", "dangling-root",
             "missing-labels", "string-label", "labels-not-list", "variable-not-string",
             "unknown-kind", "node-not-object", "nodes-not-list", "missing-root",
-            "not-object", "invalid-json", "nested-too-deep"])
+            "not-object", "invalid-json", "nested-too-deep", "self-loop", "two-node-cycle"])
     def test_from_json_rejects_malformed(self, doc):
         with pytest.raises(strategy.MalformedDiagram):
             strategy.from_json(doc)

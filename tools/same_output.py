@@ -10,9 +10,12 @@ variables), a few sets whose combined support exceeds the table cap, and
 psi(2) as printed by the first checkout's ``family psi 2``.  On each it runs
 ``depth --json``, ``strategy --out json`` with and without ``--greedy``,
 ``evasive`` plain and with ``--json``, and ``probe --answers`` on a seeded
-answer file.  Two large files without a ``vars:`` header, a 300-edge tree
-2-DNF and a 400-variable DNF of a read-once formula, get ``evasive`` plain
-and with ``--json``, and ``factor``.  Three forests for the acyclic
+answer file.  A call may also set environment variables: psi(2) gets
+``strategy --out json --greedy`` once more with ``PROBEDEPTH_CAP=22``, since
+at the default cap of 20 its 22 variables give only the cap error.  Two
+large files without a ``vars:`` header, a 300-edge tree 2-DNF and a
+400-variable DNF of a read-once formula, get ``evasive`` plain and with
+``--json``, and ``factor``.  Three forests for the acyclic
 detector get ``evasive`` plain and with ``--json``: one whose later
 component holds the first special root, one with a free variable, and a
 triangle beside a path past the cap (exit 1).  Malformed files get
@@ -42,6 +45,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Mapping
 
 SEED = 0
 SETS = 40
@@ -145,17 +149,19 @@ MALFORMED = {"comment-newline": "a & # c\n", "tab-bad-char": "a\t@",
              "empty": "", "unclosed": "((((a"}
 
 
-def run(checkout: Path, argv: list[str], cwd: Path) -> tuple[int, str, str]:
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+def run(checkout: Path, argv: list[str], cwd: Path,
+        overrides: Mapping[str, str] = {}) -> tuple[int, str, str]:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"), **overrides)
     done = subprocess.run([sys.executable, "-m", "probedepth", *argv], env=env,
                           capture_output=True, text=True, cwd=cwd)
     return done.returncode, done.stdout, done.stderr
 
 
-def outcome(checkout: Path, argv: list[str], cwd: Path, written) -> tuple:
-    """Exit code, stdout and stderr of a call, then the text of each file in
-    ``written`` it left in ``cwd`` (``None`` for one it did not write)."""
-    return (*run(checkout, argv, cwd),
+def outcome(checkout: Path, argv: list[str], cwd: Path, written, overrides) -> tuple:
+    """Exit code, stdout and stderr of a call with the environment variables
+    ``overrides`` set, then the text of each file in ``written`` it left in
+    ``cwd`` (``None`` for one it did not write)."""
+    return (*run(checkout, argv, cwd, overrides),
             *((cwd / f).read_text(encoding="utf-8") if (cwd / f).exists() else None
               for f in written))
 
@@ -227,13 +233,13 @@ def main(argv=None) -> int:
             print(f"family psi 2 failed in {args.old}: {err.strip()}", file=sys.stderr)
             return 1
         files["psi2"] = psi2
-        # (what to report, call, files the call writes)
-        runs = [(" ".join(call), call, ()) for call in FAMILIES]
+        # (what to report, call, files the call writes, environment overrides)
+        runs = [(" ".join(call), call, (), {}) for call in FAMILIES]
 
         def add(name: str, text: str, make_calls) -> None:
             path = work / f"{name}.txt"
             path.write_text(text, encoding="utf-8", newline="")
-            runs.extend((f"{name}: {' '.join(call[:1] + call[2:])}", call, ())
+            runs.extend((f"{name}: {' '.join(call[:1] + call[2:])}", call, (), {})
                         for call in make_calls(str(path)))
 
         for name, text in files.items():
@@ -241,6 +247,10 @@ def main(argv=None) -> int:
             answers = work / f"{name}.answers.json"
             answers.write_text(json.dumps({n: rng.random() < 0.5 for n in names}))
             add(name, text, lambda path: calls(path, str(answers)))
+        # past the default cap, greedy on psi(2) would only be the cap error
+        runs.append(("psi2: strategy --out json --greedy with PROBEDEPTH_CAP=22",
+                     ["strategy", str(work / "psi2.txt"), "--out", "json", "--greedy"], (),
+                     {"PROBEDEPTH_CAP": "22"}))
         for name, text in large(random.Random(SEED + 1)).items():
             add(name, text, lambda path: [["evasive", path], ["evasive", path, "--json"],
                                           ["factor", path]])
@@ -253,18 +263,18 @@ def main(argv=None) -> int:
             (work / fixture).write_bytes((fixtures / fixture).read_bytes())
         runs.append(("fixtures: prov eval", ["prov", "eval", "--db",
                      str(work / "acquisitions_db.json"), "--query",
-                     str(work / "founder_institutes_query.json")], ()))
+                     str(work / "founder_institutes_query.json")], (), {}))
         for name, (text, k) in monotone_dnfs(random.Random(SEED + 2)).items():
             (work / f"{name}.txt").write_text(text, encoding="utf-8")
             written = (f"{name}.db.json", f"{name}.query.json")
             runs.append((f"{name}: prov to-db --k {k}",
                          ["prov", "to-db", "--dnf", str(work / f"{name}.txt"), "--k", str(k),
-                          "--out-db", written[0], "--out-query", written[1]], written))
+                          "--out-db", written[0], "--out-query", written[1]], written, {}))
             runs.append((f"{name}: prov eval of to-db",
-                         ["prov", "eval", "--db", written[0], "--query", written[1]], ()))
-        for label, call, written in runs:
+                         ["prov", "eval", "--db", written[0], "--query", written[1]], (), {}))
+        for label, call, written, overrides in runs:
             total += 1
-            old, new = (outcome(checkout, call, work / side, written)
+            old, new = (outcome(checkout, call, work / side, written, overrides)
                         for checkout, side in ((args.old, "old"), (args.new, "new")))
             for what, a, b in zip(("exit code", "stdout", "stderr", *written), old, new):
                 if a != b:
