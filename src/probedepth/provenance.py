@@ -5,8 +5,12 @@ monotone DNF annotations: joins conjoin term-wise, duplicate-merging
 projection and union disjoin with absorption.  A join hashes its right input
 on the ``on`` columns and visits only the matching pairs, so its cost is
 linear in the inputs plus the output; an empty ``on`` is the cross product.
-A selection resolves its columns once, before the first row.  The reverse
-construction ``dnf_to_database`` packs any monotone k-DNF into a
+A selection resolves its columns once, before the first row.  A selection
+directly above a join tests each matching pair before conjoining its
+annotations, since a selection never changes an annotation, so a pair it
+drops costs no conjunction.  A row seen once is stored as it is, without
+absorption; only a second annotation for the same row is absorbed.  The
+reverse construction ``dnf_to_database`` packs any monotone k-DNF into a
 two-relation database plus a fixed k-ary join query whose single output row
 reproduces the DNF.
 """
@@ -221,8 +225,48 @@ Rows = dict[tuple[ValueType, ...], TermSet]
 
 
 def _merge(rows: Rows, values: tuple[ValueType, ...], terms: TermSet):
-    existing = rows.get(values, frozenset())
-    rows[values] = absorb(existing | terms)
+    """Disjoin ``terms`` into the row ``values`` of ``rows``.
+
+    Every ``Rows`` value, ``terms`` included, is absorbed already, so a new
+    row stores ``terms`` as it is and only a second annotation is absorbed.
+    """
+    existing = rows.get(values)
+    rows[values] = terms if existing is None else absorb(existing | terms)
+
+
+def _join(q: Join, predicate: tuple[Atom, ...], left: tuple[tuple[str, ...], Rows],
+          right: tuple[tuple[str, ...], Rows]) -> tuple[tuple[str, ...], Rows]:
+    """Join ``left`` and ``right``, the evaluated inputs of ``q``, and keep the
+    pairs that satisfy every atom of ``predicate``; each pair is tested
+    before its annotations are conjoined.
+
+    Join schema errors come before the predicate's column errors, and rows
+    are tested in the join's visit order, so the first row error is the one
+    a selection over the whole join would raise.  The caller evaluates the
+    inputs, so a join level costs one ``_eval`` frame, as any other node.
+    """
+    (lcols, lrows), (rcols, rrows) = left, right
+    overlap = set(lcols) & set(rcols)
+    if overlap:
+        raise QueryError(f"join inputs share column names: {sorted(overlap)}")
+    pairs = [(_col_index(lcols, a), _col_index(rcols, b)) for a, b in q.on]
+    columns = lcols + rcols
+    tests = [_atom_test(a, columns) for a in predicate]
+    # hash join: right rows by their key, each list in input order
+    index: dict[tuple, list] = {}
+    for rv, rt in rrows.items():
+        index.setdefault(tuple(rv[j] for _, j in pairs), []).append((rv, rt))
+    out: Rows = {}
+    for lv, lt in lrows.items():
+        for rv, rt in index.get(tuple(lv[i] for i, _ in pairs), ()):
+            # lv + rv is a new key: lv and rv are distinct keys of their inputs
+            values = lv + rv
+            for test in tests:
+                if not test(values):
+                    break
+            else:
+                out[values] = absorb(a | b for a in lt for b in rt)
+    return columns, out
 
 
 def _eval(db: AnnotatedDatabase, q: Query) -> tuple[tuple[str, ...], Rows]:
@@ -235,6 +279,9 @@ def _eval(db: AnnotatedDatabase, q: Query) -> tuple[tuple[str, ...], Rows]:
             _merge(rows, t.values, frozenset([frozenset([t.annotation])]))
         return columns, rows
     if isinstance(q, Select):
+        if isinstance(q.input, Join):
+            j = q.input
+            return _join(j, q.predicate, _eval(db, j.left), _eval(db, j.right))
         columns, rows = _eval(db, q.input)
         tests = [_atom_test(a, columns) for a in q.predicate]
         kept: Rows = {}
@@ -250,22 +297,7 @@ def _eval(db: AnnotatedDatabase, q: Query) -> tuple[tuple[str, ...], Rows]:
             _merge(out, tuple(values[i] for i in idx), terms)
         return tuple(q.columns), out
     if isinstance(q, Join):
-        lcols, lrows = _eval(db, q.left)
-        rcols, rrows = _eval(db, q.right)
-        overlap = set(lcols) & set(rcols)
-        if overlap:
-            raise QueryError(f"join inputs share column names: {sorted(overlap)}")
-        pairs = [(_col_index(lcols, a), _col_index(rcols, b)) for a, b in q.on]
-        # hash join: right rows by their key, each list in input order
-        index: dict[tuple, list] = {}
-        for rv, rt in rrows.items():
-            index.setdefault(tuple(rv[j] for _, j in pairs), []).append((rv, rt))
-        out = {}
-        for lv, lt in lrows.items():
-            for rv, rt in index.get(tuple(lv[i] for i, _ in pairs), ()):
-                # lv + rv is a new key: lv and rv are distinct keys of their inputs
-                out[lv + rv] = absorb(a | b for a in lt for b in rt)
-        return lcols + rcols, out
+        return _join(q, (), _eval(db, q.left), _eval(db, q.right))
     if isinstance(q, Union_):
         if not q.inputs:
             raise QueryError("union needs at least one input")
@@ -288,7 +320,7 @@ def eval_query(db: AnnotatedDatabase, q: Query) -> ProvenancedResult:
     except RecursionError:
         raise QueryError("query nested too deeply to evaluate") from None
     ordered = sorted(rows.items(), key=lambda kv: tuple(map(str, kv[0])))
-    # every row's terms are absorbed already, by ``_merge`` or the join
+    # every row's terms are absorbed already (see ``_merge``)
     out = tuple((values, MonotoneDnf._of_absorbed(db.universe, terms))
                 for values, terms in ordered)
     return ProvenancedResult(columns, out)

@@ -1,5 +1,6 @@
 """Unit and property tests for annotated databases and provenance evaluation."""
 
+import itertools
 import json
 import random
 
@@ -335,6 +336,128 @@ class TestHashJoin:
             got = _outcome(pv._eval, db, q)
             assert got[0] is pv.QueryError
             assert got == _outcome(eval_nested, db, q)
+
+
+MIXED = ("p", "q", 1, 2, "1")
+
+
+def random_select_join_query(rng, db, depth=2):
+    """Random SPJU tree whose root and every other Select is a Select
+    directly over a Join.  Literals come from ``MIXED`` and atoms may compare
+    two columns, so over a database with mixed values the comparisons fail
+    per row with a type mismatch."""
+    aliases = (f"t{i}" for i in itertools.count())
+
+    def atoms(columns):
+        out = []
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            col = rng.choice(columns)
+            roll = rng.random()
+            if roll < 0.6:
+                out.append(pv.ContainsCI(col, str(rng.choice(MIXED))))
+            else:
+                rhs = (pv.ColRef(rng.choice(columns)) if roll < 0.7
+                       else pv.Lit(rng.choice(MIXED)))
+                op = rng.choice(("=", "!=", "<", "<=", ">", ">="))
+                out.append(pv.Compare(pv.ColRef(col), op, rhs))
+        return tuple(out)
+
+    def select_join(d):
+        lq, lcols = gen(d - 1)
+        rq, rcols = gen(d - 1)
+        on = tuple((rng.choice(lcols), rng.choice(rcols))
+                   for _ in range(rng.randint(0, 1)))
+        cols = lcols + rcols
+        return pv.Select(atoms(cols), pv.Join(on, lq, rq)), cols
+
+    def gen(d):
+        if d == 0 or rng.random() < 0.3:
+            rel = rng.choice(db.relations)
+            alias = next(aliases)
+            return pv.Scan(rel.name, alias), tuple(f"{alias}.{c}" for c in rel.columns)
+        roll = rng.random()
+        if roll < 0.5:
+            return select_join(d)
+        if roll < 0.75:
+            q, cols = gen(d - 1)
+            kept = tuple(c for c in cols if rng.random() < 0.6) or cols[:1]
+            return pv.Project(kept, q), kept
+        q, cols = select_join(d)
+        return pv.Union_((q, pv.Select(atoms(cols), q.input))), cols
+
+    return select_join(depth)[0]
+
+
+class TestSelectOverJoin:
+    def test_matches_nested_loop_with_row_errors(self, rng):
+        # each pair is tested before its annotations conjoin; rows, their
+        # order and the first type-mismatch error stay as a selection over
+        # the whole join gives them
+        errors = nonempty = 0
+        for _ in range(400):
+            db = random_annotated_db(rng, 16, pool=MIXED)
+            q = random_select_join_query(rng, db)
+            got = _outcome(pv._eval, db, q)
+            assert got == _outcome(eval_nested, db, q)
+            errors += isinstance(got[0], type)
+            nonempty += not isinstance(got[0], type) and bool(got[1])
+        assert 0 < errors < 300 and nonempty > 20
+
+    @pytest.mark.parametrize("join, message", [
+        (pv.Join((("A", "A"),), pv.Scan("R"), pv.Scan("R")), "share column names"),
+        (pv.Join((("r.Z", "s.C"),), pv.Scan("R", "r"), pv.Scan("S", "s")),
+         "unknown column 'r.Z'"),
+    ])
+    def test_join_errors_before_column_errors(self, join, message):
+        q = pv.Select((pv.Compare(pv.ColRef("Nope"), "=", pv.Lit("x")),), join)
+        db = TestAlgebra().db()
+        got = _outcome(pv._eval, db, q)
+        assert got[0] is pv.QueryError and message in got[1]
+        assert got == _outcome(eval_nested, db, q)
+
+    def test_conjoins_only_kept_pairs(self, monkeypatch):
+        # five keys a side, each on two tuples, so every annotation has two
+        # terms; the selection keeps the one pair with key 3
+        db = pv.AnnotatedDatabase(tuple(
+            pv.Relation(name, (col,), tuple(
+                pv.AnnotatedTuple((k,), f"{name.lower()}{k}{copy}")
+                for k in range(5) for copy in "ab"))
+            for name, col in (("L", "A"), ("R", "B"))))
+        calls = []
+
+        def counting_absorb(terms):
+            calls.append(None)
+            return ex.absorb(terms)
+
+        def absorbs(q):
+            calls.clear()
+            rows = pv._eval(db, q)[1]
+            return len(calls), rows
+
+        monkeypatch.setattr(pv, "absorb", counting_absorb)
+        merges = 0  # one per key's second tuple
+        for name in ("L", "R"):
+            count, rows = absorbs(pv.Scan(name))
+            assert all(len(terms) == 2 for terms in rows.values())
+            merges += count
+        assert merges == 10
+        join = pv.Join((("A", "B"),), pv.Scan("L"), pv.Scan("R"))
+        assert absorbs(join)[0] == merges + 5  # every matching pair
+        count, rows = absorbs(pv.Select(
+            (pv.Compare(pv.ColRef("A"), "=", pv.Lit(3)),), join))
+        assert count == merges + 1  # the kept pair only
+        assert rows == {(3, 3): frozenset(
+            frozenset([f"l3{x}", f"r3{y}"]) for x in "ab" for y in "ab")}
+
+    @pytest.mark.parametrize("select", [False, True])
+    def test_deep_join_chain_rejected(self, fixture_db, select):
+        q = pv.Scan("Roles", "t0")
+        for i in range(1, 3001):
+            q = pv.Join((), q, pv.Scan("Roles", f"t{i}"))
+            if select:
+                q = pv.Select((), q)
+        with pytest.raises(pv.QueryError, match="nested too deeply"):
+            pv.eval_query(fixture_db, q)
 
 
 class TestSelectColumns:

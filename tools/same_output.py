@@ -21,11 +21,15 @@ component holds the first special root, one with a free variable, and a
 triangle beside a path past the cap (exit 1).  Malformed files get
 ``depth --json`` and ``evasive``, so that parse errors are compared.  It also runs ``family``
 for psi 0-3, path 1-12 and 400, and ``and`` and ``or`` 1-5, and ``prov eval``
-on the shipped fixtures.  Seeded monotone DNFs, ``DNFS`` each with terms of
-at most k = 2 and k = 3 variables and a ``vars:`` header out of alphabetical
-order, get ``prov to-db`` at their k, which writes into the checkout's own
-directory, and then ``prov eval`` on what it wrote; the written files are
-compared too.  Where the stdout
+on the shipped fixtures.  ``prov eval`` also runs two queries of its own on
+the fixture database: a union of two selections over joins, and a selection
+over a join that fails per row with a type mismatch (exit 1), so that the
+rows and the error of a selection tested inside its join are compared.
+Seeded monotone DNFs, ``DNFS`` each with terms of at most k = 2 and k = 3
+variables and a ``vars:`` header out of alphabetical order, get ``prov
+to-db`` at their k, which writes into the checkout's own directory, and then
+``prov eval`` on what it wrote; the written files are compared too.  Where
+the stdout
 of ``strategy --out json``, exact or ``--greedy``, differs, it also reports
 whether both diagrams give the same walk (probes, answers and labels) on
 every valuation, and both diagrams' node counts, each with its number of
@@ -139,6 +143,34 @@ FORESTS = {"forest-later-root": "vars: a b c q p r s\n(a&b)|(b&c)|(p&q)|(q&r)|(r
            "forest-free": "vars: a b c d e f\n(a&b)|(b&c)|(d&e)\n",
            "path-and-triangle": " | ".join(f"x{i}&x{i + 1}" for i in range(20))
                                 + " | t0&t1 | t1&t2 | t2&t0\n"}
+
+# ``prov eval`` queries on the shipped fixture database, so that a selection
+# over a join is compared on its rows and on its per-row error: companies
+# with founders from U. Melbourne or acquired from 2018 on, and an education
+# year compared with a string.
+PROV_QUERIES = {
+    "union-query": {"op": "union", "inputs": [
+        {"op": "project", "columns": ["r.Organization"], "input": {
+            "op": "select",
+            "pred": [{"atom": "contains_ci", "col": "r.Role", "value": "found"},
+                     {"lhs": {"col": "e.Institute"}, "op": "=",
+                      "rhs": {"lit": "U. Melbourne"}}],
+            "input": {"op": "join", "on": [["r.Member", "e.Alumni"]],
+                      "left": {"op": "scan", "relation": "Roles", "alias": "r"},
+                      "right": {"op": "scan", "relation": "Education", "alias": "e"}}}},
+        {"op": "project", "columns": ["r.Organization"], "input": {
+            "op": "select",
+            "pred": [{"lhs": {"col": "a.Date"}, "op": ">=", "rhs": {"lit": "2018-01-01"}}],
+            "input": {"op": "join", "on": [["a.Acquired", "r.Organization"]],
+                      "left": {"op": "scan", "relation": "Acquisitions", "alias": "a"},
+                      "right": {"op": "scan", "relation": "Roles", "alias": "r"}}}}]},
+    "type-mismatch-query": {
+        "op": "select",
+        "pred": [{"lhs": {"col": "e.Year"}, "op": ">=", "rhs": {"lit": "2017"}}],
+        "input": {"op": "join", "on": [["r.Member", "e.Alumni"]],
+                  "left": {"op": "scan", "relation": "Roles", "alias": "r"},
+                  "right": {"op": "scan", "relation": "Education", "alias": "e"}}},
+}
 
 # Parse errors: positions after comments, tabs and CRLF, a bad character
 # after an earlier syntax error, and the header's own errors.
@@ -264,6 +296,11 @@ def main(argv=None) -> int:
         runs.append(("fixtures: prov eval", ["prov", "eval", "--db",
                      str(work / "acquisitions_db.json"), "--query",
                      str(work / "founder_institutes_query.json")], (), {}))
+        for name, query in PROV_QUERIES.items():
+            (work / f"{name}.json").write_text(json.dumps(query), encoding="utf-8")
+            runs.append((f"{name}: prov eval", ["prov", "eval", "--db",
+                         str(work / "acquisitions_db.json"), "--query",
+                         str(work / f"{name}.json")], (), {}))
         for name, (text, k) in monotone_dnfs(random.Random(SEED + 2)).items():
             (work / f"{name}.txt").write_text(text, encoding="utf-8")
             written = (f"{name}.db.json", f"{name}.query.json")
