@@ -48,8 +48,9 @@ def _cap() -> int:
     return value
 
 
-def _state_budget(text: str) -> int:
-    """``--budget``: a count of states, so a negative one is a usage error."""
+def _count(text: str) -> int:
+    """``--budget`` and ``--trials``: counts, so a negative one is a usage
+    error."""
     try:
         value = int(text)
     except ValueError:
@@ -157,6 +158,8 @@ def cmd_probe(args) -> int:
             raw = json.loads(_read_text(args.answers))
         except json.JSONDecodeError as exc:
             raise DomainFailure(f"answers file is not JSON: {exc}") from None
+        except RecursionError:
+            raise DomainFailure("answers file nested too deeply to read") from None
         if not isinstance(raw, dict):
             raise DomainFailure("answers file must hold a JSON object")
         source = {k: _parse_answer(v) for k, v in raw.items()}
@@ -194,10 +197,12 @@ def cmd_prov(args) -> int:
         raise DomainFailure("to-db expects a single expression")
     dnf = ex.to_monotone_dnf(s.members[0])
     db, query = provenance.dnf_to_database(dnf, args.k)
-    with open(args.out_db, "w", encoding="utf-8") as fh:
-        fh.write(provenance.dump_database(db) + "\n")
-    with open(args.out_query, "w", encoding="utf-8") as fh:
-        fh.write(provenance.query_to_json(query) + "\n")
+    # both documents are built first, so that a failure writes neither file
+    documents = ((args.out_db, provenance.dump_database(db)),
+                 (args.out_query, provenance.query_to_json(query)))
+    for path, text in documents:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
     print(f"wrote {args.out_db} and {args.out_query}")
     return EXIT_OK
 
@@ -271,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("depth", help="exact minimum worst-case probe count")
     p.add_argument("exprfile")
-    p.add_argument("--budget", type=_state_budget, default=None)
+    p.add_argument("--budget", type=_count, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_depth)
 
@@ -319,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("crosscheck", help="pattern detector vs brute-force oracle")
     p.add_argument("--max-nodes", type=int, default=7)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_count, default=200)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_crosscheck)
 

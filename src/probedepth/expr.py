@@ -447,22 +447,19 @@ def evaluate(e: Expression, v: Valuation) -> bool:
     """Evaluate an expression under a total valuation."""
     if v.universe != e.universe:
         raise ExprError("valuation universe differs from expression universe")
+    return _value(e.root, v.values)
 
-    def go(node: Node) -> bool:
-        if isinstance(node, Const):
-            return node.value
-        if isinstance(node, Var):
-            return v.values[node.index]
-        if isinstance(node, Not):
-            return not go(node.child)
-        if isinstance(node, And):
-            return all(go(c) for c in node.children)
-        return any(go(c) for c in node.children)
 
-    try:
-        return go(e.root)
-    finally:
-        del go  # break the closure's reference to itself
+def _value(node: Node, values: tuple[bool, ...]) -> bool:
+    if isinstance(node, Const):
+        return node.value
+    if isinstance(node, Var):
+        return values[node.index]
+    if isinstance(node, Not):
+        return not _value(node.child, values)
+    if isinstance(node, And):
+        return all(_value(c, values) for c in node.children)
+    return any(_value(c, values) for c in node.children)
 
 
 @_nesting_guard("simplify")
@@ -573,30 +570,25 @@ def variable_masks(m: int) -> tuple[int, ...]:
 def table_bits(node: Node, positions: dict[int, int], m: int) -> int:
     """Truth table of ``node`` over ``m`` variables placed by ``positions``
     (variable index -> bit position), as an integer of 2^m bits."""
-    full = (1 << (1 << m)) - 1
-    masks = variable_masks(m)
+    return _bits(node, positions, variable_masks(m), (1 << (1 << m)) - 1)
 
-    def go(n: Node) -> int:
-        if isinstance(n, Const):
-            return full if n.value else 0
-        if isinstance(n, Var):
-            return masks[positions[n.index]]
-        if isinstance(n, Not):
-            return full & ~go(n.child)
-        if isinstance(n, And):
-            acc = full
-            for c in n.children:
-                acc &= go(c)
-            return acc
-        acc = 0
-        for c in n.children:
-            acc |= go(c)
+
+def _bits(node: Node, positions: dict[int, int], masks: tuple[int, ...], full: int) -> int:
+    if isinstance(node, Const):
+        return full if node.value else 0
+    if isinstance(node, Var):
+        return masks[positions[node.index]]
+    if isinstance(node, Not):
+        return full & ~_bits(node.child, positions, masks, full)
+    if isinstance(node, And):
+        acc = full
+        for c in node.children:
+            acc &= _bits(c, positions, masks, full)
         return acc
-
-    try:
-        return go(node)
-    finally:
-        del go  # break the closure's reference to itself, which holds the masks
+    acc = 0
+    for c in node.children:
+        acc |= _bits(c, positions, masks, full)
+    return acc
 
 
 def truth_table(e: Expression, cap: int = DEFAULT_TABLE_CAP) -> TruthTable:
@@ -726,35 +718,31 @@ def to_monotone_dnf(e: Expression) -> MonotoneDnf:
         root = _simplify_node(root)
         if any(isinstance(n, Not) for n in walk(root)):
             raise ExprError("expression contains negation; not monotone")
-    names = e.universe.names
+    return MonotoneDnf._of_absorbed(e.universe, _terms(root, e.universe.names))
 
-    def go(node: Node) -> Iterable[frozenset]:
-        """The absorbed terms of ``node``, without repeats."""
-        kind = type(node)
-        if kind is Var:
-            return frozenset([frozenset([names[node.index]])])
-        if kind is Const:
-            return frozenset([frozenset()]) if node.value else frozenset()
-        if kind is Or:
-            acc: set = set()
-            for c in node.children:
-                if type(c) is Var:
-                    acc.add(frozenset([names[c.index]]))
-                else:
-                    acc.update(go(c))
-            return absorb(acc)
-        # And: the term of its variables, times each other child's term set
-        acc = [frozenset([names[c.index] for c in node.children if type(c) is Var])]
+
+def _terms(node: Node, names: tuple[str, ...]) -> Iterable[frozenset]:
+    """The absorbed terms of ``node``, without repeats."""
+    kind = type(node)
+    if kind is Var:
+        return frozenset([frozenset([names[node.index]])])
+    if kind is Const:
+        return frozenset([frozenset()]) if node.value else frozenset()
+    if kind is Or:
+        acc: set = set()
         for c in node.children:
-            if type(c) is not Var:
-                child_terms = go(c)
-                acc = absorb(a | b for a in acc for b in child_terms)
-        return acc
-
-    try:
-        return MonotoneDnf._of_absorbed(e.universe, go(root))
-    finally:
-        del go  # break the closure's reference to itself
+            if type(c) is Var:
+                acc.add(frozenset([names[c.index]]))
+            else:
+                acc.update(_terms(c, names))
+        return absorb(acc)
+    # And: the term of its variables, times each other child's term set
+    acc = [frozenset([names[c.index] for c in node.children if type(c) is Var])]
+    for c in node.children:
+        if type(c) is not Var:
+            child_terms = _terms(c, names)
+            acc = absorb(a | b for a in acc for b in child_terms)
+    return acc
 
 
 def minimal_transversals(terms: Iterable[frozenset]) -> frozenset:

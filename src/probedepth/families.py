@@ -74,39 +74,33 @@ def psi_strategy(level: int) -> DecisionDiagram:
     if not 0 <= level <= MAX_PSI_LEVEL:
         raise FamilyError(f"psi level must be in 0..{MAX_PSI_LEVEL}")
     nodes: list[DiagramNode] = [Leaf((False,)), Leaf((True,))]
-    false_leaf, true_leaf = 0, 1
-
-    def add(node: DiagramNode) -> int:
-        nodes.append(node)
-        return len(nodes) - 1
-
-    def base(suffix: str) -> int:
-        w, x, y, z = (n + suffix for n in "wxyz")
-        # x True: (w | y) -- probe w then y
-        probe_y_t = add(Probe(y, true_leaf, false_leaf))
-        probe_w = add(Probe(w, true_leaf, probe_y_t))
-        # x False: (y & z) -- probe y then z
-        probe_z = add(Probe(z, true_leaf, false_leaf))
-        probe_y_f = add(Probe(y, probe_z, false_leaf))
-        return add(Probe(x, probe_w, probe_y_f))
-
-    def build(lvl: int, suffix: str) -> int:
-        if lvl == 0:
-            return base(suffix)
-        u, v = f"u{lvl - 1}{suffix}", f"v{lvl - 1}{suffix}"
-        plain = build(lvl - 1, suffix)
-        primed = build(lvl - 1, f"p{lvl - 1}{suffix}")
-        # u True: psi | v -- v True decides, else recurse on the plain copy
-        v_when_u = add(Probe(v, true_leaf, plain))
-        # u False: v & psi' -- v False decides, else recurse on the primed copy
-        v_when_not_u = add(Probe(v, primed, false_leaf))
-        return add(Probe(u, v_when_u, v_when_not_u))
-
-    try:
-        root = build(level, "")
-    finally:
-        del build  # break the closure's reference to itself, which holds the node list
+    root = _psi_nodes(nodes, level, "")
     return DecisionDiagram(tuple(nodes), root)
+
+
+def _psi_nodes(nodes: list[DiagramNode], level: int, suffix: str) -> int:
+    """Append the strategy for the copy of ``psi(level)`` whose variables end
+    in ``suffix`` to ``nodes``, which start with the false and the true leaf;
+    the index of its root."""
+    false_leaf, true_leaf = 0, 1
+    if level == 0:
+        w, x, y, z = (n + suffix for n in "wxyz")
+        at = len(nodes)
+        nodes += [Probe(y, true_leaf, false_leaf),
+                  Probe(w, true_leaf, at),  # x True: (w | y) -- probe w then y
+                  Probe(z, true_leaf, false_leaf),
+                  Probe(y, at + 2, false_leaf),  # x False: (y & z) -- probe y then z
+                  Probe(x, at + 1, at + 3)]
+        return at + 4
+    u, v = f"u{level - 1}{suffix}", f"v{level - 1}{suffix}"
+    plain = _psi_nodes(nodes, level - 1, suffix)
+    primed = _psi_nodes(nodes, level - 1, f"p{level - 1}{suffix}")
+    at = len(nodes)
+    # u True: psi | v -- v True decides, else recurse on the plain copy;
+    # u False: v & psi' -- v False decides, else recurse on the primed copy
+    nodes += [Probe(v, true_leaf, plain), Probe(v, primed, false_leaf),
+              Probe(u, at, at + 1)]
+    return at + 2
 
 
 def psi_variable_count(level: int) -> int:

@@ -12,7 +12,9 @@ drops costs no conjunction.  A row seen once is stored as it is, without
 absorption; only a second annotation for the same row is absorbed.  The
 reverse construction ``dnf_to_database`` packs any monotone k-DNF into a
 two-relation database plus a fixed k-ary join query whose single output row
-reproduces the DNF.
+reproduces the DNF.  A database or query document nested too deeply to
+read, or a query too deeply to evaluate or write, raises one
+``ProvenanceError``, which the CLI prints as one error line.
 """
 
 from __future__ import annotations
@@ -375,6 +377,8 @@ def load_database(text: str) -> AnnotatedDatabase:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise SchemaError("database document nested too deeply to read") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("relations"), list):
         raise SchemaError('database document must be {"relations": [...]}')
     relations = []
@@ -482,29 +486,33 @@ def _operand_to_json(op: Operand):
 
 
 def query_to_json(q: Query) -> str:
-    def node(q: Query):
-        if isinstance(q, Scan):
-            out = {"op": "scan", "relation": q.relation}
-            if q.alias:
-                out["alias"] = q.alias
-            return out
-        if isinstance(q, Select):
-            pred = []
-            for a in q.predicate:
-                if isinstance(a, ContainsCI):
-                    pred.append({"atom": "contains_ci", "col": a.column, "value": a.literal})
-                else:
-                    pred.append({"lhs": _operand_to_json(a.lhs), "op": a.op,
-                                 "rhs": _operand_to_json(a.rhs)})
-            return {"op": "select", "pred": pred, "input": node(q.input)}
-        if isinstance(q, Project):
-            return {"op": "project", "columns": list(q.columns), "input": node(q.input)}
-        if isinstance(q, Join):
-            return {"op": "join", "on": [list(p) for p in q.on],
-                    "left": node(q.left), "right": node(q.right)}
-        return {"op": "union", "inputs": [node(i) for i in q.inputs]}
+    try:
+        return json.dumps(_query_doc(q), indent=2)
+    except RecursionError:
+        raise QueryError("query nested too deeply to write") from None
 
-    return json.dumps(node(q), indent=2)
+
+def _query_doc(q: Query) -> dict:
+    if isinstance(q, Scan):
+        out = {"op": "scan", "relation": q.relation}
+        if q.alias:
+            out["alias"] = q.alias
+        return out
+    if isinstance(q, Select):
+        pred = []
+        for a in q.predicate:
+            if isinstance(a, ContainsCI):
+                pred.append({"atom": "contains_ci", "col": a.column, "value": a.literal})
+            else:
+                pred.append({"lhs": _operand_to_json(a.lhs), "op": a.op,
+                             "rhs": _operand_to_json(a.rhs)})
+        return {"op": "select", "pred": pred, "input": _query_doc(q.input)}
+    if isinstance(q, Project):
+        return {"op": "project", "columns": list(q.columns), "input": _query_doc(q.input)}
+    if isinstance(q, Join):
+        return {"op": "join", "on": [list(p) for p in q.on],
+                "left": _query_doc(q.left), "right": _query_doc(q.right)}
+    return {"op": "union", "inputs": [_query_doc(i) for i in q.inputs]}
 
 
 def result_to_json(r: ProvenancedResult) -> str:

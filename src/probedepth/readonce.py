@@ -101,36 +101,34 @@ def factor_read_once(d: MonotoneDnf) -> Optional[Expression]:
         return Expression(d.universe, Const(False))
     if frozenset() in d.terms:
         return Expression(d.universe, Const(True))
-
-    def conj(parts: list[Node]) -> Node:
-        return parts[0] if len(parts) == 1 else And(tuple(parts))
-
-    def go(terms: list[frozenset[int]]) -> Optional[Node]:
-        """The read-once form of ``terms``, sets of universe positions."""
-        if len(terms) == 1:
-            return conj([Var(i) for i in sorted(terms[0])])
-        common = frozenset.intersection(*terms)
-        if common:
-            rest = go([t - common for t in terms])
-            if rest is None:
-                return None
-            return conj([Var(i) for i in sorted(common)] + [rest])
-        groups = _cooccurrence_groups(terms)
-        if len(groups) == 1:
-            return None
-        parts = []
-        for group in groups:
-            sub = go(group)
-            if sub is None:
-                return None
-            parts.append(sub)
-        return Or(tuple(parts))
-
-    try:
-        node = go(list(map(frozenset, d.ordered_terms())))
-    finally:
-        del go  # break the closure's reference to itself
+    node = _factor(list(map(frozenset, d.ordered_terms())))
     return None if node is None else Expression(d.universe, node)
+
+
+def _conj(parts: list[Node]) -> Node:
+    return parts[0] if len(parts) == 1 else And(tuple(parts))
+
+
+def _factor(terms: list[frozenset[int]]) -> Optional[Node]:
+    """The read-once form of ``terms``, sets of universe positions."""
+    if len(terms) == 1:
+        return _conj([Var(i) for i in sorted(terms[0])])
+    common = frozenset.intersection(*terms)
+    if common:
+        rest = _factor([t - common for t in terms])
+        if rest is None:
+            return None
+        return _conj([Var(i) for i in sorted(common)] + [rest])
+    groups = _cooccurrence_groups(terms)
+    if len(groups) == 1:
+        return None
+    parts = []
+    for group in groups:
+        sub = _factor(group)
+        if sub is None:
+            return None
+        parts.append(sub)
+    return Or(tuple(parts))
 
 
 def _cooccurrence_groups(terms: list[frozenset[int]]) -> list[list[frozenset[int]]]:

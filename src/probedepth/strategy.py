@@ -165,25 +165,25 @@ def _diagram(names: tuple[str, ...], choose: Callable, start: tuple) -> Decision
     own node key, so ``choose`` reads nothing but the state, and equal states
     share one node."""
     nodes: list[DiagramNode] = []
-    node_at: dict[tuple, int] = {}
-
-    def build(state: tuple) -> int:
-        i = node_at.get(state)
-        if i is not None:
-            return i
-        node = choose(state)
-        if not isinstance(node, Leaf):
-            p, if_true, if_false = node
-            node = Probe(names[p], build(if_true), build(if_false))
-        nodes.append(node)
-        node_at[state] = len(nodes) - 1
-        return len(nodes) - 1
-
-    try:
-        root = build(start)
-    finally:
-        del build  # break the closure's reference to itself, which holds the node table
+    root = _build(start, names, choose, nodes, {})
     return DecisionDiagram(tuple(nodes), root)
+
+
+def _build(state: tuple, names: tuple[str, ...], choose: Callable,
+           nodes: list[DiagramNode], node_at: dict[tuple, int]) -> int:
+    """The index in ``nodes`` of ``state``'s node, appended after the nodes
+    it leads to unless ``node_at`` already maps the state to one."""
+    i = node_at.get(state)
+    if i is not None:
+        return i
+    node = choose(state)
+    if not isinstance(node, Leaf):
+        p, if_true, if_false = node
+        node = Probe(names[p], _build(if_true, names, choose, nodes, node_at),
+                     _build(if_false, names, choose, nodes, node_at))
+    nodes.append(node)
+    node_at[state] = len(nodes) - 1
+    return len(nodes) - 1
 
 
 @cache
@@ -331,6 +331,35 @@ def _refuted(tables: tuple[int, ...], r: int, k: int) -> bool:
 _REFUTED = -1
 
 
+def _decide(memo: dict[tuple, int], budget: Optional[int], held: int,
+            tables: tuple[int, ...], k: int) -> bool:
+    """Does the state ``(held, tables)`` have depth at most ``k``?  Records
+    its verdict in ``memo`` as ``_Search`` describes."""
+    r = held.bit_count()
+    if r <= k:
+        return True
+    if k == 0:
+        return False
+    key = k, r, tables
+    hit = memo.get(key)
+    if hit is not None:
+        return hit != _REFUTED
+    if budget is not None and len(memo) >= budget:
+        raise BudgetExceeded(f"state budget {budget} exhausted")
+    memo[key] = _REFUTED
+    if _refuted(tables, r, k):
+        return False
+    rest = held
+    for rank in range(r):
+        p = (rest & -rest).bit_length() - 1
+        rest ^= 1 << p
+        if _decide(memo, budget, *_restrict(held, tables, p, True), k - 1) and \
+           _decide(memo, budget, *_restrict(held, tables, p, False), k - 1):
+            memo[key] = rank
+            return True
+    return False
+
+
 class _Search:
     """Depth-bounded minimax search over the members' residual functions.
 
@@ -360,37 +389,7 @@ class _Search:
     def within(self, k: int) -> bool:
         """Is the minimax depth at most ``k``?  Tries the positions of each
         state from the lowest up, and refutes by ``_refuted`` first."""
-        memo, budget = self.memo, self.budget
-
-        def rec(held: int, tables: tuple[int, ...], k: int) -> bool:
-            r = held.bit_count()
-            if r <= k:
-                return True
-            if k == 0:
-                return False
-            key = k, r, tables
-            hit = memo.get(key)
-            if hit is not None:
-                return hit != _REFUTED
-            if budget is not None and len(memo) >= budget:
-                raise BudgetExceeded(f"state budget {budget} exhausted")
-            memo[key] = _REFUTED
-            if _refuted(tables, r, k):
-                return False
-            rest = held
-            for rank in range(r):
-                p = (rest & -rest).bit_length() - 1
-                rest ^= 1 << p
-                if rec(*_restrict(held, tables, p, True), k - 1) and \
-                   rec(*_restrict(held, tables, p, False), k - 1):
-                    memo[key] = rank
-                    return True
-            return False
-
-        try:
-            return rec(*self.root, k)
-        finally:
-            del rec  # break the closure's reference to itself, which holds the memo
+        return _decide(self.memo, self.budget, *self.root, k)
 
     def witness(self, depth: int) -> DecisionDiagram:
         """The diagram of the memo's proof of ``depth``: one node per state

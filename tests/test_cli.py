@@ -295,6 +295,15 @@ class TestProv:
         rows = json.loads(out)["rows"]
         assert len(rows) == 1
 
+    def test_to_db_too_deep_writes_nothing(self, tmp_path, capsys):
+        # the query joins once per column, 3 000 levels deep
+        f = write(tmp_path, "d.txt", "(a&b)|c\n")
+        out_db, out_q = tmp_path / "out_db.json", tmp_path / "out_q.json"
+        code, out, err = run(capsys, "prov", "to-db", "--dnf", f, "--k", "3000",
+                             "--out-db", str(out_db), "--out-query", str(out_q))
+        assert (code, out, err) == (1, "", "error: query nested too deeply to write\n")
+        assert not out_db.exists() and not out_q.exists()
+
     def test_select_unknown_column_over_empty_input(self, tmp_path, capsys):
         db = write(tmp_path, "db.json", json.dumps({"relations": [
             {"name": "R", "columns": ["A"], "tuples": []}]}))
@@ -393,6 +402,14 @@ class TestCrosscheck:
         code, _, err = run(capsys, "crosscheck", "--max-nodes", "9")
         assert code == 1
 
+    def test_negative_trials_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["crosscheck", "--max-nodes", "2", "--trials", "-3"])
+        assert exit_info.value.code == 2
+        assert "--trials: must be non-negative, got -3" in capsys.readouterr().err
+        code, out, _ = run(capsys, "crosscheck", "--max-nodes", "2", "--trials", "0")
+        assert (code, out) == (0, "trees=2 forests=0 disagreements=0\n")
+
 
 ATOM_QUERY = json.dumps({"op": "select", "pred": ["x"],
                          "input": {"op": "scan", "relation": "R"}})
@@ -423,10 +440,13 @@ for _ in range(3000):
     (["prov", "eval", "--db", "{db}", "--query", "{contains_query}"], {}, 1),
     (["prov", "eval", "--db", "{db}", "--query", "{columns_query}"], {}, 1),
     (["prov", "eval", "--db", "{db}", "--query", "{deep_query}"], {}, 1),
+    (["prov", "eval", "--db", "{deep_json}", "--query", "{query}"], {}, 1),
+    (["probe", "{expr}", "--answers", "{deep_json}"], {}, 1),
 ], ids=["cap-not-int", "cap-negative", "expr-not-utf8", "db-not-utf8", "query-not-utf8",
         "answers-not-json", "answers-not-object", "answer-null", "max-nodes-0",
         "max-nodes-negative", "atom-not-object", "on-not-pair",
-        "contains-value-not-string", "columns-not-list", "query-nested-too-deep"])
+        "contains-value-not-string", "columns-not-list", "query-nested-too-deep",
+        "db-nested-too-deep", "answers-nested-too-deep"])
 def test_bad_input_one_line_error(tmp_path, capsys, monkeypatch, argv, env, expected):
     files = {"expr": b"a & b\n", "latin1": "vars: \xe9\n".encode("latin-1"),
              "db": fixture_text("acquisitions_db.json").encode(),
@@ -434,7 +454,8 @@ def test_bad_input_one_line_error(tmp_path, capsys, monkeypatch, argv, env, expe
              "not_json": b"{x", "json_list": b"[1]",
              "null_answer": b'{"a": true, "b": null}', "atom_query": ATOM_QUERY.encode(),
              "on_query": ON_QUERY.encode(), "contains_query": CONTAINS_QUERY.encode(),
-             "columns_query": COLUMNS_QUERY.encode(), "deep_query": DEEP_QUERY.encode()}
+             "columns_query": COLUMNS_QUERY.encode(), "deep_query": DEEP_QUERY.encode(),
+             "deep_json": b"[" * 100_000}
     paths = {}
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)

@@ -1,8 +1,10 @@
 """Unit and property tests for the depth search and strategy execution."""
 
+import ast
 import gc
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -553,8 +555,9 @@ class TestNoDeadProbes:
 
 class TestNoReferenceCycles:
     """The search, the diagram builders and the other recursive walks leave
-    nothing for the cyclic collector: their recursive closures release the
-    memo, the node tables and the truth-table masks on return."""
+    nothing for the cyclic collector: each is a module function that takes
+    the memo, the node table or the truth-table masks as arguments, so
+    nothing holds them after return."""
 
     @pytest.mark.parametrize("call", [
         lambda s: strategy.optimal_depth(s).diagram,
@@ -578,6 +581,20 @@ class TestNoReferenceCycles:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def test_no_nested_function_calls_itself():
+    # a nested function that refers to its own name holds its closure cell,
+    # a reference cycle with whatever else the closure holds
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+    for path in sorted(Path(strategy.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        nested = {f for outer in ast.walk(tree) if isinstance(outer, functions)
+                  for f in ast.walk(outer) if f is not outer and isinstance(f, functions)}
+        found += [f"{path.name}:{f.lineno} {f.name}" for f in nested
+                  if any(isinstance(n, ast.Name) and n.id == f.name for n in ast.walk(f))]
+    assert sorted(found) == []
 
 
 class TestDiagramPlumbing:

@@ -28,8 +28,11 @@ rows and the error of a selection tested inside its join are compared.
 Seeded monotone DNFs, ``DNFS`` each with terms of at most k = 2 and k = 3
 variables and a ``vars:`` header out of alphabetical order, get ``prov
 to-db`` at their k, which writes into the checkout's own directory, and then
-``prov eval`` on what it wrote; the written files are compared too.  Where
-the stdout
+``prov eval`` on what it wrote; the written files are compared too.  Inputs
+past the recursion limit, 100 000 ``[`` as an answers file for ``probe`` and
+as a database for ``prov eval``, and ``prov to-db --k 1000``, whose query
+nests 1 000 joins, compare how each deep document ends; ``crosscheck
+--trials -1`` compares how a negative count is taken.  Where the stdout
 of ``strategy --out json``, exact or ``--greedy``, differs, it also reports
 whether both diagrams give the same walk (probes, answers and labels) on
 every valuation, and both diagrams' node counts, each with its number of
@@ -309,6 +312,18 @@ def main(argv=None) -> int:
                           "--out-db", written[0], "--out-query", written[1]], written, {}))
             runs.append((f"{name}: prov eval of to-db",
                          ["prov", "eval", "--db", written[0], "--query", written[1]], (), {}))
+        # inputs nested past the recursion limit, and a negative count
+        (work / "deep.json").write_text("[" * 100_000, encoding="utf-8")
+        written = ("deep-k.db.json", "deep-k.query.json")
+        runs += [("deep answers: probe", ["probe", str(work / "random0.txt"), "--answers",
+                                          str(work / "deep.json")], (), {}),
+                 ("deep database: prov eval", ["prov", "eval", "--db", str(work / "deep.json"),
+                  "--query", str(work / "founder_institutes_query.json")], (), {}),
+                 ("dnf-k2-0: prov to-db --k 1000",
+                  ["prov", "to-db", "--dnf", str(work / "dnf-k2-0.txt"), "--k", "1000",
+                   "--out-db", written[0], "--out-query", written[1]], written, {}),
+                 ("crosscheck --trials -1", ["crosscheck", "--max-nodes", "3", "--trials",
+                                             "-1"], (), {})]
         for label, call, written, overrides in runs:
             total += 1
             old, new = (outcome(checkout, call, work / side, written, overrides)
