@@ -4,7 +4,6 @@ from .expr import (
     Expression,
     ExpressionSet,
     MonotoneDnf,
-    PartialValuation,
     Valuation,
     VariableUniverse,
     evaluate,

@@ -49,8 +49,8 @@ def _cap() -> int:
 
 
 def _count(text: str) -> int:
-    """``--budget`` and ``--trials``: counts, so a negative one is a usage
-    error."""
+    """``--budget``, ``--trials`` and ``--k``: counts, so a negative one is a
+    usage error."""
     try:
         value = int(text)
     except ValueError:
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.set_defaults(func=cmd_prov)
     pt = prov_sub.add_parser("to-db", help="encode a monotone k-DNF as a database")
     pt.add_argument("--dnf", required=True, help="expression file")
-    pt.add_argument("--k", type=int, required=True)
+    pt.add_argument("--k", type=_count, required=True)
     pt.add_argument("--out-db", required=True)
     pt.add_argument("--out-query", required=True)
     pt.set_defaults(func=cmd_prov)

@@ -226,25 +226,6 @@ class Valuation:
         return self.values[self.universe.index(name)]
 
 
-@dataclass(frozen=True)
-class PartialValuation:
-    """A partial assignment; domain is a subset of the universe."""
-
-    universe: VariableUniverse
-    assignment: tuple[tuple[str, bool], ...] = ()
-
-    def __post_init__(self):
-        seen = set()
-        for name, _ in self.assignment:
-            self.universe.index(name)
-            if name in seen:
-                raise ExprError(f"variable assigned twice: {name!r}")
-            seen.add(name)
-
-    def extended(self, name: str, value: bool) -> "PartialValuation":
-        return PartialValuation(self.universe, self.assignment + ((name, bool(value)),))
-
-
 def walk(node: Node) -> Iterator[Node]:
     stack = [node]  # preorder without recursion, for arbitrarily deep trees
     while stack:

@@ -21,6 +21,12 @@ member's flip rows (``_flips``), which give the positions the member keeps
 after each answer to each of its positions, and restricts only the probe
 it picks.
 
+Diagrams.  A ``DecisionDiagram`` lists every node after the nodes it leads
+to and checks that order when it is built, so no diagram holds a cycle or
+an index outside its nodes.  The builder (``_diagram``), ``psi_strategy``
+and ``to_json`` write nodes in that order, and ``diagram_depth`` measures a
+diagram in one pass over it.
+
 Transpositions.  The search memoises a state by its budget, its number of
 positions r and its tables, not by its answers or its positions: answers
 that leave the members the same functions of r variables give one entry,
@@ -91,10 +97,27 @@ DiagramNode = Union[Probe, Leaf]
 
 @dataclass(frozen=True)
 class DecisionDiagram:
-    """A rooted DAG of probe nodes and leaf nodes realizing a strategy."""
+    """A rooted DAG of probe nodes and leaf nodes realizing a strategy.
+
+    Every probe's answers lead to earlier nodes and the root to a node, so a
+    diagram holds no cycle and no index outside its nodes; building one that
+    breaks this order raises ``MalformedDiagram``.
+    """
 
     nodes: tuple[DiagramNode, ...]
     root: int
+
+    def __post_init__(self):
+        for i, node in enumerate(self.nodes):
+            if isinstance(node, Probe):
+                t, f = node.on_true, node.on_false
+                if not (type(t) is int and type(f) is int and 0 <= t < i and 0 <= f < i):
+                    raise MalformedDiagram(f"node {i} leads to {t!r} and {f!r}, "
+                                           f"not to nodes below {i}")
+            elif not isinstance(node, Leaf):
+                raise MalformedDiagram(f"node {i} is neither a Leaf nor a Probe: {node!r}")
+        if type(self.root) is not int or not 0 <= self.root < len(self.nodes):
+            raise MalformedDiagram(f"root index {self.root!r} not below {len(self.nodes)}")
 
 
 @dataclass(frozen=True)
@@ -124,37 +147,13 @@ class Transcript:
 
 
 def diagram_depth(d: DecisionDiagram) -> int:
-    """Longest root-to-leaf edge count; 0 for a single-leaf diagram.
-
-    Raises ``MalformedDiagram`` on dangling indices or cycles.  Walks with
-    an explicit stack, so a diagram of any depth is measured.
-    """
-    n = len(d.nodes)
-    if not 0 <= d.root < n:
-        raise MalformedDiagram(f"root index {d.root} out of range")
-    depth: dict[int, int] = {}
-    on_path: set[int] = set()  # probes whose children are still being measured
-    stack = [d.root]
-    while stack:
-        i = stack[-1]
-        node = d.nodes[i]
-        if i in depth:
-            stack.pop()
-        elif isinstance(node, Leaf):
-            depth[i] = 0
-            stack.pop()
-        elif i in on_path:  # every node above it on the stack is measured
-            depth[i] = 1 + max(depth[node.on_true], depth[node.on_false])
-            on_path.remove(i)
-            stack.pop()
-        else:
-            on_path.add(i)
-            for c in (node.on_true, node.on_false):
-                if not 0 <= c < n:
-                    raise MalformedDiagram(f"node index {c} out of range")
-                if c in on_path:
-                    raise MalformedDiagram("diagram contains a cycle")
-                stack.append(c)
+    """Longest root-to-leaf edge count; 0 for a single-leaf diagram.  Every
+    probe leads to earlier nodes, so one pass in node order measures each
+    node after the nodes it leads to, a diagram of any depth included."""
+    depth: list[int] = []
+    for node in d.nodes:
+        depth.append(0 if isinstance(node, Leaf)
+                     else 1 + max(depth[node.on_true], depth[node.on_false]))
     return depth[d.root]
 
 
@@ -165,7 +164,10 @@ def _diagram(names: tuple[str, ...], choose: Callable, start: tuple) -> Decision
     own node key, so ``choose`` reads nothing but the state, and equal states
     share one node."""
     nodes: list[DiagramNode] = []
-    root = _build(start, names, choose, nodes, {})
+    try:
+        root = _build(start, names, choose, nodes, {})
+    except RecursionError:
+        raise StrategyError("diagram too deep to build") from None
     return DecisionDiagram(tuple(nodes), root)
 
 
@@ -605,28 +607,20 @@ def to_json(d: DecisionDiagram) -> str:
             if name is None:
                 name = names[node.variable] = encode_basestring_ascii(node.variable)
             parts.append(_JSON_PROBE % (name, node.on_true, node.on_false))
-    nodes = "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
-    return '{\n  "root": %d,\n  "nodes": %s\n}' % (d.root, nodes)
+    nodes = ",\n".join(parts)
+    return '{\n  "root": %d,\n  "nodes": [\n%s\n  ]\n}' % (d.root, nodes)
 
 
 def from_json(text: str) -> DecisionDiagram:
     """The diagram of a ``to_json`` document.  Raises ``MalformedDiagram``
     for any other document: invalid JSON, a missing or mistyped field, a
-    root index out of range, a probe whose answers do not lead to earlier
-    nodes, or a label that is not a JSON boolean.  ``to_json`` writes every
-    node after the nodes it leads to, and requiring that order keeps cycles
-    out of the diagrams read."""
+    label that is not a JSON boolean, or indices that break the order
+    ``DecisionDiagram`` requires, which ``to_json`` writes."""
     try:
         doc = json.loads(text)
         raws = doc["nodes"]
         if not isinstance(raws, list):
             raise MalformedDiagram(f"nodes must be a list: {raws!r}")
-
-        def index(raw, end: int) -> int:
-            if type(raw) is not int or not 0 <= raw < end:
-                raise MalformedDiagram(f"node index {raw!r} not below {end}")
-            return raw
-
         nodes: list[DiagramNode] = []
         for raw in raws:
             if raw["kind"] == "leaf":
@@ -637,11 +631,10 @@ def from_json(text: str) -> DecisionDiagram:
             elif raw["kind"] == "probe":
                 if not isinstance(raw["variable"], str):
                     raise MalformedDiagram(f"variable must be a string: {raw['variable']!r}")
-                nodes.append(Probe(raw["variable"], index(raw["true"], len(nodes)),
-                                   index(raw["false"], len(nodes))))
+                nodes.append(Probe(raw["variable"], raw["true"], raw["false"]))
             else:
                 raise MalformedDiagram(f"unknown node kind {raw['kind']!r}")
-        return DecisionDiagram(tuple(nodes), index(doc["root"], len(nodes)))
+        return DecisionDiagram(tuple(nodes), doc["root"])
     except json.JSONDecodeError as exc:
         raise MalformedDiagram(f"invalid JSON: {exc}") from None
     except (KeyError, TypeError) as exc:

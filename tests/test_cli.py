@@ -197,6 +197,16 @@ class TestStrategy:
         code, out, _ = run(capsys, "strategy", f, "--greedy")
         assert code == 0 and "digraph" in out
 
+    @pytest.mark.parametrize("command", [["strategy"], ["probe", "--answers", "{answers}"]])
+    def test_greedy_too_deep_is_one_error_line(self, tmp_path, capsys, command):
+        # greedy's diagram is 200 probes deep, past the 150 frames left to it
+        f = write(tmp_path, "e.txt", "\n".join(f"x{2 * i} & x{2 * i + 1}" for i in range(100)))
+        answers = write(tmp_path, "answers.json", "{}")
+        argv = [command[0], f, "--greedy", *(a.format(answers=answers) for a in command[1:])]
+        with recursion_limit(150):
+            code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: diagram too deep to build\n")
+
 
 class TestProbe:
     def test_answers_file_true_branch(self, tmp_path, capsys):
@@ -303,6 +313,18 @@ class TestProv:
                              "--out-db", str(out_db), "--out-query", str(out_q))
         assert (code, out, err) == (1, "", "error: query nested too deeply to write\n")
         assert not out_db.exists() and not out_q.exists()
+
+    def test_to_db_negative_k_is_usage_error(self, tmp_path, capsys):
+        f = write(tmp_path, "d.txt", "(a&b)|c\n")
+        out_db, out_q = str(tmp_path / "out_db.json"), str(tmp_path / "out_q.json")
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["prov", "to-db", "--dnf", f, "--k", "-1",
+                      "--out-db", out_db, "--out-query", out_q])
+        assert exit_info.value.code == 2
+        assert "--k: must be non-negative, got -1" in capsys.readouterr().err
+        code, out, err = run(capsys, "prov", "to-db", "--dnf", f, "--k", "0",
+                             "--out-db", out_db, "--out-query", out_q)
+        assert (code, out, err) == (1, "", "error: some term exceeds size 0\n")
 
     def test_select_unknown_column_over_empty_input(self, tmp_path, capsys):
         db = write(tmp_path, "db.json", json.dumps({"relations": [

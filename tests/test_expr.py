@@ -395,12 +395,6 @@ class TestUniverseAndValuation:
         with pytest.raises(ex.ExprError):
             Valuation.from_dict(u, {"a": True})
 
-    def test_partial_valuation_no_double_assignment(self):
-        u = VariableUniverse(("a", "b"))
-        p = ex.PartialValuation(u).extended("a", True)
-        with pytest.raises(ex.ExprError):
-            p.extended("a", False)
-
     def test_all_valuations_helper(self):
         u = VariableUniverse(("a", "b"))
         assert len(list(all_valuations(u))) == 4

@@ -599,20 +599,35 @@ def test_no_nested_function_calls_itself():
 
 class TestDiagramPlumbing:
     def test_malformed_dangling_index(self):
-        d = DecisionDiagram((Probe("x", 5, 0), Leaf((True,))), 0)
         with pytest.raises(strategy.MalformedDiagram):
-            strategy.diagram_depth(d)
+            DecisionDiagram((Probe("x", 5, 0), Leaf((True,))), 0)
 
     def test_malformed_cycle(self):
-        d = DecisionDiagram((Probe("x", 0, 0),), 0)
+        # run_session would probe x for ever
         with pytest.raises(strategy.MalformedDiagram):
-            strategy.diagram_depth(d)
+            DecisionDiagram((Probe("x", 0, 0),), 0)
+
+    @pytest.mark.parametrize("nodes, root", [
+        ((Leaf((True,)), Probe("x", 5, 0)), 1),
+        ((Leaf((True,)), Probe("x", -1, 0)), 1),
+        ((Leaf((True,)), Probe("x", 0, 1)), 1),
+        ((Leaf((True,)), Probe("x", 2, 0), Probe("y", 1, 0)), 2),
+        ((Probe("x", 1, 1), Probe("y", 2, 2), Leaf((True,))), 0),
+        ((Leaf((True,)), Leaf((False,)), Probe("x", True, 0)), 2),
+        ((Leaf((True,)),), 1),
+        ((Leaf((True,)),), False),
+        ((Leaf((True,)), ("x", 0, 0)), 1),
+    ], ids=["dangling-index", "negative-index", "self-loop", "two-node-cycle",
+            "parent-first-chain", "boolean-index", "root-out-of-range", "boolean-root",
+            "not-a-node"])
+    def test_rejected_when_built(self, nodes, root):
+        with pytest.raises(strategy.MalformedDiagram):
+            DecisionDiagram(nodes, root)
 
     def test_long_chain(self):
-        # probe i leads to probe i + 1 on both answers; the last to a leaf
+        # probe i leads to probe i - 1 on both answers; the first to the leaf
         n = 3000
-        d = DecisionDiagram(tuple(Probe(f"x{i}", i + 1, i + 1) for i in range(n))
-                            + (Leaf((True,)),), 0)
+        d = DecisionDiagram((Leaf((True,)),) + tuple(Probe(f"x{i}", i, i) for i in range(n)), n)
         assert strategy.diagram_depth(d) == n
 
     def test_json_roundtrip(self):

@@ -32,11 +32,12 @@ to-db`` at their k, which writes into the checkout's own directory, and then
 past the recursion limit, 100 000 ``[`` as an answers file for ``probe`` and
 as a database for ``prov eval``, and ``prov to-db --k 1000``, whose query
 nests 1 000 joins, compare how each deep document ends; ``crosscheck
---trials -1`` compares how a negative count is taken.  Where the stdout
-of ``strategy --out json``, exact or ``--greedy``, differs, it also reports
-whether both diagrams give the same walk (probes, answers and labels) on
-every valuation, and both diagrams' node counts, each with its number of
-dead probes (probe nodes whose two answers lead to the same node).
+--trials -1`` and ``prov to-db --k -1`` compare how a negative count is
+taken.  Where the stdout of ``strategy --out json``, exact or
+``--greedy``, differs, it also reports whether both diagrams give the
+same walk (probes, answers and labels) on every valuation, and both
+diagrams' node counts, each with its number of dead probes (probe nodes
+whose two answers lead to the same node).
 Exits 1 if any call differs in any byte, 0 otherwise.  Uses the standard
 library only; the inputs go to a temporary directory (``TMPDIR`` chooses
 where).
@@ -323,7 +324,10 @@ def main(argv=None) -> int:
                   ["prov", "to-db", "--dnf", str(work / "dnf-k2-0.txt"), "--k", "1000",
                    "--out-db", written[0], "--out-query", written[1]], written, {}),
                  ("crosscheck --trials -1", ["crosscheck", "--max-nodes", "3", "--trials",
-                                             "-1"], (), {})]
+                                             "-1"], (), {}),
+                 ("dnf-k2-0: prov to-db --k -1",
+                  ["prov", "to-db", "--dnf", str(work / "dnf-k2-0.txt"), "--k", "-1",
+                   "--out-db", written[0], "--out-query", written[1]], written, {})]
         for label, call, written, overrides in runs:
             total += 1
             old, new = (outcome(checkout, call, work / side, written, overrides)
