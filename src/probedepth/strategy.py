@@ -27,6 +27,15 @@ an index outside its nodes.  The builder (``_diagram``), ``psi_strategy``
 and ``to_json`` write nodes in that order, and ``diagram_depth`` measures a
 diagram in one pass over it.
 
+Witness states.  A state of the witness whose positions are no more than
+its budget probes its lowest position, and so does every state after it.
+Such a state is held in level form: its tables over every position from
+its lowest to the last, the positions answered or no longer depended on
+being variables that no table depends on.  Probing takes each table's two
+halves, so that part of the witness is the shared reduced ordered BDD of
+the members in position order (Bryant 1986).  States with more positions
+than their budget keep the search's key and its ``_restrict``.
+
 Transpositions.  The search memoises a state by its budget, its number of
 positions r and its tables, not by its answers or its positions: answers
 that leave the members the same functions of r variables give one entry,
@@ -281,6 +290,46 @@ def _restrict(held: int, tables: tuple[int, ...], p: int,
     return _compact(held ^ 1 << p, tuple([_fix(t, r, q, a) for t in tables]))
 
 
+def _skip_dead(w: int, tables: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """``tables`` over w variables without their top variables up to the
+    first that some table depends on: the width left and the tables over
+    it, each the low half of the one before."""
+    while w:
+        half = 1 << (w - 1)
+        low = (1 << half) - 1
+        for t in tables:
+            if t >> half != t & low:
+                return w, tables
+        tables = tuple([t & low for t in tables])
+        w -= 1
+    return 0, tables
+
+
+def _spread(held: int, tables: tuple[int, ...], n: int) -> tuple[int, tuple[int, ...]]:
+    """The level form of the ``_compact`` state ``(held, tables)`` over n
+    positions: the number w of positions from its lowest to the last, and
+    its tables over those w, with a variable that no table depends on for
+    each position it does not hold.  Such a variable goes on top of the
+    tables and moves down to its place by adjacent δ-swaps, as ``_fix``
+    moves one up."""
+    if not held:
+        return 0, tables
+    first, r = (held & -held).bit_length() - 1, held.bit_count()
+    for x in reversed(range(first + 1, n)):  # x's variable is n - 1 - x
+        if held >> x & 1:
+            continue
+        swaps, wider = _frame(r + 1)[3], []
+        for t in tables:
+            t |= t << (1 << r)
+            for j in reversed(range(n - 1 - x, r)):
+                d = 1 << j
+                y = (t ^ t >> d) & swaps[j]
+                t ^= y | y << d
+            wider.append(t)
+        tables, r = tuple(wider), r + 1
+    return n - first, tables
+
+
 def _refuted(tables: tuple[int, ...], r: int, k: int) -> bool:
     """The degree rule: does a label class of ``tables`` over r variables
     sum to non-zero over a set S of more than k of them, which refutes
@@ -395,25 +444,42 @@ class _Search:
 
     def witness(self, depth: int) -> DecisionDiagram:
         """The diagram of the memo's proof of ``depth``: one node per state
-        and budget, the budget capped at the state's r, since every state
-        with r <= k probes its lowest position."""
+        and budget, the budget capped at the state's r.
+
+        A state with r above its budget k is the key ``(k, held, tables)``
+        of ``_decide``; it probes the memo's position, and its children come
+        from ``_restrict``.  A state with r within its budget probes its
+        lowest position, and so do all the states after it, so it is its
+        level form ``(w, tables)`` of ``_spread``: probing takes each
+        table's halves, and ``_skip_dead`` finds the child's lowest
+        position, without ``_fix`` or ``_compact``.  The two forms determine
+        each other, so equal states share one node.
+        """
         slot = {t: i for i, t in enumerate(dict.fromkeys(self.members))}
         labels = [slot[t] for t in self.members]
+        n, memo = len(self.names), self.memo
 
         def choose(state: tuple) -> Union[Leaf, tuple[int, tuple, tuple]]:
+            if len(state) == 2:  # level form: probe the top variable
+                w, tables = state
+                if not w:
+                    return Leaf(tuple([tables[i] == 1 for i in labels]))
+                half = 1 << (w - 1)
+                low = (1 << half) - 1
+                return (n - w, _skip_dead(w - 1, tuple([t >> half for t in tables])),
+                        _skip_dead(w - 1, tuple([t & low for t in tables])))
             k, held, tables = state
-            if not held:
-                return Leaf(tuple(tables[i] == 1 for i in labels))
-            r = held.bit_count()
             rest = held
-            for _ in range(0 if r <= k else self.memo[k, r, tables]):
+            for _ in range(memo[k, held.bit_count(), tables]):
                 rest &= rest - 1
             p = (rest & -rest).bit_length() - 1
             after = [_restrict(held, tables, p, a) for a in (True, False)]
-            return p, *((min(k - 1, h.bit_count()), h, t) for h, t in after)
+            return p, *(_spread(h, t, n) if h.bit_count() < k else (k - 1, h, t)
+                        for h, t in after)
 
         held, tables = self.root
-        return _diagram(self.names, choose, (min(depth, held.bit_count()), held, tables))
+        return _diagram(self.names, choose, _spread(held, tables, n)
+                        if held.bit_count() <= depth else (depth, held, tables))
 
 
 def optimal_depth(s: ExpressionSet, budget: Optional[int] = None,

@@ -18,6 +18,7 @@ import pytest
 
 from probedepth import expr as ex
 from probedepth import provenance as pv
+from probedepth import strategy
 from probedepth.expr import And, Const, Expression, ExpressionSet, Not, Or, Var
 
 
@@ -47,6 +48,32 @@ def naive_depth(s: ExpressionSet, _memo=None) -> int:
             best = d
     _memo[key] = best
     return best
+
+
+def reference_witness(s: ExpressionSet, depth: int) -> strategy.DecisionDiagram:
+    """The exact witness of ``depth`` built by restricting at every node:
+    one node per state ``(budget capped at r, held, tables)``, the children
+    ``_restrict``'s, probing the memo's position where r is above the budget
+    and the lowest position otherwise."""
+    search = strategy._Search(s, ex.DEFAULT_TABLE_CAP)
+    assert search.within(depth)
+    slot = {t: i for i, t in enumerate(dict.fromkeys(search.members))}
+    labels = [slot[t] for t in search.members]
+
+    def choose(state: tuple):
+        k, held, tables = state
+        if not held:
+            return strategy.Leaf(tuple(tables[i] == 1 for i in labels))
+        r = held.bit_count()
+        rest = held
+        for _ in range(0 if r <= k else search.memo[k, r, tables]):
+            rest &= rest - 1
+        p = (rest & -rest).bit_length() - 1
+        after = [strategy._restrict(held, tables, p, a) for a in (True, False)]
+        return p, *((min(k - 1, h.bit_count()), h, t) for h, t in after)
+
+    held, tables = search.root
+    return strategy._diagram(search.names, choose, (min(depth, held.bit_count()), held, tables))
 
 
 def _live_names(s: ExpressionSet) -> set[str]:

@@ -11,10 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (all_valuations, naive_depth, naive_greedy_probe, random_expression,
-                      single)
+                      reference_witness, single)
 from probedepth import expr as ex
 from probedepth import families, readonce, strategy
-from probedepth.expr import Expression, ExpressionSet, Valuation, VariableUniverse
+from probedepth.expr import Const, Expression, ExpressionSet, Valuation, VariableUniverse
 from probedepth.strategy import DecisionDiagram, Leaf, Probe
 
 
@@ -278,8 +278,9 @@ class TestGreedySharing:
 
 class TestResidualTables:
     """``_frame``, ``_fix`` and ``_compact``, the one state form of the search
-    and greedy, against enumerated rows, restriction of the syntax tree and a
-    fresh truth table."""
+    and greedy, and the witness's level form of ``_spread`` and
+    ``_skip_dead``, against enumerated rows, restriction of the syntax tree
+    and a fresh truth table."""
 
     @pytest.mark.parametrize("r", range(7))
     def test_frame_rows(self, r):
@@ -330,6 +331,25 @@ class TestResidualTables:
             for p, answers in kept.items():
                 assert answers == tuple(strategy._restrict(*state, p, a)[0]
                                         for a in (True, False))
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_spread_and_skip_dead_give_the_level_table(self, seed):
+        # the table over every position from the lowest one e depends on,
+        # from the compacted state and by halving the whole table
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+        universe = VariableUniverse(tuple(f"x{i}" for i in range(n)))
+        e = Expression(universe, random_expression(rng, universe, rng.randint(2, 4)))
+        whole = self.table(e, list(range(n)))
+        held, tables = strategy._compact((1 << n) - 1, (whole,))
+        first = (held & -held).bit_length() - 1 if held else n
+        for name in universe.names[:first]:
+            e = ex.restrict(e, name, False)
+        rest = [e.universe.index(name) for name in universe.names[first:]]
+        level = n - first, (self.table(e, rest),)
+        assert strategy._spread(held, tables, n) == level
+        assert strategy._skip_dead(n, (whole,)) == level
 
     def test_compact_keeps_what_any_table_depends_on(self):
         # over a, b, c (a the top table variable): a & b and b | c drop
@@ -507,10 +527,45 @@ class TestTranspositions:
         for v in all_valuations(universe):
             assert strategy.check_soundness(s, report.diagram, v)
 
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.integers(0, 2**32 - 1))
+    def test_witness_matches_restricting_reference(self, seed):
+        # node for node: the level form of the states within their budget
+        # keys the same nodes, in the same order, as restricting each state
+        rng = random.Random(seed)
+        universe = VariableUniverse(tuple(f"x{i}" for i in range(rng.randint(1, 9))))
+        members = [Expression(universe, random_expression(rng, universe, rng.randint(2, 4)))
+                   for _ in range(rng.randint(1, 3))]
+        roll = rng.random()
+        if roll < 0.2:
+            members[-1] = members[0]
+        elif roll < 0.3:
+            members[-1] = Expression(universe, Const(rng.random() < 0.5))
+        s = ExpressionSet(universe, tuple(members))
+        report = strategy.optimal_depth(s)
+        assert report.diagram == reference_witness(s, report.depth)
+
+    def test_evasive_witness_restricts_nothing(self, monkeypatch):
+        # every state of an evasive set's witness is within its budget, so
+        # the witness takes table halves; restricting each state took 80
+        # calls of _restrict
+        s = ex.parse_expressions(
+            "vars: v7 v2 v1 v4 v3 v6 v0 v5 v8\n"
+            "v0&v6 | v0&v7 | v0&v8 | v1&v3 | v1&v5 | v2&v6 | v3&v4 | v3&v6 | v3&v8 "
+            "| v4&v7 | v5&v8")
+        report = strategy.optimal_depth(s)
+        calls = []
+        restrict = strategy._restrict
+        monkeypatch.setattr(strategy, "_restrict", lambda *a: calls.append(a) or restrict(*a))
+        d = report.diagram
+        assert (report.depth, len(d.nodes), len(calls)) == (9, 42, 0)
+        assert strategy.diagram_depth(d) == 9
+
     @pytest.mark.parametrize("s, depth, nodes", [
         (families.generate(families.FamilySpec("path", 10)), 11, 22),  # 573 keyed by answers
         (disjoint_paths(8), 16, 46),  # 34 303 keyed by answers
-    ], ids=["path10", "two_paths8"])
+        (families.generate(families.FamilySpec("psi", 1)), 5, 15),
+    ], ids=["path10", "two_paths8", "psi1"])
     def test_witness_node_count(self, s, depth, nodes):
         d = strategy.optimal_depth(s).diagram
         assert len(d.nodes) == nodes
@@ -598,16 +653,9 @@ def test_no_nested_function_calls_itself():
 
 
 class TestDiagramPlumbing:
-    def test_malformed_dangling_index(self):
-        with pytest.raises(strategy.MalformedDiagram):
-            DecisionDiagram((Probe("x", 5, 0), Leaf((True,))), 0)
-
-    def test_malformed_cycle(self):
-        # run_session would probe x for ever
-        with pytest.raises(strategy.MalformedDiagram):
-            DecisionDiagram((Probe("x", 0, 0),), 0)
-
     @pytest.mark.parametrize("nodes, root", [
+        ((Probe("x", 5, 0), Leaf((True,))), 0),
+        ((Probe("x", 0, 0),), 0),  # run_session would probe x for ever
         ((Leaf((True,)), Probe("x", 5, 0)), 1),
         ((Leaf((True,)), Probe("x", -1, 0)), 1),
         ((Leaf((True,)), Probe("x", 0, 1)), 1),
@@ -617,9 +665,9 @@ class TestDiagramPlumbing:
         ((Leaf((True,)),), 1),
         ((Leaf((True,)),), False),
         ((Leaf((True,)), ("x", 0, 0)), 1),
-    ], ids=["dangling-index", "negative-index", "self-loop", "two-node-cycle",
-            "parent-first-chain", "boolean-index", "root-out-of-range", "boolean-root",
-            "not-a-node"])
+    ], ids=["dangling-index-first", "self-loop-only", "dangling-index", "negative-index",
+            "self-loop", "two-node-cycle", "parent-first-chain", "boolean-index",
+            "root-out-of-range", "boolean-root", "not-a-node"])
     def test_rejected_when_built(self, nodes, root):
         with pytest.raises(strategy.MalformedDiagram):
             DecisionDiagram(nodes, root)

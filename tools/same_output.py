@@ -10,7 +10,14 @@ variables), a few sets whose combined support exceeds the table cap, and
 psi(2) as printed by the first checkout's ``family psi 2``.  On each it runs
 ``depth --json``, ``strategy --out json`` with and without ``--greedy``,
 ``evasive`` plain and with ``--json``, and ``probe --answers`` on a seeded
-answer file.  A call may also set environment variables: psi(2) gets
+answer file.  Wider sets get exact ``strategy --out json`` and ``probe
+--answers`` only: path(12) and psi(1) as the first checkout's ``family``
+prints them, two disjoint 8-variable paths, and two seeded 9-variable sets
+with negation, one evasive and one of depth 7.  The exact witnesses of
+path(12), psi(1) and the depth-7 set hold states with more positions than
+their budget, whose probes the search chose, as well as states with no
+more, which probe their lowest position; the evasive witnesses hold only
+the latter.  A call may also set environment variables: psi(2) gets
 ``strategy --out json --greedy`` once more with ``PROBEDEPTH_CAP=22``, since
 at the default cap of 20 its 22 variables give only the cap error.  Two
 large files without a ``vars:`` header, a 300-edge tree 2-DNF and a
@@ -86,6 +93,29 @@ def corpus(rng: random.Random) -> dict[str, str]:
         members = [" | ".join(f"{a}&{b}" for a, b in zip(part, part[1:]))
                    for part in (names[j * size:(j + 1) * size] for j in range(count))]
         files[f"wide{k}"] = f"vars: {' '.join(sorted(names))}\n" + "\n".join(members) + "\n"
+    return files
+
+
+# seeds of ``nine_variable_set`` whose set is evasive, and of depth 7
+NINE_SEEDS = {"nine-evasive": 23, "nine-depth7": 34}
+
+
+def nine_variable_set(seed: int) -> str:
+    """An expression file of 1-3 random members over x0..x8."""
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(9)]
+    members = [random_node(rng, names, rng.randint(3, 5)) for _ in range(rng.randint(1, 3))]
+    return f"vars: {' '.join(names)}\n" + "\n".join(members) + "\n"
+
+
+def wide_exact(rng: random.Random) -> dict[str, str]:
+    """Expression files for the exact witness past ``corpus``'s 7 variables,
+    by name, besides the ``family`` outputs that ``main`` adds."""
+    paths = [" | ".join(f"{v}{i}&{v}{i + 1}" for i in range(7)) for v in "ab"]
+    names = [f"{v}{i}" for v in "ab" for i in range(8)]
+    rng.shuffle(names)
+    files = {"two-paths8": f"vars: {' '.join(names)}\n" + "\n".join(paths) + "\n"}
+    files.update((name, nine_variable_set(seed)) for name, seed in NINE_SEEDS.items())
     return files
 
 
@@ -278,11 +308,27 @@ def main(argv=None) -> int:
             runs.extend((f"{name}: {' '.join(call[:1] + call[2:])}", call, (), {})
                         for call in make_calls(str(path)))
 
-        for name, text in files.items():
+        def answers_for(name: str, text: str) -> str:
             names = text.splitlines()[0].split()[1:]  # each of these has a vars: header
             answers = work / f"{name}.answers.json"
             answers.write_text(json.dumps({n: rng.random() < 0.5 for n in names}))
-            add(name, text, lambda path: calls(path, str(answers)))
+            return str(answers)
+
+        for name, text in files.items():
+            answers = answers_for(name, text)
+            add(name, text, lambda path: calls(path, answers))
+        wide = wide_exact(random.Random(SEED + 3))
+        for family in (["path", "12"], ["psi", "1"]):
+            code, text, err = run(args.old, ["family", *family], work)
+            if code != 0:
+                print(f"family {' '.join(family)} failed in {args.old}: {err.strip()}",
+                      file=sys.stderr)
+                return 1
+            wide["-".join(family)] = text
+        for name, text in wide.items():
+            answers = answers_for(name, text)
+            add(name, text, lambda path: [["strategy", path, "--out", "json"],
+                                          ["probe", path, "--answers", answers]])
         # past the default cap, greedy on psi(2) would only be the cap error
         runs.append(("psi2: strategy --out json --greedy with PROBEDEPTH_CAP=22",
                      ["strategy", str(work / "psi2.txt"), "--out", "json", "--greedy"], (),
