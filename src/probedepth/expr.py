@@ -26,7 +26,7 @@ import re
 import string
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 DEFAULT_TABLE_CAP = 20
 
@@ -531,27 +531,36 @@ class TruthTable:
 
 
 @functools.cache
-def variable_masks(m: int) -> tuple[int, ...]:
-    """For each position p < m, the table mask of the projection function x_p.
-    Cached per m, since every table build and search set-up asks for it;
-    callers keep m within a table cap, so the cache stays small."""
-    masks = []
-    size = 1 << m
-    for p in range(m):
-        mask = ((1 << (1 << p)) - 1) << (1 << p)  # one period: upper half set
-        length = 1 << (p + 1)
-        while length < size:
-            mask |= mask << length
-            length <<= 1
-        masks.append(mask)
-    return tuple(masks)
+def table_frame(m: int) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
+    """The masks of tables over m variables: the full row set, the rows where
+    each variable is set, the rows of even weight, and for each variable j
+    below the top the rows with x_j = 1 and x_(j+1) = 0, which a δ-swap of
+    the two exchanges with their partners (Knuth, TAOCP 4A §7.1.3).  The
+    rows over m variables are the rows over m - 1 twice, the top variable
+    clear and then set, so each width is built from the one below.  Cached
+    per width; callers keep m within a table cap, so the cache stays small."""
+    if m == 0:
+        return 1, (), 1, ()
+    full, masks, even, swaps = table_frame(m - 1)
+    d = 1 << (m - 1)
+    return (full | full << d, tuple([x | x << d for x in masks]) + (full << d,),
+            even | (full ^ even) << d, tuple([x | x << d for x in swaps]) + masks[-1:])
+
+
+def within_cap(support: Sequence, cap: int) -> Sequence:
+    """``support``, the variables a table is built over; raises
+    ``SupportTooLarge`` when there are more than ``cap`` of them."""
+    if len(support) > cap:
+        raise SupportTooLarge(f"support size {len(support)} exceeds cap {cap}")
+    return support
 
 
 @_nesting_guard("tabulate")
 def table_bits(node: Node, positions: dict[int, int], m: int) -> int:
     """Truth table of ``node`` over ``m`` variables placed by ``positions``
     (variable index -> bit position), as an integer of 2^m bits."""
-    return _bits(node, positions, variable_masks(m), (1 << (1 << m)) - 1)
+    full, masks = table_frame(m)[:2]
+    return _bits(node, positions, masks, full)
 
 
 def _bits(node: Node, positions: dict[int, int], masks: tuple[int, ...], full: int) -> int:
@@ -574,9 +583,7 @@ def _bits(node: Node, positions: dict[int, int], masks: tuple[int, ...], full: i
 
 def truth_table(e: Expression, cap: int = DEFAULT_TABLE_CAP) -> TruthTable:
     """Truth table over the expression's support, sorted by universe order."""
-    support = e.support_indices()
-    if len(support) > cap:
-        raise SupportTooLarge(f"support size {len(support)} exceeds cap {cap}")
+    support = within_cap(e.support_indices(), cap)
     positions = {idx: p for p, idx in enumerate(support)}
     bits = table_bits(e.root, positions, len(support))
     return TruthTable(tuple(e.universe.names[i] for i in support), bits)
@@ -594,9 +601,7 @@ def is_constant(e: Expression, cap: int = DEFAULT_TABLE_CAP) -> Optional[bool]:
 
 def equivalent(a: Expression, b: Expression, cap: int = DEFAULT_TABLE_CAP) -> bool:
     """Semantic equality, checked over the union of the two supports."""
-    names = sorted(set(a.support()) | set(b.support()))
-    if len(names) > cap:
-        raise SupportTooLarge(f"combined support {len(names)} exceeds cap {cap}")
+    names = within_cap(sorted(set(a.support()) | set(b.support())), cap)
     at = {n: p for p, n in enumerate(names)}
 
     def bits(e: Expression) -> int:

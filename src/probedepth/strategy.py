@@ -2,24 +2,26 @@
 
 The depth of a state is 0 when every member is constant, and otherwise
 ``1 + min over probes of the worse branch``.  One memoized, depth-bounded
-search decides "depth at most k?" and keeps the winning probe of each state
-it proves.  The exact depth comes from descending deepening over that
-search, and the witness diagram from its memo.  Variables outside every
-member's support never help, so positions index the combined support; a
-universe variable absent from all members makes the set non-evasive.
+search, ``_decide``, the one search core, decides "depth at most k?" and
+keeps the winning probe of each state it proves.  The exact depth comes
+from descending deepening over that search, and the witness diagram from
+its memo.  Variables outside every member's support never help, so
+positions index the combined support; a universe variable absent from all
+members makes the set non-evasive.
 
 The search and greedy keep one state form, residual functions: the
 positions some member still depends on, and tables over exactly those, the
 lowest position as the top table variable.  A probe restricts the tables
 (``_fix``) and drops every position no table depends on any more
 (``_compact``), so no state holds a dead position, none is probed, and a
-state with no positions is a leaf.  The search keeps the distinct members
-in one state and caps the combined support; greedy keeps each member as its
-own and caps only each member's support.  Both give the diagram builder
-their states as node keys.  Greedy scores its candidate probes from each
-member's flip rows (``_flips``), which give the positions the member keeps
-after each answer to each of its positions, and restricts only the probe
-it picks.
+state with no positions is a leaf.  ``expr.table_frame`` owns the table
+layout: the row masks of each width, which every helper here reads.  The
+search keeps the distinct members in one state and caps the combined
+support; greedy keeps each member as its own and caps only each member's
+support.  Both give the diagram builder their states as node keys.
+Greedy scores its candidate probes from each member's flip rows
+(``_flips``), which give the positions the member keeps after each answer
+to each of its positions, and restricts only the probe it picks.
 
 Diagrams.  A ``DecisionDiagram`` lists every node after the nodes it leads
 to and checks that order when it is built, so no diagram holds a cycle or
@@ -62,19 +64,15 @@ from .expr import (
     DEFAULT_TABLE_CAP,
     ExpressionSet,
     Node,
-    SupportTooLarge,
     Valuation,
     table_bits,
-    variable_masks,
+    table_frame,
+    within_cap,
 )
 
 
 class StrategyError(ValueError):
     """Base class for strategy-level errors."""
-
-
-class UniverseTooLarge(StrategyError):
-    pass
 
 
 class BudgetExceeded(StrategyError):
@@ -197,20 +195,6 @@ def _build(state: tuple, names: tuple[str, ...], choose: Callable,
     return len(nodes) - 1
 
 
-@cache
-def _frame(r: int) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
-    """The masks of tables over r variables: the full row set, the rows where
-    each variable is set, the rows of even weight, and for each variable j
-    below the top the rows with x_j = 1 and x_(j+1) = 0, which a δ-swap of
-    the two exchanges with their partners."""
-    masks = variable_masks(r)
-    even = 1  # by doubling: the upper half of each row block flips parity
-    for j in range(r):
-        even |= (((1 << (1 << j)) - 1) ^ even) << (1 << j)
-    swaps = tuple(masks[j] & ~masks[j + 1] for j in range(r - 1))
-    return (1 << (1 << r)) - 1, masks, even, swaps
-
-
 def _table(node: Node, support: list[int]) -> int:
     """The table of ``node`` over the universe indices ``support``, in
     ascending order, the first as the top table variable."""
@@ -218,16 +202,24 @@ def _table(node: Node, support: list[int]) -> int:
     return table_bits(node, {idx: k - 1 - q for q, idx in enumerate(support)}, k)
 
 
+def _swap(t: int, r: int, js: range) -> int:
+    """The table ``t`` over r variables with variables j and j + 1 exchanged
+    for each j of ``js`` in turn, each by a δ-swap (Knuth, TAOCP 4A
+    §7.1.3)."""
+    swaps = table_frame(r)[3]
+    for j in js:
+        d = 1 << j
+        y = (t ^ t >> d) & swaps[j]
+        t ^= y | y << d
+    return t
+
+
 def _fix(t: int, r: int, q: int, a: bool) -> int:
     """The table ``t`` over r variables with variable q set to ``a``, over the
-    other r - 1 in their order: q moves to the top by adjacent δ-swaps
-    (Knuth, TAOCP 4A §7.1.3), and the half where it reads ``a`` stays."""
+    other r - 1 in their order: q moves to the top by adjacent δ-swaps, and
+    the half where it reads ``a`` stays."""
     if q < r - 1:
-        swaps = _frame(r)[3]
-        for j in range(q, r - 1):
-            d = 1 << j
-            y = (t ^ t >> d) & swaps[j]
-            t ^= y | y << d
+        t = _swap(t, r, range(q, r - 1))
     half = 1 << (r - 1)
     return t >> half if a else t & ((1 << half) - 1)
 
@@ -239,7 +231,7 @@ def _flips(t: int, r: int) -> tuple[int, ...]:
     row j is non-empty.  Flipping x_j leaves every other variable as it is,
     so ``t`` with variable q != j set to ``a`` depends on j exactly when
     flip row j meets the rows where x_q reads ``a``."""
-    masks = _frame(r)[1]
+    masks = table_frame(r)[1]
     return tuple([(t ^ t << (1 << j)) & masks[j] for j in range(r)])
 
 
@@ -249,7 +241,7 @@ def _kept(held: int, tables: tuple[int]) -> dict[int, tuple[int, int]]:
     false, read from the table's flip rows without restricting it."""
     (t,) = tables
     r = held.bit_count()
-    full, masks = _frame(r)[:2]
+    full, masks = table_frame(r)[:2]
     flips = _flips(t, r)
     bits, rest = [], held  # each table variable's position bit, the top variable first
     while rest:
@@ -269,7 +261,7 @@ def _compact(held: int, tables: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     table variable, without the positions that no table depends on: those
     positions and the tables over the rest."""
     r = held.bit_count()
-    masks, rest = _frame(r)[1], held
+    masks, rest = table_frame(r)[1], held
     for q in reversed(range(r)):  # q's position is the lowest in rest
         d, m = 1 << q, masks[q]
         for t in tables:
@@ -318,15 +310,9 @@ def _spread(held: int, tables: tuple[int, ...], n: int) -> tuple[int, tuple[int,
     for x in reversed(range(first + 1, n)):  # x's variable is n - 1 - x
         if held >> x & 1:
             continue
-        swaps, wider = _frame(r + 1)[3], []
-        for t in tables:
-            t |= t << (1 << r)
-            for j in reversed(range(n - 1 - x, r)):
-                d = 1 << j
-                y = (t ^ t >> d) & swaps[j]
-                t ^= y | y << d
-            wider.append(t)
-        tables, r = tuple(wider), r + 1
+        down = range(r - 1, n - 2 - x, -1)
+        tables = tuple([_swap(t | t << (1 << r), r + 1, down) for t in tables])
+        r += 1
     return n - first, tables
 
 
@@ -349,7 +335,7 @@ def _refuted(tables: tuple[int, ...], r: int, k: int) -> bool:
     one need checking.  The rule refutes only states the search would
     refute anyway, so proved states keep their first winning probe.
     """
-    full, masks, even, _ = _frame(r)
+    full, masks, even, _ = table_frame(r)
     classes = [full]
     for t in tables:  # each table splits every class c into c & t and the rest
         for i in range(len(classes)):
@@ -384,8 +370,18 @@ _REFUTED = -1
 
 def _decide(memo: dict[tuple, int], budget: Optional[int], held: int,
             tables: tuple[int, ...], k: int) -> bool:
-    """Does the state ``(held, tables)`` have depth at most ``k``?  Records
-    its verdict in ``memo`` as ``_Search`` describes."""
+    """Does the state ``(held, tables)`` have depth at most ``k``?  Tries the
+    state's positions from the lowest up, and refutes by ``_refuted`` first.
+
+    Each state after ``_root``'s is a ``_restrict``, so the tables stay as
+    wide as the state's own positions.  ``memo`` maps the key
+    ``(k, r, tables)`` of each state searched, k its budget and r its number
+    of positions, to its winning probe, the rank of the position among the
+    state's from the lowest, or to ``_REFUTED``.  Equal keys have equal
+    verdicts, so one memo serves every round, and its size counts the
+    states explored; ``budget`` caps it.  States with r <= k, or with
+    k = 0 < r, are decided without an entry.
+    """
     r = held.bit_count()
     if r <= k:
         return True
@@ -411,95 +407,77 @@ def _decide(memo: dict[tuple, int], budget: Optional[int], held: int,
     return False
 
 
-class _Search:
-    """Depth-bounded minimax search over the members' residual functions.
+def _root(s: ExpressionSet, cap: int) -> tuple[tuple[str, ...], list[int], tuple]:
+    """The search's start: the names of the positions, which index the
+    combined support, each member's table over all of it, and the root
+    state, ``_compact`` of the distinct tables."""
+    combined = within_cap(s.support_indices(), cap)
+    members = [_table(member.root, combined) for member in s.members]
+    # equal tables split alike, so the state keeps each distinct one once
+    root = _compact((1 << len(combined)) - 1, tuple(dict.fromkeys(members)))
+    return tuple(s.universe.names[i] for i in combined), members, root
 
-    Every member is tabulated over the combined support, and the root is
-    ``_compact`` of the distinct tables over all of it; each state after it
-    is a ``_restrict``, ``(held, tables)``, so the tables stay as wide as
-    the state's own positions.  ``memo`` maps the key ``(k, r, tables)`` of
-    each state searched, k its budget and r its number of positions, to its
-    winning probe, the rank of the position among the state's from the
-    lowest, or to ``_REFUTED``.  Equal keys have equal verdicts, so one memo
-    serves every round, and its size counts the states explored; ``budget``
-    caps it.  States with r <= k, or with k = 0 < r, are decided without
-    an entry.
+
+def _witness(names: tuple[str, ...], members: list[int], memo: dict[tuple, int],
+             root: tuple, depth: int) -> DecisionDiagram:
+    """The diagram of the memo's proof of ``depth``: one node per state and
+    budget, the budget capped at the state's r.
+
+    A state with r above its budget k is the key ``(k, held, tables)`` of
+    ``_decide``; it probes the memo's position, and its children come from
+    ``_restrict``.  A state with r within its budget probes its lowest
+    position, and so do all the states after it, so it is its level form
+    ``(w, tables)`` of ``_spread``: probing takes each table's halves, and
+    ``_skip_dead`` finds the child's lowest position, without ``_fix`` or
+    ``_compact``.  The two forms determine each other, so equal states share
+    one node.
     """
+    slot = {t: i for i, t in enumerate(dict.fromkeys(members))}
+    labels = [slot[t] for t in members]
+    n = len(names)
 
-    def __init__(self, s: ExpressionSet, cap: int, budget: Optional[int] = None):
-        combined = s.support_indices()
-        if len(combined) > cap:
-            raise UniverseTooLarge(f"support size {len(combined)} exceeds cap {cap}")
-        self.names = tuple(s.universe.names[i] for i in combined)
-        self.members = [_table(member.root, combined) for member in s.members]
-        # equal tables split alike, so the state keeps each distinct one once
-        self.root = _compact((1 << len(combined)) - 1, tuple(dict.fromkeys(self.members)))
-        self.memo: dict[tuple, int] = {}
-        self.budget = budget
+    def choose(state: tuple) -> Union[Leaf, tuple[int, tuple, tuple]]:
+        if len(state) == 2:  # level form: probe the top variable
+            w, tables = state
+            if not w:
+                return Leaf(tuple([tables[i] == 1 for i in labels]))
+            half = 1 << (w - 1)
+            low = (1 << half) - 1
+            return (n - w, _skip_dead(w - 1, tuple([t >> half for t in tables])),
+                    _skip_dead(w - 1, tuple([t & low for t in tables])))
+        k, held, tables = state
+        rest = held
+        for _ in range(memo[k, held.bit_count(), tables]):
+            rest &= rest - 1
+        p = (rest & -rest).bit_length() - 1
+        after = [_restrict(held, tables, p, a) for a in (True, False)]
+        return p, *(_spread(h, t, n) if h.bit_count() < k else (k - 1, h, t)
+                    for h, t in after)
 
-    def within(self, k: int) -> bool:
-        """Is the minimax depth at most ``k``?  Tries the positions of each
-        state from the lowest up, and refutes by ``_refuted`` first."""
-        return _decide(self.memo, self.budget, *self.root, k)
-
-    def witness(self, depth: int) -> DecisionDiagram:
-        """The diagram of the memo's proof of ``depth``: one node per state
-        and budget, the budget capped at the state's r.
-
-        A state with r above its budget k is the key ``(k, held, tables)``
-        of ``_decide``; it probes the memo's position, and its children come
-        from ``_restrict``.  A state with r within its budget probes its
-        lowest position, and so do all the states after it, so it is its
-        level form ``(w, tables)`` of ``_spread``: probing takes each
-        table's halves, and ``_skip_dead`` finds the child's lowest
-        position, without ``_fix`` or ``_compact``.  The two forms determine
-        each other, so equal states share one node.
-        """
-        slot = {t: i for i, t in enumerate(dict.fromkeys(self.members))}
-        labels = [slot[t] for t in self.members]
-        n, memo = len(self.names), self.memo
-
-        def choose(state: tuple) -> Union[Leaf, tuple[int, tuple, tuple]]:
-            if len(state) == 2:  # level form: probe the top variable
-                w, tables = state
-                if not w:
-                    return Leaf(tuple([tables[i] == 1 for i in labels]))
-                half = 1 << (w - 1)
-                low = (1 << half) - 1
-                return (n - w, _skip_dead(w - 1, tuple([t >> half for t in tables])),
-                        _skip_dead(w - 1, tuple([t & low for t in tables])))
-            k, held, tables = state
-            rest = held
-            for _ in range(memo[k, held.bit_count(), tables]):
-                rest &= rest - 1
-            p = (rest & -rest).bit_length() - 1
-            after = [_restrict(held, tables, p, a) for a in (True, False)]
-            return p, *(_spread(h, t, n) if h.bit_count() < k else (k - 1, h, t)
-                        for h, t in after)
-
-        held, tables = self.root
-        return _diagram(self.names, choose, _spread(held, tables, n)
-                        if held.bit_count() <= depth else (depth, held, tables))
+    held, tables = root
+    return _diagram(names, choose, _spread(held, tables, n)
+                    if held.bit_count() <= depth else (depth, held, tables))
 
 
 def optimal_depth(s: ExpressionSet, budget: Optional[int] = None,
                   cap: int = DEFAULT_TABLE_CAP) -> DepthReport:
     """Exact minimum worst-case probe count for ``s`` with a witness diagram.
 
-    Descending deepening: ``within(k)`` for k = r - 1, r - 2, ... until the
+    Descending deepening: ``_decide`` at k = r - 1, r - 2, ... until the
     first refutation, r being the root's number of positions; depth r
     always holds.  A successful round stops at its first winning probe, so
     only the last round searches fully.  ``budget`` caps the explored states
     of all rounds together; exceeding it raises ``BudgetExceeded`` rather
     than returning an approximation.
     """
-    search = _Search(s, cap, budget)
-    depth = search.root[0].bit_count()
-    while depth > 0 and search.within(depth - 1):
+    names, members, root = _root(s, cap)
+    memo: dict[tuple, int] = {}
+    depth = root[0].bit_count()
+    while depth > 0 and _decide(memo, budget, *root, depth - 1):
         depth -= 1
     return DepthReport(depth=depth, n=s.n, evasive=(depth == s.n),
-                       explored_states=len(search.memo),
-                       witness=partial(search.witness, depth))
+                       explored_states=len(memo),
+                       witness=partial(_witness, names, members, memo, root, depth))
 
 
 def decide_depth_at_most(s: ExpressionSet, k: int, budget: Optional[int] = None,
@@ -507,7 +485,7 @@ def decide_depth_at_most(s: ExpressionSet, k: int, budget: Optional[int] = None,
     """DEC-BDD-DEPTH: is the depth of ``s`` at most ``k``?"""
     if k < 0:
         raise StrategyError("k must be non-negative")
-    return _Search(s, cap, budget).within(k)
+    return _decide({}, budget, *_root(s, cap)[2], k)
 
 
 def is_evasive(s: ExpressionSet, budget: Optional[int] = None,
@@ -547,13 +525,11 @@ def greedy_strategy(s: ExpressionSet, cap: int = DEFAULT_TABLE_CAP) -> DecisionD
     counts are then ORs of these sets and of the other members' positions,
     and only the chosen probe is restricted.
     """
-    supports = [m.support_indices() for m in s.members]
-    combined = sorted(set().union(*supports))
+    supports = [within_cap(m.support_indices(), cap) for m in s.members]
+    combined = s.support_indices()
     position = {idx: p for p, idx in enumerate(combined)}
     start = []
     for member, support in zip(s.members, supports):
-        if len(support) > cap:
-            raise SupportTooLarge(f"support size {len(support)} exceeds cap {cap}")
         held = sum(1 << position[idx] for idx in support)
         start.append(_compact(held, (_table(member.root, support),)))
 

@@ -67,7 +67,7 @@ class TestDepth:
         def unused(*_):
             raise AssertionError("depth built a witness diagram")
 
-        monkeypatch.setattr(strategy._Search, "witness", unused)
+        monkeypatch.setattr(strategy, "_witness", unused)
         f = write(tmp_path, "e.txt", "x & y | x & z\n")
         code, out, _ = run(capsys, "depth", f)
         assert code == 0

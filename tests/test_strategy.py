@@ -55,8 +55,19 @@ class TestExamples:
             strategy.decide_depth_at_most(s, -1)
 
     def test_universe_cap(self):
-        with pytest.raises(strategy.UniverseTooLarge):
+        with pytest.raises(ex.SupportTooLarge):
             strategy.optimal_depth(single("a & b & c"), cap=2)
+
+    def test_cap_refusal_is_one_error(self):
+        s = single("a & b & c")
+        for refuse in (lambda: strategy.optimal_depth(s, cap=2),
+                       lambda: strategy.decide_depth_at_most(s, 1, cap=2),
+                       lambda: strategy.is_evasive(s, cap=2),
+                       lambda: strategy.greedy_strategy(s, cap=2),
+                       lambda: ex.truth_table(s.members[0], cap=2)):
+            with pytest.raises(ex.SupportTooLarge) as refusal:
+                refuse()
+            assert str(refusal.value) == "support size 3 exceeds cap 2"
 
     def test_cap_counts_support_not_universe(self):
         # 25 universe variables, but the search tabulates only x0 and x1
@@ -277,14 +288,14 @@ class TestGreedySharing:
 
 
 class TestResidualTables:
-    """``_frame``, ``_fix`` and ``_compact``, the one state form of the search
-    and greedy, and the witness's level form of ``_spread`` and
+    """``ex.table_frame``, ``_fix`` and ``_compact``, the one state form of
+    the search and greedy, and the witness's level form of ``_spread`` and
     ``_skip_dead``, against enumerated rows, restriction of the syntax tree
     and a fresh truth table."""
 
-    @pytest.mark.parametrize("r", range(7))
+    @pytest.mark.parametrize("r", range(9))
     def test_frame_rows(self, r):
-        full, masks, even, swaps = strategy._frame(r)
+        full, masks, even, swaps = ex.table_frame(r)
         rows = range(1 << r)
         assert full == sum(1 << x for x in rows)
         assert masks == tuple(sum(1 << x for x in rows if x >> j & 1) for j in range(r))
@@ -433,9 +444,9 @@ class TestParityRule:
     def test_balanced_root_classes(self, text, depth):
         # parity cannot refute the root, so the search decides below it
         s = single(text)
-        held, (t,) = strategy._Search(s, cap=20).root
+        held, (t,) = strategy._root(s, 20)[2]
         r = held.bit_count()
-        full, _, even, _ = strategy._frame(r)
+        full, _, even, _ = ex.table_frame(r)
         assert r == s.n and 0 < t < full
         assert all(2 * (c & even).bit_count() == c.bit_count() for c in (t, full ^ t))
         assert not strategy._refuted((t,), r, r - 1)
