@@ -719,8 +719,13 @@ def _terms(node: Node, names: tuple[str, ...]) -> Iterable[frozenset]:
         for c in node.children:
             if type(c) is Var:
                 acc.add(frozenset([names[c.index]]))
-            else:
-                acc.update(_terms(c, names))
+                continue
+            if type(c) is And:  # an And of variables is one term
+                term = [names[v.index] for v in c.children if type(v) is Var]
+                if len(term) == len(c.children):
+                    acc.add(frozenset(term))
+                    continue
+            acc.update(_terms(c, names))
         return absorb(acc)
     # And: the term of its variables, times each other child's term set
     acc = [frozenset([names[c.index] for c in node.children if type(c) is Var])]

@@ -3,20 +3,24 @@
 A monotone 2-DNF is viewed as a graph: one edge per binary term, plus marks
 for singleton terms.  For acyclic graphs, non-evasiveness is equivalent to
 the existence of a recursively defined pattern.  A ``GraphDnf`` builds its
-adjacency once, in universe order, in the loop that checks its terms, and
-every walk reads it.  ``find_pattern`` is the one detector: it roots each
-edge component at its lowest variable in the breadth-first walk that finds
-the component, so the walk yields a spanning tree; the graph is a forest
-when those trees hold every edge.  On each tree it tries, a down pass
-computes per vertex whether it is special, has a special child and has a
-special grandchild; if the root is not special, one rerooting up pass
-computes the same flags towards each vertex's parent and so finds every
-vertex that is special as a root.  Both passes, and the witness built from
-one rooted tree, are O(n) overall.
+adjacency once, over universe positions, in the loop that checks its terms,
+and every walk reads it; names are read again only where a ``Pattern``
+node, a component's universe or a DOT line is written.  ``find_pattern`` is
+the one detector: it roots each edge component at its lowest variable in the
+breadth-first walk that finds the component, so the walk yields a spanning
+tree; the graph is a forest when those trees hold every edge.  On each tree
+it tries, a down pass counts per vertex the children that lack a special
+grandchild, that are special and that have a special child, which tell
+whether the vertex is special, has a special child and has a special
+grandchild; if the root is not special, one rerooting up pass adds the same
+for each vertex's parent's side and so finds every vertex that is special
+as a root.  Both passes, and the witness built from one rooted tree, are
+O(n) overall, over flat lists indexed in breadth-first order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,33 +41,47 @@ class GraphDnf:
     singletons: frozenset[str]
 
     def __post_init__(self):
-        # The loop that checks the edges builds the adjacency: each term
-        # variable's neighbours, keys and lists in universe order.  Not a
-        # field: equality, hashing and repr stay those of the terms.
-        adj: dict[str, list[str]] = {}
+        # The loop that checks the terms builds the adjacency over universe
+        # positions: entry i holds variable i's neighbours' positions,
+        # ascending, [] for a singleton term's variable and None for a
+        # variable in no term.  Not a field: equality, hashing and repr stay
+        # those of the terms.
+        at = self.universe._positions
+        adj: list[Optional[list[int]]] = [None] * len(at)
         for edge in self.edges:
             if len(edge) != 2:
                 raise GraphDnfError(f"edge must have two distinct endpoints: {set(edge)}")
             a, b = edge
-            self.universe.index(a)
-            self.universe.index(b)
-            adj.setdefault(a, []).append(b)
-            adj.setdefault(b, []).append(a)
+            try:
+                i, j = at[a], at[b]
+            except KeyError as missing:
+                self.universe.index(missing.args[0])  # raises the unknown-name error
+            if adj[i] is None:
+                adj[i] = [j]
+            else:
+                adj[i].append(j)
+            if adj[j] is None:
+                adj[j] = [i]
+            else:
+                adj[j].append(i)
         for v in self.singletons:
-            self.universe.index(v)
-            if v in adj:
+            i = self.universe.index(v)
+            if adj[i] is not None:
                 raise GraphDnfError(f"singleton variable {v!r} touches an edge")
-            adj[v] = []
-        at = self.universe.index
-        object.__setattr__(self, "_adjacency",
-                           {v: sorted(adj[v], key=at) for v in sorted(adj, key=at)})
+            adj[i] = []
+        for ends in adj:
+            if ends:
+                ends.sort()
+        object.__setattr__(self, "_adjacency", adj)
 
     def free_variables(self) -> tuple[str, ...]:
-        return tuple(n for n in self.universe.names if n not in self._adjacency)
+        return tuple(n for n, ends in zip(self.universe.names, self._adjacency) if ends is None)
 
     def to_monotone_dnf(self) -> MonotoneDnf:
-        terms = set(self.edges) | {frozenset([v]) for v in self.singletons}
-        return MonotoneDnf(self.universe, frozenset(terms))
+        # absorbed already: the edges are distinct pairs and no singleton
+        # touches one
+        return MonotoneDnf._of_absorbed(
+            self.universe, self.edges | {frozenset([v]) for v in self.singletons})
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -145,35 +163,36 @@ def from_monotone_dnf(d: MonotoneDnf) -> GraphDnf:
     return GraphDnf(d.universe, frozenset(edges), frozenset(singletons))
 
 
-_Tree = tuple[list[str], dict[str, list[str]]]  # BFS order, child lists
+_Tree = tuple[list[int], list[int]]  # BFS order, each vertex's parent's BFS index
 
 
-def _rooted_tree(adj: dict[str, list[str]], root: str) -> _Tree:
-    """BFS order and child lists of a spanning tree of ``root``'s component,
-    rooted at ``root``: a vertex's children are its neighbours not reached
-    before it."""
+def _rooted_tree(adj: list[Optional[list[int]]], root: int) -> _Tree:
+    """BFS order (positions) of a spanning tree of ``root``'s component,
+    rooted at ``root``, and each vertex's parent as a BFS index (-1 for the
+    root).  A vertex's children are its neighbours not reached before it;
+    they follow one another in BFS order, so ``parent`` is ascending."""
     bfs = [root]
-    children: dict[str, list[str]] = {root: []}
-    for v in bfs:  # grows while it is walked
-        kids = children[v]
+    parent = [-1]
+    seen = {root}
+    for i, v in enumerate(bfs):  # grows while it is walked
         for w in adj[v]:
-            if w not in children:
-                children[w] = []
-                kids.append(w)
+            if w not in seen:
+                seen.add(w)
                 bfs.append(w)
-    return bfs, children
+                parent.append(i)
+    return bfs, parent
 
 
-def _spanning_trees(adj: dict[str, list[str]]) -> list[_Tree]:
+def _spanning_trees(adj: list[Optional[list[int]]]) -> list[_Tree]:
     """The spanning tree of each component that holds an edge, rooted at its
-    lowest vertex, in the order of those roots (``adj`` keys are in universe
-    order)."""
+    lowest vertex, in the order of those roots."""
     trees: list[_Tree] = []
-    seen: set[str] = set()
-    for v in adj:
-        if adj[v] and v not in seen:
+    seen = bytearray(len(adj))
+    for v, ends in enumerate(adj):
+        if ends and not seen[v]:
             trees.append(_rooted_tree(adj, v))
-            seen.update(trees[-1][0])
+            for w in trees[-1][0]:
+                seen[w] = 1
     return trees
 
 
@@ -189,18 +208,20 @@ def is_acyclic(g: GraphDnf) -> bool:
 
 
 def components(g: GraphDnf) -> tuple[list[GraphDnf], tuple[str, ...]]:
-    """Edge-connected components plus singleton-term components; variables in
-    no term are returned separately as the free-variable set."""
+    """Edge-connected components plus singleton-term components, each kind
+    in universe order of its lowest variable; variables in no term are
+    returned separately as the free-variable set."""
     trees = _spanning_trees(g._adjacency)
-    at = {v: c for c, (bfs, _) in enumerate(trees) for v in bfs}
+    names, at = g.universe.names, g.universe._positions
+    tree_of = {v: c for c, (bfs, _) in enumerate(trees) for v in bfs}
     edges: list[list[frozenset[str]]] = [[] for _ in trees]
     for e in g.edges:
-        edges[at[next(iter(e))]].append(e)  # both endpoints are in one component
-    out = [GraphDnf(VariableUniverse(tuple(sorted(bfs, key=g.universe.index))),
+        edges[tree_of[at[next(iter(e))]]].append(e)  # both endpoints are in one tree
+    out = [GraphDnf(VariableUniverse(tuple(names[v] for v in sorted(bfs))),
                     frozenset(held), frozenset())
            for (bfs, _), held in zip(trees, edges)]
-    for v in g.singletons:
-        out.append(GraphDnf(VariableUniverse((v,)), frozenset(), frozenset([v])))
+    out += [GraphDnf(VariableUniverse((names[v],)), frozenset(), frozenset([names[v]]))
+            for v, ends in enumerate(g._adjacency) if ends == []]
     return out, g.free_variables()
 
 
@@ -226,100 +247,101 @@ def find_pattern(g: GraphDnf) -> Optional[Pattern]:
     free = g.free_variables()
     if free:
         return Pattern(free[0])
-    for bfs, children in trees:
-        root = bfs[0]
-        flags = _down_flags(bfs, children)
-        if flags[root][0]:
-            return _build_witness(root, children, flags, g.universe)
-        roots = _special_roots(bfs, children, flags)
+    for bfs, parent in trees:
+        counts = _down_counts(parent)
+        if not counts[0][0]:  # the root is special
+            return _build_witness(bfs, parent, counts[0], g.universe.names)
+        roots = _special_roots(parent, counts)
         if roots:
-            return _pattern_at(g, min(roots, key=g.universe.index))
+            return _pattern_at(g, min(bfs[i] for i in roots))
     return None
 
 
 def pattern_rooted_at(g: GraphDnf, root: str) -> Optional[Pattern]:
     """The witness pattern rooted at ``root`` for a connected acyclic
     all-binary-term graph DNF, or ``None`` if ``root`` is not special."""
-    if root not in g._adjacency:
+    v = g.universe._positions.get(root)
+    if v is None or g._adjacency[v] is None:
         raise GraphDnfError(f"variable {root!r} occurs in no edge")
-    return _pattern_at(g, root)
+    return _pattern_at(g, v)
 
 
-def _pattern_at(g: GraphDnf, root: str) -> Optional[Pattern]:
-    bfs, children = _rooted_tree(g._adjacency, root)
-    flags = _down_flags(bfs, children)
-    if not flags[root][0]:
+def _pattern_at(g: GraphDnf, root: int) -> Optional[Pattern]:
+    bfs, parent = _rooted_tree(g._adjacency, root)
+    lack = _down_counts(parent)[0]
+    if lack[0]:
         return None
-    return _build_witness(root, children, flags, g.universe)
+    return _build_witness(bfs, parent, lack, g.universe.names)
 
 
-_Flags = tuple[bool, bool, bool]  # special, has a special child, has a special grandchild
+# Per BFS index, three counts over a vertex's children: those with no
+# special grandchild, those that are special and those with a special child.
+# So a vertex is special when its first count is 0, has a special child when
+# its second is not, and has a special grandchild when its third is not.
+_Counts = tuple[list[int], list[int], list[int]]
 
 
-def _down_flags(bfs: list[str], children: dict[str, list[str]]) -> dict[str, _Flags]:
-    """The flags of every vertex of a rooted tree, bottom-up.  A vertex is
-    special when every child has a special grandchild, so a leaf is."""
-    flags: dict[str, _Flags] = {}
-    for v in reversed(bfs):
-        special, child, grand = True, False, False
-        for y in children[v]:
-            y_special, y_child, y_grand = flags[y]
-            special = special and y_grand
-            child = child or y_special
-            grand = grand or y_child
-        flags[v] = (special, child, grand)
-    return flags
+def _down_counts(parent: list[int]) -> _Counts:
+    """The counts of every vertex of a rooted tree, bottom-up: each vertex
+    adds its flags to its parent's counts.  A leaf counts nothing, so it is
+    special."""
+    k = len(parent)
+    lack, special, child = [0] * k, [0] * k, [0] * k
+    for i in range(k - 1, 0, -1):
+        p = parent[i]
+        if not child[i]:
+            lack[p] += 1
+        if not lack[i]:
+            special[p] += 1
+        if special[i]:
+            child[p] += 1
+    return lack, special, child
 
 
-def _special_roots(bfs: list[str], children: dict[str, list[str]],
-                   flags: dict[str, _Flags]) -> set[str]:
-    """Every vertex that is special when the tree is rerooted at it, from the
-    down flags of the tree rooted at ``bfs[0]``.
+def _special_roots(parent: list[int], counts: _Counts) -> list[int]:
+    """Every vertex that is special when the tree is rerooted at it, by BFS
+    index, from the down counts of the tree rooted at BFS index 0.
 
-    Top-down, each vertex gets the flags of its parent's side: the parent as
-    the root of the subtree that leaves the vertex out.  A vertex counts the
-    true flags over all its neighbours (children by their down flags, the
-    parent by its side's flags), so leaving one neighbour out costs O(1).  A
-    vertex is a special root iff every neighbour has a special grandchild
-    away from it."""
-    up: dict[str, _Flags] = {}
-    roots: set[str] = set()
-    for v in bfs:
-        kids = children[v]
-        sides = [flags[y] for y in kids]
-        if v in up:
-            sides.append(up[v])
-        n_special = n_child = n_grand = 0
-        for special, child, grand in sides:
-            n_special += special
-            n_child += child
-            n_grand += grand
-        if n_grand == len(sides):
-            roots.add(v)
-        for y in kids:
-            # v's side seen from y: v's other neighbours
-            special, child, grand = flags[y]
-            up[y] = (n_grand - grand == len(sides) - 1,
-                     n_special - special > 0,
-                     n_child - child > 0)
+    Top-down, each vertex adds to its counts the flags of its parent's side:
+    the parent as the root of the subtree that leaves the vertex out.  Its
+    counts then run over all its neighbours, so its parent's side, seen from
+    a child, is its counts less that child's flags.  A vertex is a special
+    root iff no neighbour lacks a special grandchild away from it.  The
+    counts are updated in place."""
+    lack, special, child = counts
+    roots = [] if lack[0] else [0]
+    for i in range(1, len(parent)):
+        p = parent[i]
+        # p's side seen from i: p's other neighbours
+        side_special = lack[p] - (not child[i]) == 0
+        side_child = special[p] - (not lack[i]) > 0
+        side_grand = child[p] - (special[i] > 0) > 0
+        lack[i] += not side_grand
+        special[i] += side_special
+        child[i] += side_child
+        if not lack[i]:
+            roots.append(i)
     return roots
 
 
-def _build_witness(root: str, children: dict[str, list[str]],
-                   flags: dict[str, _Flags], universe: VariableUniverse) -> Pattern:
+def _build_witness(bfs: list[int], parent: list[int], lack: list[int],
+                   names: tuple[str, ...]) -> Pattern:
     """The pattern of a special root: below each pattern node, for each of
     its children, the lowest special grandchild of that child."""
-    below: dict[str, list[str]] = {}
-    nodes = [root]
+    def kids(v: int) -> range:  # the BFS indices whose parent is v
+        return range(bisect_left(parent, v, v), bisect_left(parent, v + 1, v))
+
+    below: list[list[int]] = []
+    nodes = [0]
     for v in nodes:  # grows while it is walked, parents before children
-        below[v] = [min((w for z in children[y] for w in children[z] if flags[w][0]),
-                        key=universe.index)
-                    for y in children[v]]
-        nodes.extend(below[v])
-    built: dict[str, Pattern] = {}
-    for v in reversed(nodes):
-        built[v] = Pattern(v, tuple(built[w] for w in below[v]))
-    return built[root]
+        below.append([min((w for z in kids(y) for w in kids(z) if not lack[w]),
+                          key=bfs.__getitem__)
+                      for y in kids(v)])
+        nodes.extend(below[-1])
+    built: dict[int, Pattern] = {}
+    for v, lows in zip(reversed(nodes), reversed(below)):
+        built[v] = Pattern(names[bfs[v]], tuple(built[w] for w in lows))
+    return built[0]
 
 
 def decide_evasive_acyclic(d: MonotoneDnf, universe: Optional[VariableUniverse] = None) -> bool:
@@ -345,9 +367,8 @@ def to_dot(g: GraphDnf, pattern: Optional[Pattern] = None) -> str:
             attrs.append("fillcolor=lightblue")
         suffix = f" [{', '.join(attrs)}]" if attrs else ""
         lines.append(f"  {v}{suffix};")
-    done: set[str] = set()
-    for a, neighbours in g._adjacency.items():  # each edge from its lower end
-        done.add(a)
-        lines.extend(f"  {a} -- {b};" for b in neighbours if b not in done)
+    names = g.universe.names
+    for a, ends in enumerate(g._adjacency):  # each edge from its lower end
+        lines.extend(f"  {names[a]} -- {names[b]};" for b in ends or () if b > a)
     lines.append("}")
     return "\n".join(lines) + "\n"

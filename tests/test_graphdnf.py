@@ -1,6 +1,10 @@
 """Unit and property tests for the acyclic 2-DNF pattern detector."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,9 +23,11 @@ def dnf_of(text: str) -> MonotoneDnf:
 
 class TestConstruction:
     def test_from_monotone_dnf(self):
-        g = graphdnf.from_monotone_dnf(dnf_of("(a&b)|(b&c)|d"))
+        d = dnf_of("(a&b)|(b&c)|d")
+        g = graphdnf.from_monotone_dnf(d)
         assert g.edges == frozenset([frozenset("ab"), frozenset("bc")])
         assert g.singletons == frozenset("d")
+        assert g.to_monotone_dnf() == d
 
     def test_singleton_subsumes_incident_edges(self):
         # a | (a&b): absorption removes the edge before the graph is built
@@ -67,6 +73,23 @@ class TestConstruction:
         comps, free = graphdnf.components(g)
         assert len(comps) == 2
         assert free == ("d", "e")
+
+    def test_components_order_ignores_hash_seed(self):
+        # singleton-term components come in universe order, not in the
+        # iteration order of a set of names, which string hashing varies
+        script = ("import sys\n"
+                  "from probedepth import expr as ex, graphdnf\n"
+                  "d = ex.to_monotone_dnf(ex.parse_expressions(sys.argv[1]).members[0])\n"
+                  "comps, free = graphdnf.components(graphdnf.from_monotone_dnf(d))\n"
+                  "print([c.universe.names for c in comps], free)\n")
+        path = os.pathsep.join(filter(None, (str(Path(graphdnf.__file__).parents[1]),
+                                             os.environ.get("PYTHONPATH"))))
+        outs = {subprocess.run([sys.executable, "-c", script,
+                                "vars: h g b f a e c d\n(a&b)|c|d|e|f|g"],
+                               env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed),
+                               capture_output=True, text=True, timeout=60, check=True).stdout
+                for seed in ("1", "2")}
+        assert outs == {"[('b', 'a'), ('g',), ('f',), ('e',), ('c',), ('d',)] ('h',)\n"}
 
     def test_many_one_edge_components(self):
         names = [f"v{i}" for i in range(4000)]
@@ -281,6 +304,67 @@ class TestPatternDetection:
             fast = graphdnf.decide_evasive_acyclic(dnf)
             s = ExpressionSet(universe, (dnf.to_expression(),))
             assert fast == strategy.is_evasive(s)
+
+
+class TestDetectorText:
+    """Witnesses as text, for headers out of alphabetical order: a walk that
+    takes a position for a name, or orders vertices by name, prints another
+    witness."""
+
+    @pytest.mark.parametrize("text, expected", [
+        # c's component comes first and has no special root; p-q-r-s is
+        # rooted at q, which is not, and of its special roots s comes first
+        ("vars: c q a s b r p\n(a&b)|(b&c)|(p&q)|(q&r)|(r&s)", "s -> (p)"),
+        # the free variables z and x: z comes first
+        ("vars: d z b a c x\n(a&b)|(b&c)|(c&d)", "z"),
+        # the singleton terms h and g come first and are no witness; the
+        # path a-b-c-d is rooted at c, and d comes before a
+        ("vars: h g c d a b\n(a&b)|(b&c)|(c&d)|g|h", "d -> (a)"),
+    ])
+    def test_witness(self, text, expected):
+        g = graphdnf.from_monotone_dnf(dnf_of(text))
+        assert str(graphdnf.find_pattern(g)) == expected
+
+    def test_witness_of_every_root(self):
+        # a 24-vertex tree beside the singleton terms s1 and s0: a pattern
+        # node's child is the lowest special grandchild in universe order
+        g = graphdnf.from_monotone_dnf(dnf_of(
+            "vars: s1 v11 v17 v3 v4 v16 s0 v21 v1 v19 v22 v10 v14 v23 v20 v9 v15 v2 v18 "
+            "v12 v5 v8 v13 v6 v0 v7\n"
+            "(v0&v14)|(v1&v5)|(v2&v19)|(v3&v18)|(v4&v8)|(v5&v3)|(v6&v23)|(v7&v12)|"
+            "(v8&v11)|(v9&v22)|(v10&v23)|(v11&v15)|(v12&v17)|(v13&v20)|(v14&v7)|"
+            "(v15&v7)|(v16&v0)|(v17&v3)|(v18&v23)|(v19&v16)|(v20&v1)|(v21&v20)|"
+            "(v22&v11)|s1|s0"))
+        witnesses = {
+            "s1": "s1", "s0": "s0",
+            "v4": "v4 -> (v15 -> (v0 -> (v2)))",
+            "v21": "v21 -> (v5 -> (v12 -> (v0 -> (v2))))",
+            "v9": "v9 -> (v15 -> (v0 -> (v2)))",
+            "v15": "v15 -> (v4, v0 -> (v2))",
+            "v2": "v2 -> (v0 -> (v15 -> (v4)))",
+            "v12": "v12 -> (v5 -> (v21), v0 -> (v2))",
+            "v5": "v5 -> (v12 -> (v0 -> (v2)), v21)",
+            "v13": "v13 -> (v5 -> (v12 -> (v0 -> (v2))))",
+            "v0": "v0 -> (v2, v15 -> (v4))",
+        }
+        assert {v: str(graphdnf.pattern_rooted_at(g, v)) for v in g.universe.names} == {
+            v: witnesses.get(v, "None") for v in g.universe.names}
+        assert str(graphdnf.find_pattern(g)) == witnesses["v4"]
+
+    def test_long_path_witness(self):
+        # the path x0-x1-...-x300 over the universe x1, x38, x75, ... (x of
+        # 37i + 1 mod 301): x1, rooted first, is not special, and the first
+        # special root, x75, has a branch towards each end
+        g = GraphDnf(VariableUniverse(tuple(f"x{(37 * i + 1) % 301}" for i in range(301))),
+                     frozenset(frozenset((f"x{i}", f"x{i + 1}")) for i in range(300)),
+                     frozenset())
+
+        def chain(ends):
+            labels = [f"x{i}" for i in range(*ends, 3 if ends[1] > ends[0] else -3)]
+            return " -> (".join(labels) + ")" * (len(labels) - 1)
+
+        assert str(graphdnf.find_pattern(g)) == (
+            f"x75 -> ({chain((72, -1))}, {chain((78, 301))})")
 
 
 class TestTreegen:

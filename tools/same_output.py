@@ -25,7 +25,9 @@ large files without a ``vars:`` header, a 300-edge tree 2-DNF and a
 ``--json``, and ``factor``.  Three forests for the acyclic
 detector get ``evasive`` plain and with ``--json``: one whose later
 component holds the first special root, one with a free variable, and a
-triangle beside a path past the cap (exit 1).  Malformed files get
+triangle beside a path past the cap (exit 1).  One more forest, with a
+header out of alphabetical order, singleton terms and a free variable, also
+gets ``evasive --method acyclic``.  Malformed files get
 ``depth --json`` and ``evasive``, so that parse errors are compared.  It also runs ``family``
 for psi 0-3, path 1-12 and 400, and ``and`` and ``or`` 1-5, and ``prov eval``
 on the shipped fixtures.  ``prov eval`` also runs two queries of its own on
@@ -178,6 +180,11 @@ FORESTS = {"forest-later-root": "vars: a b c q p r s\n(a&b)|(b&c)|(p&q)|(q&r)|(r
            "path-and-triangle": " | ".join(f"x{i}&x{i + 1}" for i in range(20))
                                 + " | t0&t1 | t1&t2 | t2&t0\n"}
 
+# A forest whose header is out of alphabetical order, with the singleton
+# terms t and e and the free variable f: an order of names in place of
+# positions, or a singleton taken for a free variable, changes the witness.
+MIXED_FOREST = "vars: t r f q a s b c p e\n(a&b)|(b&c)|(p&q)|(q&r)|(r&s)|t|e\n"
+
 # ``prov eval`` queries on the shipped fixture database, so that a selection
 # over a join is compared on its rows and on its per-row error: companies
 # with founders from U. Melbourne or acquired from 2018 on, and an education
@@ -282,8 +289,9 @@ def shape(doc: str) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("old", type=Path)
-    parser.add_argument("new", type=Path)
+    # the calls run in a work directory, so a relative checkout is resolved
+    parser.add_argument("old", type=lambda text: Path(text).resolve())
+    parser.add_argument("new", type=lambda text: Path(text).resolve())
     args = parser.parse_args(argv)
     rng = random.Random(SEED)
     differences = total = 0
@@ -338,6 +346,9 @@ def main(argv=None) -> int:
                                           ["factor", path]])
         for name, text in FORESTS.items():
             add(name, text, lambda path: [["evasive", path], ["evasive", path, "--json"]])
+        add("forest-mixed", MIXED_FOREST,
+            lambda path: [["evasive", path], ["evasive", path, "--json"],
+                          ["evasive", path, "--method", "acyclic"]])
         for name, text in MALFORMED.items():
             add(name, text, lambda path: [["depth", path, "--json"], ["evasive", path]])
         fixtures = args.old / "src" / "probedepth" / "fixtures"
