@@ -9,8 +9,14 @@ it directly as it reads, and the generated families are written as text and
 parsed.
 
 Reading is near-linear in the input.  One compiled regular expression
-(``_TOKEN_RE``) splits the text into token strings; a token's line and
-column are computed from its offset only when a ``ParseError`` is raised.
+(``_TOKEN_RE``) splits the text into token strings: each match is an
+identifier, a comment or one other non-blank character, so blanks cost no
+match, and comments are dropped afterwards.  A token's line and column are
+computed from its offset only when a ``ParseError`` is raised.  ``Var``
+nodes are shared, one per index (``var_node``), by the parser, DNF
+printing, restriction and factoring.  A ``VariableUniverse`` checks all its
+names with one match of the names joined by spaces; only when that fails
+does it look at each name, to report the first bad or repeated one.
 ``Expression`` checks its indices in one walk that also stores the support
 and whether a ``Not`` occurs: ``support_indices`` reads the stored support,
 and ``to_monotone_dnf`` simplifies before expanding only when there is a
@@ -31,6 +37,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 DEFAULT_TABLE_CAP = 20
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_NAMES_RE = re.compile(rf"{_IDENT_RE.pattern}(?: {_IDENT_RE.pattern})*")
 
 
 class ExprError(ValueError):
@@ -72,13 +79,19 @@ class VariableUniverse:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        positions: dict[str, int] = {}
-        for i, name in enumerate(self.names):
-            if not _IDENT_RE.fullmatch(name):
-                raise ExprError(f"invalid variable name: {name!r}")
-            if name in positions:
-                raise ExprError(f"duplicate variable name: {name!r}")
-            positions[name] = i
+        try:  # one match checks every name; a name holding " " adds a separator
+            joined = " ".join(self.names)
+            valid = _NAMES_RE.fullmatch(joined) and joined.count(" ") == len(self.names) - 1
+        except TypeError:  # a name that is not a string
+            valid = False
+        positions = dict(zip(self.names, range(len(self.names)))) if valid else {}
+        if len(positions) < len(self.names):  # report the first bad or repeated name
+            seen: dict[str, int] = {}
+            for i, name in enumerate(self.names):
+                if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
+                    raise ExprError(f"invalid variable name: {name!r}")
+                if seen.setdefault(name, i) != i:
+                    raise ExprError(f"duplicate variable name: {name!r}")
         # not a field: equality, hashing and repr stay those of ``names``
         object.__setattr__(self, "_positions", positions)
 
@@ -107,6 +120,12 @@ class Const:
 @dataclass(frozen=True)
 class Var:
     index: int
+
+
+# One shared ``Var`` node per index.  ``Var`` is immutable, so sharing
+# changes no tree, comparison or hash; callers pass ints only, since
+# ``True == 1`` as a key.
+var_node = functools.cache(Var)
 
 
 @dataclass(frozen=True)
@@ -237,11 +256,10 @@ def walk(node: Node) -> Iterator[Node]:
 
 # --- parsing ----------------------------------------------------------------
 
-# One match per token: the blanks and the comment before it, then the token,
-# an identifier or any other single character, or the empty string at the end
-# of the text.  The next match starts where one ends, so ``findall`` skips
-# no character.
-_TOKEN_RE = re.compile(rf"[ \t\r]*(?:#[^\n]*)?({_IDENT_RE.pattern}|[^ \t\r#]|\Z)")
+# One match per token: an identifier, a comment or any other non-blank
+# character.  Blanks (space, tab, carriage return) match nothing, so
+# ``findall`` skips them.
+_TOKEN_RE = re.compile(rf"{_IDENT_RE.pattern}|#[^\n]*|[^ \t\r]")
 _PUNCT = frozenset("&|!();:01\n")
 _NOT_NAME = _PUNCT | {""}  # every other token is an identifier
 _TOKEN_START = _PUNCT | frozenset(string.ascii_letters + "_")
@@ -249,9 +267,12 @@ _FALSE, _TRUE = Const(False), Const(True)
 
 
 def _tokenize(text: str) -> list[str]:
-    """The token strings of ``text``, ending in ``""``; a character that
-    starts no token is an error, wherever it is."""
+    """The token strings of ``text`` without its comments, ending in ``""``;
+    a character that starts no token is an error, wherever it is."""
     tokens = _TOKEN_RE.findall(text)
+    if "#" in text:
+        tokens = [t for t in tokens if t[0] != "#"]
+    tokens.append("")
     bad = [t for t in set(tokens) if t and t[0] not in _TOKEN_START]
     if bad:
         k = min(map(tokens.index, bad))
@@ -260,18 +281,20 @@ def _tokenize(text: str) -> list[str]:
 
 
 def _position(text: str, k: int) -> tuple[int, int]:
-    """Line and column of token ``k`` of ``text``.  A token after a comment,
-    a newline or the end, takes the comment's column."""
-    m = next(itertools.islice(_TOKEN_RE.finditer(text), k, None))
-    comment = m.group().find("#")
-    at = m.start() + comment if comment >= 0 else m.start(1)
+    """Line and column of token ``k`` of ``text``.  The comments are cut out
+    first: each runs to the end of its line, so that moves only the token
+    after it, a newline or the end, and that token takes its column."""
+    text = re.sub("#[^\n]*", "", text)
+    m = next(itertools.islice(_TOKEN_RE.finditer(text), k, None), None)
+    at = len(text) if m is None else m.start()
     return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)
 
 
 class _Parser:
     """Recursive-descent parser for the expression file grammar.  It builds
     ``Node`` trees as it reads, numbering variables by the ``vars:`` header,
-    or else in order of first occurrence; each name has one ``Var`` node.
+    or else in order of first occurrence; each name has its index's shared
+    ``Var`` node.
     An undeclared name is reported only once the whole file has parsed, so
     that a syntax error anywhere wins."""
 
@@ -319,7 +342,7 @@ class _Parser:
                 name = tokens[self.pos]
                 if name in self.vars:
                     raise self.error(f"duplicate variable in vars header: {name!r}")
-                self.vars[name] = Var(len(self.vars))
+                self.vars[name] = var_node(len(self.vars))
                 self.pos += 1
             if tokens[self.pos] not in ("\n", ""):
                 raise self.error("expected variable name or end of header")
@@ -372,8 +395,7 @@ class _Parser:
         if self.declared:
             self.undeclared = self.undeclared or tok
             return _FALSE  # a stand-in: the file is rejected once it parses
-        node = self.vars[tok] = Var(len(self.vars))
-        return node
+        return self.vars.setdefault(tok, var_node(len(self.vars)))  # a new name
 
 
 def parse_expressions(text: str) -> ExpressionSet:
@@ -492,7 +514,7 @@ def _restrict_node(node: Node, removed: int, value: bool) -> Node:
     if isinstance(node, Var):
         if node.index < removed:
             return node
-        return Const(value) if node.index == removed else Var(node.index - 1)
+        return Const(value) if node.index == removed else var_node(node.index - 1)
     if isinstance(node, Not):
         return Not(_restrict_node(node.child, removed, value))
     children = tuple(_restrict_node(c, removed, value) for c in node.children)
@@ -564,21 +586,22 @@ def table_bits(node: Node, positions: dict[int, int], m: int) -> int:
 
 
 def _bits(node: Node, positions: dict[int, int], masks: tuple[int, ...], full: int) -> int:
-    if isinstance(node, Const):
-        return full if node.value else 0
-    if isinstance(node, Var):
-        return masks[positions[node.index]]
-    if isinstance(node, Not):
-        return full & ~_bits(node.child, positions, masks, full)
-    if isinstance(node, And):
+    # a Var child's mask is read in place, so a DNF costs one call per term
+    if type(node) is Or:
+        acc = 0
+        for c in node.children:
+            acc |= masks[positions[c.index]] if type(c) is Var else _bits(c, positions, masks, full)
+        return acc
+    if type(node) is And:
         acc = full
         for c in node.children:
-            acc &= _bits(c, positions, masks, full)
+            acc &= masks[positions[c.index]] if type(c) is Var else _bits(c, positions, masks, full)
         return acc
-    acc = 0
-    for c in node.children:
-        acc |= _bits(c, positions, masks, full)
-    return acc
+    if type(node) is Var:
+        return masks[positions[node.index]]
+    if type(node) is Not:
+        return full & ~_bits(node.child, positions, masks, full)
+    return full if node.value else 0
 
 
 def truth_table(e: Expression, cap: int = DEFAULT_TABLE_CAP) -> TruthTable:
@@ -685,7 +708,7 @@ class MonotoneDnf:
             return Expression(self.universe, Const(True))
         term_nodes = []
         for term in self.ordered_terms():
-            vs = [Var(i) for i in term]
+            vs = [var_node(i) for i in term]
             term_nodes.append(vs[0] if len(vs) == 1 else And(tuple(vs)))
         root = term_nodes[0] if len(term_nodes) == 1 else Or(tuple(term_nodes))
         return Expression(self.universe, root)

@@ -26,6 +26,7 @@ from .expr import (
     Or,
     Var,
     _nesting_guard,
+    var_node,
     to_monotone_dnf,
     walk,
 )
@@ -112,13 +113,13 @@ def _conj(parts: list[Node]) -> Node:
 def _factor(terms: list[frozenset[int]]) -> Optional[Node]:
     """The read-once form of ``terms``, sets of universe positions."""
     if len(terms) == 1:
-        return _conj([Var(i) for i in sorted(terms[0])])
+        return _conj([var_node(i) for i in sorted(terms[0])])
     common = frozenset.intersection(*terms)
     if common:
         rest = _factor([t - common for t in terms])
         if rest is None:
             return None
-        return _conj([Var(i) for i in sorted(common)] + [rest])
+        return _conj([var_node(i) for i in sorted(common)] + [rest])
     groups = _cooccurrence_groups(terms)
     if len(groups) == 1:
         return None

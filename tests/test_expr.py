@@ -1,6 +1,8 @@
 """Unit and property tests for the expression core."""
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import absorb_pairwise, all_valuations, random_expression
 from probedepth import expr as ex
-from probedepth import strategy
+from probedepth import readonce, strategy
 from probedepth.expr import (
     And,
     Const,
@@ -53,6 +55,9 @@ class TestParsing:
         s = ex.parse_expressions("# heading\na & b # trailing\n")
         assert len(s.members) == 1
 
+    def test_separator_after_comment(self):
+        assert len(ex.parse_expressions("a # c\n;").members) == 1
+
     def test_constants(self):
         assert parse_one("0").root == Const(False)
         assert parse_one("1 & a").root == And((Const(True), Var(0)))
@@ -60,6 +65,12 @@ class TestParsing:
     def test_undeclared_variable_rejected(self):
         with pytest.raises(ex.ExprError) as info:
             ex.parse_expressions("vars: a\na | b\nc\n")
+        assert type(info.value) is ex.ExprError  # not a ParseError
+        assert str(info.value) == "variable 'b' not declared in vars header"
+
+    def test_undeclared_after_header_comment(self):
+        with pytest.raises(ex.ExprError) as info:
+            ex.parse_expressions("vars: a # c\nb")
         assert type(info.value) is ex.ExprError  # not a ParseError
         assert str(info.value) == "variable 'b' not declared in vars header"
 
@@ -100,11 +111,52 @@ class TestParsing:
         ("((((a", "1:6: expected ')'"),
         ("a\n\n  )", "3:3: expected expression, found ')'"),
         ("!", "1:2: expected expression, found 'end of input'"),
+        # comments: a bad character on a later line, the end of the text
+        # after an operator, a comment holding '@' and '#', and ';' after one
+        ("a\n# c\n@", "3:1: unexpected character '@'"),
+        ("a | # c", "1:5: expected expression, found 'end of input'"),
+        ("a # c @ #\n)", "2:1: expected expression, found ')'"),
+        ("a # c\n; )", "2:3: expected expression, found ')'"),
     ])
     def test_parse_error_message(self, text, message):
         with pytest.raises(ex.ParseError) as info:
             ex.parse_expressions(text)
         assert str(info.value) == message
+
+    def test_var_nodes_are_shared(self):
+        # one node per index, from the parser, DNF printing, restriction and
+        # factoring
+        a = parse_one("x & y | z")
+        b = parse_one("vars: p q\nq")
+        dnf = ex.to_monotone_dnf(a)
+        restricted = ex.restrict(parse_one("w | x & y"), "w", False)
+        factored = readonce.factor_read_once(dnf)
+        assert b.root is a.root.children[0].children[1]
+        assert dnf.to_expression().root.children[0].children[0] is a.root.children[0].children[0]
+        assert restricted.root.children[1] is a.root.children[0].children[1]
+        assert factored.root.children[1] is a.root.children[1]
+
+    def test_var_nodes_shared_across_threads(self):
+        # threads filling the table at once may each make a node, but every
+        # node handed back is the one for its index
+        indices = range(10**6, 10**6 + 3000)
+        got = []
+
+        def fill():
+            got.append([ex.var_node(i) for i in indices])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=fill) for _ in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers) and len(got) == 4
+        assert all([node.index for node in nodes] == list(indices) for nodes in got)
 
     def test_deep_nesting_is_parse_error(self):
         # the column depends on the stack frames per level; only the text is pinned
@@ -389,6 +441,22 @@ class TestUniverseAndValuation:
     def test_duplicate_names_rejected(self):
         with pytest.raises(ex.ExprError):
             VariableUniverse(("a", "a"))
+
+    @pytest.mark.parametrize("names, message", [
+        ((1,), "invalid variable name: 1"),
+        (("a", None), "invalid variable name: None"),
+        (("",), "invalid variable name: ''"),
+        (("a b",), "invalid variable name: 'a b'"),
+        (("a", "b c"), "invalid variable name: 'b c'"),
+        (("1b",), "invalid variable name: '1b'"),
+        (("a", "1b", "a"), "invalid variable name: '1b'"),  # the first bad name wins
+        (("a", "a", "1b"), "duplicate variable name: 'a'"),
+    ])
+    def test_bad_names_rejected(self, names, message):
+        with pytest.raises(ex.ExprError) as info:
+            VariableUniverse(names)
+        assert type(info.value) is ex.ExprError
+        assert str(info.value) == message
 
     def test_valuation_must_be_total(self):
         u = VariableUniverse(("a", "b"))

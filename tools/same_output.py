@@ -28,7 +28,10 @@ component holds the first special root, one with a free variable, and a
 triangle beside a path past the cap (exit 1).  One more forest, with a
 header out of alphabetical order, singleton terms and a free variable, also
 gets ``evasive --method acyclic``.  Malformed files get
-``depth --json`` and ``evasive``, so that parse errors are compared.  It also runs ``family``
+``depth --json`` and ``evasive``, so that parse errors are compared; among
+them are errors around comments.  A well-formed file with comments, CRLF
+line endings and a ``vars:`` header gets ``depth --json`` and ``strategy
+--out json``.  It also runs ``family``
 for psi 0-3, path 1-12 and 400, and ``and`` and ``or`` 1-5, and ``prov eval``
 on the shipped fixtures.  ``prov eval`` also runs two queries of its own on
 the fixture database: a union of two selections over joins, and a selection
@@ -214,12 +217,24 @@ PROV_QUERIES = {
 }
 
 # Parse errors: positions after comments, tabs and CRLF, a bad character
-# after an earlier syntax error, and the header's own errors.
+# after an earlier syntax error, and the header's own errors.  The comment
+# inputs put a bad character on a line after a comment, end the text in a
+# comment after an operator, hide '@' and '#' in a comment before a syntax
+# error, put ';' after a comment, and end a header in a comment before an
+# undeclared name.
 MALFORMED = {"comment-newline": "a & # c\n", "tab-bad-char": "a\t@",
              "late-bad-char": "a & )\n@", "bad-digit": "vars: a\nb & 2",
              "crlf": "a\r\n& )", "empty-header": "vars:\n",
              "duplicate-header": "vars: a a\n", "extra-token": "a b",
-             "empty": "", "unclosed": "((((a"}
+             "empty": "", "unclosed": "((((a",
+             "comment-bad-char": "a\n# c\n@", "comment-end": "a | # c",
+             "comment-holds-at": "a # c @ #\n)", "comment-semicolon": "a # c\n;",
+             "comment-semicolon-error": "a # c\n; )",
+             "header-comment-undeclared": "vars: a # c\nb"}
+
+# A well-formed file with comments, CRLF line endings and a ``vars:`` header.
+COMMENTED = ("# heading\r\nvars: b a c # the order\r\n\r\n"
+             "(a & b) | !c # first\r\n#\r\nb | c ; a & c\r\n# the end")
 
 
 def run(checkout: Path, argv: list[str], cwd: Path,
@@ -351,6 +366,8 @@ def main(argv=None) -> int:
                           ["evasive", path, "--method", "acyclic"]])
         for name, text in MALFORMED.items():
             add(name, text, lambda path: [["depth", path, "--json"], ["evasive", path]])
+        add("commented", COMMENTED,
+            lambda path: [["depth", path, "--json"], ["strategy", path, "--out", "json"]])
         fixtures = args.old / "src" / "probedepth" / "fixtures"
         for fixture in ("acquisitions_db.json", "founder_institutes_query.json"):
             (work / fixture).write_bytes((fixtures / fixture).read_bytes())
