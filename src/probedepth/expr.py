@@ -171,13 +171,17 @@ class Expression:
         while stack:
             node = stack.pop()
             kind = type(node)
-            if kind is Var:
+            if kind is And or kind is Or:
+                for c in node.children:  # a Var child is read in place
+                    if type(c) is Var:
+                        support.add(c.index)
+                    else:
+                        stack.append(c)
+            elif kind is Var:
                 support.add(node.index)
             elif kind is Not:
                 negated = True
                 stack.append(node.child)
-            elif kind is not Const:
-                stack += node.children
         if support and not 0 <= min(support) <= max(support) < self.universe.n:
             first = next(node.index for node in walk(self.root) if isinstance(node, Var)
                          and not 0 <= node.index < self.universe.n)

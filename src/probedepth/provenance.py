@@ -8,8 +8,13 @@ linear in the inputs plus the output; an empty ``on`` is the cross product.
 A selection resolves its columns once, before the first row.  A selection
 directly above a join tests each matching pair before conjoining its
 annotations, since a selection never changes an annotation, so a pair it
-drops costs no conjunction.  A row seen once is stored as it is, without
-absorption; only a second annotation for the same row is absorbed.  The
+drops costs no conjunction.  A pair of single-term annotations conjoins to
+one term, which needs no absorption.  A row seen once is stored as it is,
+without absorption; only a second annotation for the same row is absorbed.
+``load_database`` checks a relation's tuples in bulk: one name match over
+all annotations and one type test over all values; only when a bulk check
+fails does it check tuple by tuple, so the first fault in document order is
+the one reported.  The
 reverse construction ``dnf_to_database`` packs any monotone k-DNF into a
 two-relation database plus a fixed k-ary join query whose single output row
 reproduces the DNF.  A database or query document nested too deeply to
@@ -19,13 +24,14 @@ read, or a query too deeply to evaluate or write, raises one
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
 
-from .expr import MonotoneDnf, Valuation, VariableUniverse, _IDENT_RE, absorb
+from .expr import MonotoneDnf, Valuation, VariableUniverse, _IDENT_RE, _NAMES_RE, absorb
 
 ValueType = Union[str, int]
 
@@ -252,23 +258,35 @@ def _join(q: Join, predicate: tuple[Atom, ...], left: tuple[tuple[str, ...], Row
     if overlap:
         raise QueryError(f"join inputs share column names: {sorted(overlap)}")
     pairs = [(_col_index(lcols, a), _col_index(rcols, b)) for a, b in q.on]
+    lkey, rkey = _key([i for i, _ in pairs]), _key([j for _, j in pairs])
     columns = lcols + rcols
     tests = [_atom_test(a, columns) for a in predicate]
     # hash join: right rows by their key, each list in input order
-    index: dict[tuple, list] = {}
+    index: dict = {}
     for rv, rt in rrows.items():
-        index.setdefault(tuple(rv[j] for _, j in pairs), []).append((rv, rt))
+        index.setdefault(rkey(rv), []).append((rv, rt))
     out: Rows = {}
     for lv, lt in lrows.items():
-        for rv, rt in index.get(tuple(lv[i] for i, _ in pairs), ()):
+        for rv, rt in index.get(lkey(lv), ()):
             # lv + rv is a new key: lv and rv are distinct keys of their inputs
             values = lv + rv
             for test in tests:
                 if not test(values):
                     break
             else:
-                out[values] = absorb(a | b for a in lt for b in rt)
+                if len(lt) == 1 == len(rt):  # one term needs no absorption
+                    (a,), (b,) = lt, rt
+                    out[values] = frozenset([a | b])
+                else:
+                    out[values] = absorb(a | b for a in lt for b in rt)
     return columns, out
+
+
+def _key(indices: list[int]) -> Callable[[tuple], object]:
+    """The join key of a row: its values at ``indices``, a single value
+    when there is one, and the same empty key for every row when there is
+    none."""
+    return operator.itemgetter(*indices) if indices else lambda values: ()
 
 
 def _eval(db: AnnotatedDatabase, q: Query) -> tuple[tuple[str, ...], Rows]:
@@ -388,22 +406,41 @@ def load_database(text: str) -> AnnotatedDatabase:
             if not isinstance(name, str):
                 raise SchemaError(f"relation name must be a string: {name!r}")
             columns = _strings(raw["columns"], "columns must be a list of strings")
-            tuples = []
-            for t in raw["tuples"]:
-                if not isinstance(t["values"], list):
-                    raise SchemaError(f"tuple values must be a list: {t['values']!r}")
-                values = tuple(t["values"])
-                annotation = t["annotation"]
-                if not _IDENT_RE.fullmatch(annotation):
-                    raise SchemaError(f"invalid annotation variable {annotation!r}")
-                for v in values:
-                    if not isinstance(v, (str, int)) or isinstance(v, bool):
-                        raise SchemaError(f"unsupported value {v!r}")
-                tuples.append(AnnotatedTuple(values, annotation))
+            tuples = _tuples(raw["tuples"])
         except (KeyError, TypeError) as exc:
             raise SchemaError(f"malformed relation entry: {exc}") from None
-        relations.append(Relation(name, columns, tuple(tuples)))
+        relations.append(Relation(name, columns, tuples))
     return AnnotatedDatabase(tuple(relations))
+
+
+def _tuples(raw) -> tuple[AnnotatedTuple, ...]:
+    """The tuples of one relation entry.  A relation of valid tuples passes
+    a few checks over all of them at once; any other falls back to the
+    check of each tuple in turn, which raises its first fault in document
+    order."""
+    try:
+        values = [t["values"] for t in raw]
+        annotations = [t["annotation"] for t in raw]
+        joined = " ".join(annotations)  # one match checks every annotation
+        if (_NAMES_RE.fullmatch(joined) and joined.count(" ") == len(annotations) - 1
+                and set(map(type, values)) == {list}
+                and set(map(type, itertools.chain.from_iterable(values))) <= {str, int}):
+            return tuple(map(AnnotatedTuple, map(tuple, values), annotations))
+    except (KeyError, TypeError):
+        pass
+    tuples = []
+    for t in raw:
+        if not isinstance(t["values"], list):
+            raise SchemaError(f"tuple values must be a list: {t['values']!r}")
+        values = tuple(t["values"])
+        annotation = t["annotation"]
+        if not isinstance(annotation, str) or not _IDENT_RE.fullmatch(annotation):
+            raise SchemaError(f"invalid annotation variable {annotation!r}")
+        for v in values:
+            if not isinstance(v, (str, int)) or isinstance(v, bool):
+                raise SchemaError(f"unsupported value {v!r}")
+        tuples.append(AnnotatedTuple(values, annotation))
+    return tuple(tuples)
 
 
 def dump_database(db: AnnotatedDatabase) -> str:

@@ -4,16 +4,19 @@ Overall read-once, non-simplifiable expression sets are evasive; this module
 provides the syntactic checks behind that sufficient condition and a
 factorization procedure that rewrites monotone prime-implicant DNFs into
 read-once form when the recursive common-factor/component split succeeds.
-``evasive_by_read_once`` is one pass over the members: one walk of each
-member's tree counts its variable occurrences and finds its constants, and a
-member that fails the check as written is factored, when it has no ``Not``.
-A factored form holds each of its DNF's variables once and no constant below
-its root, so it is never walked.
+``evasive_by_read_once`` is one pass over the members, decided over
+universe positions: one walk of each member's tree counts its variable
+leaves and finds its constants, and a member is read-once as written when
+its leaves are as many as its support.  A member that fails the check is
+factored, when it has no ``Not``, straight from its DNF terms as sets of
+positions; a factored form holds each of its DNF's variables once and no
+constant below its root, so only whether the terms factor is asked, and no
+factored ``Expression`` is built.  The set is overall read-once when the
+members' leaves sum to the size of the union of their variables.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Optional
 
 from .expr import (
@@ -23,45 +26,53 @@ from .expr import (
     ExpressionSet,
     MonotoneDnf,
     Node,
+    Not,
     Or,
     Var,
     _nesting_guard,
+    _terms,
     var_node,
-    to_monotone_dnf,
-    walk,
 )
 
 
-def _scan(e: Expression) -> tuple[Counter, bool]:
-    """One walk of ``e``'s tree: the occurrences of each variable index, and
-    whether a constant occurs below the root (``e`` is simplifiable)."""
-    counts: Counter = Counter()
+def _leaves(root: Node) -> tuple[int, bool]:
+    """One walk of the tree under ``root``: its number of ``Var`` leaves,
+    and whether a constant occurs below the root (it is simplifiable).  An
+    expression is read-once when its leaves are as many as its support."""
+    leaves = 0
     constant = False
-    for node in walk(e.root):
+    stack = [root]
+    while stack:
+        node = stack.pop()
         kind = type(node)
-        if kind is Var:
-            counts[node.index] += 1
-        elif kind is Const:
+        if kind is And or kind is Or:
+            for c in node.children:  # a Var child is counted in place
+                if type(c) is Var:
+                    leaves += 1
+                else:
+                    stack.append(c)
+        elif kind is Var:
+            leaves += 1
+        elif kind is Not:
+            stack.append(node.child)
+        else:
             constant = True
-    return counts, constant and type(e.root) is not Const
+    return leaves, constant and type(root) is not Const
 
 
 def is_read_once(e: Expression) -> bool:
     """Does every variable occur at most once in the syntax tree?"""
-    return all(c <= 1 for c in _scan(e)[0].values())
+    return _leaves(e.root)[0] == len(e.support_indices())
 
 
 def is_overall_read_once(s: ExpressionSet) -> bool:
     """Does every variable occur at most once across all members?"""
-    total: Counter = Counter()
-    for m in s.members:
-        total.update(_scan(m)[0])
-    return all(c <= 1 for c in total.values())
+    return sum(_leaves(m.root)[0] for m in s.members) == len(s.support_indices())
 
 
 def is_non_simplifiable(e: Expression) -> bool:
     """A constant, or an expression containing no constant occurrence."""
-    return not _scan(e)[1]
+    return not _leaves(e.root)[1]
 
 
 def evasive_by_read_once(s: ExpressionSet) -> Optional[bool]:
@@ -70,23 +81,41 @@ def evasive_by_read_once(s: ExpressionSet) -> Optional[bool]:
     occurs; ``None`` when inconclusive (never ``False``).
 
     A member that is not read-once and non-simplifiable as written is
-    rewritten via ``factor_read_once`` when it has no ``Not`` (evasiveness is
-    preserved under equivalence), else the test is inconclusive.
+    rewritten into its factored form when it has no ``Not`` (evasiveness is
+    preserved under equivalence), else the test is inconclusive.  The
+    factored form holds each variable of the member's DNF once, so only
+    whether the DNF factors is decided; the form itself is not built.
     """
-    total: Counter = Counter()
+    seen: set[int] = set()
+    occurrences = 0
     for m in s.members:
-        counts, simplifiable = _scan(m)
-        if simplifiable or any(c > 1 for c in counts.values()):
+        leaves, simplifiable = _leaves(m.root)
+        support = m.support_indices()
+        if simplifiable or leaves > len(support):
             if m._negated:
                 return None
-            d = to_monotone_dnf(m)
-            if factor_read_once(d) is None:
+            terms = _position_terms(m.root, s.n)
+            if not _factors(terms):
                 return None
-            counts = Counter(map(s.universe.index, set().union(*d.terms)))
-        total.update(counts)
-    if any(c > 1 for c in total.values()):
-        return None
-    return True if len(total) == s.n else None
+            support = frozenset().union(*terms)
+            leaves = len(support)
+        seen.update(support)
+        occurrences += leaves
+    return True if occurrences == len(seen) == s.n else None
+
+
+@_nesting_guard("expand")
+def _position_terms(root: Node, n: int) -> list[frozenset[int]]:
+    """The absorbed monotone DNF of a negation-free ``root`` over a universe
+    of ``n`` variables, its terms as sets of universe positions."""
+    return list(_terms(root, range(n)))
+
+
+@_nesting_guard("factor")
+def _factors(terms: list[frozenset[int]]) -> bool:
+    """Does the absorbed DNF ``terms`` have a read-once form?  Constants
+    have one."""
+    return not terms or frozenset() in terms or _factor(terms) is not None
 
 
 @_nesting_guard("factor")

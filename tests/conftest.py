@@ -190,6 +190,71 @@ def eval_nested(db, q):
     raise pv.QueryError(f"unknown query node: {q!r}")
 
 
+def load_database_tuple_by_tuple(text: str) -> pv.AnnotatedDatabase:
+    """``provenance.load_database`` as it checked every tuple in turn
+    before its bulk checks: the first fault in document order is raised,
+    except that an arity mismatch is raised only once its whole relation is
+    read (by ``Relation``)."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise pv.SchemaError(f"invalid JSON: {exc}") from None
+    if not isinstance(doc, dict) or not isinstance(doc.get("relations"), list):
+        raise pv.SchemaError('database document must be {"relations": [...]}')
+    relations = []
+    for raw in doc["relations"]:
+        try:
+            name = raw["name"]
+            if not isinstance(name, str):
+                raise pv.SchemaError(f"relation name must be a string: {name!r}")
+            columns = pv._strings(raw["columns"], "columns must be a list of strings")
+            tuples = []
+            for t in raw["tuples"]:
+                if not isinstance(t["values"], list):
+                    raise pv.SchemaError(f"tuple values must be a list: {t['values']!r}")
+                values = tuple(t["values"])
+                annotation = t["annotation"]
+                if not isinstance(annotation, str) or not ex._IDENT_RE.fullmatch(annotation):
+                    raise pv.SchemaError(f"invalid annotation variable {annotation!r}")
+                for v in values:
+                    if not isinstance(v, (str, int)) or isinstance(v, bool):
+                        raise pv.SchemaError(f"unsupported value {v!r}")
+                tuples.append(pv.AnnotatedTuple(values, annotation))
+        except (KeyError, TypeError) as exc:
+            raise pv.SchemaError(f"malformed relation entry: {exc}") from None
+        relations.append(pv.Relation(name, columns, tuple(tuples)))
+    return pv.AnnotatedDatabase(tuple(relations))
+
+
+def evasive_by_read_once_reference(s: ExpressionSet) -> Optional[bool]:
+    """The read-once verdict by its definition: count every variable
+    occurrence of each member; a member repeating a variable or holding a
+    constant below its root is replaced, when it has no ``Not``, by its
+    factored form's variables, or makes the verdict ``None`` when it does
+    not factor.  ``True`` when no variable occurs twice in all and every
+    universe variable occurs."""
+    from collections import Counter
+
+    from probedepth import readonce
+
+    total: Counter = Counter()
+    for m in s.members:
+        nodes = list(ex.walk(m.root))
+        counts = Counter(n.index for n in nodes if type(n) is Var)
+        simplifiable = type(m.root) is not Const and any(type(n) is Const for n in nodes)
+        if simplifiable or any(c > 1 for c in counts.values()):
+            if any(type(n) is Not for n in nodes):
+                return None
+            d = ex.to_monotone_dnf(m)
+            if readonce.factor_read_once(d) is None:
+                return None
+            counts = Counter(map(s.universe.index, set().union(*d.terms)))
+        total.update(counts)
+    if any(c > 1 for c in total.values()):
+        return None
+    return True if len(total) == s.n else None
+
+
 def naive_evasive(s: ExpressionSet) -> bool:
     return naive_depth(s) == s.n
 

@@ -5,9 +5,11 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (dnf_holds, eval_nested, fixture_text, random_annotated_db,
-                      random_monotone_dnf, random_spju_query)
+from conftest import (dnf_holds, eval_nested, fixture_text, load_database_tuple_by_tuple,
+                      random_annotated_db, random_monotone_dnf, random_spju_query)
 from probedepth import expr as ex
 from probedepth import provenance as pv
 from probedepth.expr import Valuation, VariableUniverse
@@ -544,6 +546,12 @@ class TestSerialization:
          "values must be a list"),
         ({"name": 7, "columns": ["a"], "tuples": []}, "name must be a string"),
         ({"name": ["R"], "columns": ["a"], "tuples": []}, "name must be a string"),
+        ({"name": "R", "columns": ["a"], "tuples": [{"values": ["v"], "annotation": 5}]},
+         "^invalid annotation variable 5$"),
+        ({"name": "R", "columns": ["a"], "tuples": [{"values": ["v"], "annotation": None}]},
+         "^invalid annotation variable None$"),
+        ({"name": "R", "columns": ["a"], "tuples": [{"values": ["v"], "annotation": True}]},
+         "^invalid annotation variable True$"),
     ])
     def test_malformed_relation_fields_rejected(self, relation, message):
         with pytest.raises(pv.SchemaError, match=message):
@@ -566,3 +574,97 @@ class TestSerialization:
         assert doc["columns"] == ["a.Acquired", "e.Institute"]
         assert len(doc["rows"]) == 4
         assert all("&" in row["annotation"] for row in doc["rows"])
+
+
+def _load_outcome(load, doc):
+    """The loaded database, or the exception's type and text."""
+    try:
+        return load(json.dumps(doc))
+    except Exception as exc:  # the exception is the outcome
+        return type(exc), str(exc)
+
+
+GOOD_TUPLE = {"values": ["v", 1], "annotation": "g"}
+
+# one fault each, in a tuple of a relation with columns ("A", "B")
+LOAD_FAULTS = {
+    "bad-annotation": {"values": ["v", 1], "annotation": "not an id"},
+    "number-annotation": {"values": ["v", 1], "annotation": 5},
+    "values-not-list": {"values": "v1", "annotation": "x"},
+    "bool-value": {"values": ["v", True], "annotation": "x"},
+    "float-value": {"values": [1.5, 1], "annotation": "x"},
+    "null-value": {"values": ["v", None], "annotation": "x"},
+    "no-values": {"annotation": "x"},
+    "no-annotation": {"values": ["v", 1]},
+    "not-object": ["v", 1],
+    "arity": {"values": ["v"], "annotation": "x"},
+}
+
+
+def _relation(*tuples):
+    return {"name": "R", "columns": ["A", "B"], "tuples": list(tuples)}
+
+
+class TestLoadFaultOrder:
+    @pytest.mark.parametrize("first, second", itertools.permutations(LOAD_FAULTS, 2))
+    @pytest.mark.parametrize("apart", [False, True])
+    def test_first_fault_is_reported(self, first, second, apart):
+        # two faults between good tuples, in one relation or in two
+        a, b = LOAD_FAULTS[first], LOAD_FAULTS[second]
+        if apart:
+            relations = [_relation(GOOD_TUPLE, a), _relation(b, GOOD_TUPLE)]
+        else:
+            relations = [_relation(GOOD_TUPLE, a, GOOD_TUPLE, b, GOOD_TUPLE)]
+        got = _load_outcome(pv.load_database, {"relations": relations})
+        assert got == _load_outcome(load_database_tuple_by_tuple, {"relations": relations})
+        # an arity mismatch is found once its relation is read, any other
+        # fault as its tuple is read
+        reported = second if first == "arity" and not apart else first
+        alone = _load_outcome(pv.load_database,
+                              {"relations": [_relation(LOAD_FAULTS[reported])]})
+        assert got[0] is pv.SchemaError and got == alone
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_valid_documents_load_as_built(self, data):
+        doc = data.draw(database_documents())
+        want = pv.AnnotatedDatabase(tuple(
+            pv.Relation(r["name"], tuple(r["columns"]), tuple(
+                pv.AnnotatedTuple(tuple(t["values"]), t["annotation"]) for t in r["tuples"]))
+            for r in doc["relations"]))
+        got = pv.load_database(json.dumps(doc))
+        assert got == want
+        assert [type(v) for r in got.relations for t in r.tuples for v in t.values] == [
+            type(v) for r in want.relations for t in r.tuples for v in t.values]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_faulty_documents_fail_as_tuple_by_tuple(self, data):
+        # one or two faults anywhere among tuples of arity 2
+        doc = data.draw(database_documents(arities=st.just(2), min_tuples=1))
+        places = [(r, k) for r in doc["relations"] for k in range(len(r["tuples"]))]
+        for r, k in data.draw(st.lists(st.sampled_from(places), min_size=1, max_size=2)):
+            r["tuples"][k] = LOAD_FAULTS[data.draw(st.sampled_from(sorted(LOAD_FAULTS)))]
+        got = _load_outcome(pv.load_database, doc)
+        assert got[0] is pv.SchemaError
+        assert got == _load_outcome(load_database_tuple_by_tuple, doc)
+
+
+_ANNOTATIONS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+_VALUES = st.one_of(st.text(max_size=3), st.integers(-5, 5), st.integers())
+
+
+@st.composite
+def database_documents(draw, arities=st.integers(0, 3), min_tuples: int = 0):
+    """Valid database documents of 1-3 relations whose arities are drawn
+    from ``arities``, the first with at least ``min_tuples`` tuples;
+    annotations may repeat across tuples, and values are of both types."""
+    relations = []
+    for i in range(draw(st.integers(1, 3))):
+        arity = draw(arities)
+        tuples = draw(st.lists(st.fixed_dictionaries({
+            "values": st.lists(_VALUES, min_size=arity, max_size=arity),
+            "annotation": _ANNOTATIONS}), min_size=min_tuples if i == 0 else 0, max_size=6))
+        relations.append({"name": f"R{i}",
+                          "columns": [f"c{j}" for j in range(arity)], "tuples": tuples})
+    return {"relations": relations}

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    evasive_by_read_once_reference,
     naive_depth,
     nested_read_once_dnf,
     random_monotone_dnf,
@@ -56,6 +57,47 @@ def candidate_sets(draw):
     return ex.parse_expressions(f"vars: {' '.join(universe)}\n" + "\n".join(members) + "\n")
 
 
+@st.composite
+def member_text(draw, names: list[str], negate: bool, depth: int) -> str:
+    """A formula over ``names`` that may repeat them, with a constant leaf
+    now and then and, with ``negate``, negations."""
+    roll = draw(st.integers(0, 9))
+    if depth == 0 or roll < 3:
+        return draw(st.sampled_from("01")) if roll == 0 else draw(st.sampled_from(names))
+    if negate and roll == 3:
+        return "!" + draw(member_text(names, negate, depth - 1))
+    op = draw(st.sampled_from([" & ", " | "]))
+    parts = draw(st.lists(member_text(names, negate, depth - 1), min_size=2, max_size=3))
+    return "(" + op.join(parts) + ")"
+
+
+@st.composite
+def mixed_sets(draw):
+    """Sets of 1-4 members of up to 5 variables: repeated variables,
+    constants and, in about half the sets, negation.  Some members are
+    2-DNFs whose terms share variables, read-once only once factored (or
+    never, as a path of three edges or a triangle is not).  In about half
+    the sets each member has variables of its own, so that more sets get
+    as far as factoring every member."""
+    count = draw(st.integers(1, 4))
+    disjoint = draw(st.booleans())
+    pools = [[f"x{m}_{i}" if disjoint else f"x{i}" for i in range(draw(st.integers(1, 5)))]
+             for m in range(count)]
+    negate = draw(st.booleans())
+    members = []
+    for names in pools:
+        if len(names) > 1 and draw(st.booleans()):  # a 2-DNF: a graph's edges
+            terms = draw(st.lists(st.lists(st.sampled_from(names), min_size=2, max_size=2,
+                                           unique=True), min_size=2, max_size=5))
+            members.append(" | ".join(" & ".join(t) for t in terms))
+        else:
+            members.append(draw(member_text(names, negate, draw(st.integers(1, 4)))))
+    # without a header the universe is the names that occur
+    names = sorted(set().union(*pools))
+    header = f"vars: {' '.join(names)}\n" if draw(st.booleans()) else ""
+    return ex.parse_expressions(header + "\n".join(members) + "\n")
+
+
 class TestChecks:
     def test_is_read_once(self):
         assert readonce.is_read_once(single("(a&b)|c").members[0])
@@ -84,6 +126,12 @@ class TestEvasiveByReadOnce:
         # (a&b)|(a&c) is not read-once as written but factors to a&(b|c)
         assert readonce.evasive_by_read_once(single("(a&b)|(a&c)")) is True
 
+    def test_unfactored_inconclusive(self):
+        # each member covers its variables once it is factored, but the
+        # triangle does not factor
+        assert readonce.evasive_by_read_once(single("(a&b)|(b&c)|(c&a)\nd")) is None
+        assert readonce.evasive_by_read_once(single("(a&b)|(b&c)\nd")) is True
+
     def test_inconclusive_is_never_false(self, rng):
         for _ in range(30):
             s = random_read_once_set(rng, max_vars=6)
@@ -106,6 +154,11 @@ class TestEvasiveByReadOnce:
         assert verdict in (True, None)
         if verdict:
             assert naive_depth(s) == s.n
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_sets())
+    def test_verdict_matches_reference(self, s):
+        assert readonce.evasive_by_read_once(s) is evasive_by_read_once_reference(s)
 
     def test_induction_step(self, rng):
         # one restriction stays non-simplifiable read-once on n-1 variables

@@ -37,6 +37,12 @@ on the shipped fixtures.  ``prov eval`` also runs two queries of its own on
 the fixture database: a union of two selections over joins, and a selection
 over a join that fails per row with a type mismatch (exit 1), so that the
 rows and the error of a selection tested inside its join are compared.
+The fixture query and the union query run too on ``PROV_DATABASES`` seeded databases of the
+fixture's schema, scaled up, whose value rows repeat, so that scans and
+projections merge rows and joins conjoin annotations of several terms; and
+the fixture query runs on database documents with two faults each, in
+both orders, in one relation or in two, so that the fault reported first
+is compared.
 Seeded monotone DNFs, ``DNFS`` each with terms of at most k = 2 and k = 3
 variables and a ``vars:`` header out of alphabetical order, get ``prov
 to-db`` at their k, which writes into the checkout's own directory, and then
@@ -216,6 +222,81 @@ PROV_QUERIES = {
                   "right": {"op": "scan", "relation": "Education", "alias": "e"}}},
 }
 
+# ``prov eval`` on seeded databases of the fixture's schema, scaled up
+PROV_DATABASES = 3
+COMPANIES = [f"C{i}" for i in range(8)]
+PEOPLE = [f"P{i}" for i in range(10)]
+ROLES = ("Founder", "Co-founder", "Founding member", "CTO")
+INSTITUTES = ("U. Melbourne", "U. Sau Paolo", "U. Cape Town")
+
+
+def fixture_schema_db(rng: random.Random) -> str:
+    """A database of the fixture's three relations, scaled up.  Values come
+    from small pools and about a third of the rows repeat an earlier row of
+    their relation, so scans and projections merge rows and joins get
+    inputs of several terms."""
+    def rows(count, make):
+        out = []
+        for _ in range(count):
+            out.append(rng.choice(out) if out and rng.random() < 0.3 else make())
+        return out
+
+    def date():
+        return f"{rng.randint(2014, 2021)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}"
+
+    relations = [
+        ("Acquisitions", ["Acquired", "Acquiring", "Date"], "a",
+         rows(14, lambda: [rng.choice(COMPANIES), rng.choice(COMPANIES), date()])),
+        ("Education", ["Alumni", "Institute", "Year"], "e",
+         rows(24, lambda: [rng.choice(PEOPLE), rng.choice(INSTITUTES),
+                           rng.randint(2005, 2020)])),
+        ("Roles", ["Organization", "Role", "Member"], "r",
+         rows(30, lambda: [rng.choice(COMPANIES), rng.choice(ROLES), rng.choice(PEOPLE)]))]
+    return json.dumps({"relations": [
+        {"name": name, "columns": columns,
+         "tuples": [{"values": v, "annotation": f"{prefix}{i}"} for i, v in enumerate(tuples)]}
+        for name, columns, prefix, tuples in relations]}, indent=1)
+
+
+# Database documents with two faults each, for ``prov eval``: the first in
+# document order is reported, except that an arity mismatch is found only
+# once its whole relation is read.
+_GOOD = {"values": ["C0", "C1", "2019-01-01"], "annotation": "a0"}
+_FAULTS = {"bad-annotation": {"values": ["C0", "C1", "2019-01-01"], "annotation": "a b"},
+           "number-annotation": {"values": ["C0", "C1", "2019-01-01"], "annotation": 5},
+           "float-value": {"values": ["C0", 1.5, "2019-01-01"], "annotation": "a1"},
+           "null-value": {"values": ["C0", None, "2019-01-01"], "annotation": "a1"},
+           "bool-value": {"values": [True, "C1", "2019-01-01"], "annotation": "a1"},
+           "values-not-list": {"values": "C0", "annotation": "a1"},
+           "no-values": {"annotation": "a1"},
+           "no-annotation": {"values": ["C0", "C1", "2019-01-01"]},
+           "not-object": ["C0", "C1", "2019-01-01"],
+           "arity": {"values": ["C0", "C1"], "annotation": "a1"}}
+FAULT_PAIRS = [("bad-annotation", "float-value"), ("float-value", "bad-annotation"),
+               ("number-annotation", "no-values"), ("no-values", "number-annotation"),
+               ("null-value", "not-object"), ("not-object", "null-value"),
+               ("arity", "bool-value"), ("bool-value", "arity"),
+               ("values-not-list", "no-annotation"), ("no-annotation", "values-not-list"),
+               ("arity", "arity")]
+
+
+def malformed_databases() -> dict[str, str]:
+    """Database documents with two faults, by name: in one relation, between
+    good tuples, and, for each pair, in two relations."""
+    docs = {}
+    for first, second in FAULT_PAIRS:
+        a, b = _FAULTS[first], _FAULTS[second]
+
+        def relation(*tuples):
+            return {"name": "Acquisitions", "columns": ["Acquired", "Acquiring", "Date"],
+                    "tuples": list(tuples)}
+        docs[f"db-{first}-{second}"] = json.dumps(
+            {"relations": [relation(_GOOD, a, _GOOD, b)]})
+        docs[f"db-{first}-then-relation-{second}"] = json.dumps(
+            {"relations": [relation(_GOOD, a), relation(b, _GOOD)]})
+    return docs
+
+
 # Parse errors: positions after comments, tabs and CRLF, a bad character
 # after an earlier syntax error, and the header's own errors.  The comment
 # inputs put a bad character on a line after a comment, end the text in a
@@ -379,6 +460,20 @@ def main(argv=None) -> int:
             runs.append((f"{name}: prov eval", ["prov", "eval", "--db",
                          str(work / "acquisitions_db.json"), "--query",
                          str(work / f"{name}.json")], (), {}))
+        queries = {"fixture-query": work / "founder_institutes_query.json",
+                   "union-query": work / "union-query.json"}
+        db_rng = random.Random(SEED + 4)
+        for d in range(PROV_DATABASES):
+            db = work / f"seeded-db{d}.json"
+            db.write_text(fixture_schema_db(db_rng), encoding="utf-8")
+            runs.extend((f"seeded-db{d}: prov eval {qname}",
+                         ["prov", "eval", "--db", str(db), "--query", str(q)], (), {})
+                        for qname, q in queries.items())
+        for name, text in malformed_databases().items():
+            (work / f"{name}.json").write_text(text, encoding="utf-8")
+            runs.append((f"{name}: prov eval", ["prov", "eval", "--db",
+                         str(work / f"{name}.json"), "--query",
+                         str(queries["fixture-query"])], (), {}))
         for name, (text, k) in monotone_dnfs(random.Random(SEED + 2)).items():
             (work / f"{name}.txt").write_text(text, encoding="utf-8")
             written = (f"{name}.db.json", f"{name}.query.json")
