@@ -7,14 +7,8 @@ from .expr import (
     Valuation,
     VariableUniverse,
     evaluate,
-    is_constant,
-    monotone_depth_lower_bound,
     parse_expressions,
-    restrict,
-    restrict_set,
-    simplify,
     to_monotone_dnf,
-    truth_table,
 )
 from .strategy import (
     DecisionDiagram,
@@ -33,13 +27,7 @@ from .graphdnf import (
     find_pattern,
     from_monotone_dnf,
 )
-from .readonce import (
-    evasive_by_read_once,
-    factor_read_once,
-    is_non_simplifiable,
-    is_overall_read_once,
-    is_read_once,
-)
+from .readonce import evasive_by_read_once, factor_read_once
 from .provenance import (
     AnnotatedDatabase,
     ProvenancedResult,

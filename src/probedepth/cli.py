@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 domain failure (e.g. cyclic input to the acyclic
 method), 2 usage or parse error.  ``--json`` emits exactly one JSON document
 on stdout.  The environment variable ``PROBEDEPTH_CAP`` overrides the
 table cap: on the combined support of the set for the exact search, on each
-member's support for the greedy strategy.
+member's support for the greedy strategy.  A cap above
+``expr.MAX_TABLE_CAP`` is a usage error.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ class UsageError(Exception):
 
 def _cap() -> int:
     """``PROBEDEPTH_CAP``: a count of variables, so a negative one is a usage
-    error, as a negative ``--budget`` is."""
+    error, as a negative ``--budget`` is, and so is one wider than the
+    widest table, ``expr.MAX_TABLE_CAP``."""
     raw = os.environ.get("PROBEDEPTH_CAP")
     if not raw:
         return ex.DEFAULT_TABLE_CAP
@@ -45,6 +47,8 @@ def _cap() -> int:
         raise UsageError(f"PROBEDEPTH_CAP must be an integer, got {raw!r}") from None
     if value < 0:
         raise UsageError(f"PROBEDEPTH_CAP must be non-negative, got {value}")
+    if value > ex.MAX_TABLE_CAP:
+        raise UsageError(f"PROBEDEPTH_CAP must be at most {ex.MAX_TABLE_CAP}, got {value}")
     return value
 
 

@@ -1,9 +1,13 @@
 """Boolean expressions over a declared variable universe.
 
 The core value types are immutable: a ``VariableUniverse`` fixing the set of
-variables (and hence ``n``), expression syntax trees, total and partial
-valuations, and absorbed monotone DNFs.  Everything downstream (depth search,
-graph DNFs, provenance) is built on top of these.  ``Node`` (``Const``,
+variables (and hence ``n``), expression syntax trees, total valuations, and
+absorbed monotone DNFs.  Everything downstream (depth search, graph DNFs,
+provenance) is built on top of these.  The module keeps what the programs
+read: parsing, printing, evaluation, DNF expansion and the search's table
+layout (``table_frame``, ``table_bits``, ``within_cap``).  It has no
+restriction of an ``Expression`` and no truth-table type; the tests keep
+those as reference definitions of their own.  ``Node`` (``Const``,
 ``Var``, ``Not``, ``And``, ``Or``) is the one tree format: the parser builds
 it directly as it reads, and the generated families are written as text and
 parsed.
@@ -14,13 +18,16 @@ identifier, a comment or one other non-blank character, so blanks cost no
 match, and comments are dropped afterwards.  A token's line and column are
 computed from its offset only when a ``ParseError`` is raised.  ``Var``
 nodes are shared, one per index (``var_node``), by the parser, DNF
-printing, restriction and factoring.  A ``VariableUniverse`` checks all its
-names with one match of the names joined by spaces; only when that fails
-does it look at each name, to report the first bad or repeated one.
-``Expression`` checks its indices in one walk that also stores the support
-and whether a ``Not`` occurs: ``support_indices`` reads the stored support,
-and ``to_monotone_dnf`` simplifies before expanding only when there is a
-negation.  ``absorb`` indexes each term shorter than the longest under one
+printing and factoring.  A ``VariableUniverse`` checks all its names with
+one match of the names joined by spaces (``_all_identifiers``, which the
+provenance loader uses for annotations too); only when that fails does it
+look at each name, to report the first bad or repeated one.
+``Expression`` checks its indices in one walk that also stores the support,
+the number of ``Var`` leaves, whether a ``Not`` occurs and whether a
+constant occurs below the root: ``support_indices`` reads the stored
+support, ``readonce.evasive_by_read_once`` the leaf count and the constant
+flag, and ``to_monotone_dnf`` simplifies before expanding only when there
+is a negation.  ``absorb`` indexes each term shorter than the longest under one
 variable, the one in the fewest terms.
 """
 
@@ -35,6 +42,10 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 DEFAULT_TABLE_CAP = 20
+# The widest table the search builds, whatever cap a caller asks for: a
+# table over m variables is an integer of 2^m bits, so the width must stay
+# bounded for memory.  psi(2), 22 variables, peaks at about 100 MB.
+MAX_TABLE_CAP = 22
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _NAMES_RE = re.compile(rf"{_IDENT_RE.pattern}(?: {_IDENT_RE.pattern})*")
@@ -72,6 +83,17 @@ def _nesting_guard(what: str):
     return wrap
 
 
+def _all_identifiers(names: Sequence) -> bool:
+    """Is every one of ``names`` an identifier?  One match over the names
+    joined by spaces; a name holding a space adds a separator, and one that
+    is not a string fails the join."""
+    try:
+        joined = " ".join(names)
+    except TypeError:
+        return False
+    return bool(_NAMES_RE.fullmatch(joined)) and joined.count(" ") == len(names) - 1
+
+
 @dataclass(frozen=True)
 class VariableUniverse:
     """An ordered set of distinct variable identifiers."""
@@ -79,11 +101,7 @@ class VariableUniverse:
     names: tuple[str, ...]
 
     def __post_init__(self):
-        try:  # one match checks every name; a name holding " " adds a separator
-            joined = " ".join(self.names)
-            valid = _NAMES_RE.fullmatch(joined) and joined.count(" ") == len(self.names) - 1
-        except TypeError:  # a name that is not a string
-            valid = False
+        valid = _all_identifiers(self.names)
         positions = dict(zip(self.names, range(len(self.names)))) if valid else {}
         if len(positions) < len(self.names):  # report the first bad or repeated name
             seen: dict[str, int] = {}
@@ -104,10 +122,6 @@ class VariableUniverse:
             return self._positions[name]
         except KeyError:
             raise ExprError(f"unknown variable: {name!r}") from None
-
-    def without(self, name: str) -> "VariableUniverse":
-        i = self.index(name)
-        return VariableUniverse(self.names[:i] + self.names[i + 1:])
 
 
 # --- syntax tree nodes ------------------------------------------------------
@@ -162,11 +176,13 @@ class Expression:
     root: Node
 
     def __post_init__(self):
-        # One walk checks the indices and keeps the support and whether a
-        # ``Not`` occurs.  Not fields: equality, hashing and repr stay those
-        # of the universe and the tree.
+        # One walk checks the indices and keeps the support, the number of
+        # ``Var`` leaves, whether a ``Not`` occurs and whether a constant
+        # occurs below the root.  Not fields: equality, hashing and repr
+        # stay those of the universe and the tree.
         support: set[int] = set()
-        negated = False
+        leaves = 0
+        negated = constant = False
         stack = [self.root]
         while stack:
             node = stack.pop()
@@ -175,19 +191,25 @@ class Expression:
                 for c in node.children:  # a Var child is read in place
                     if type(c) is Var:
                         support.add(c.index)
+                        leaves += 1
                     else:
                         stack.append(c)
             elif kind is Var:
                 support.add(node.index)
+                leaves += 1
             elif kind is Not:
                 negated = True
                 stack.append(node.child)
+            else:
+                constant = True
         if support and not 0 <= min(support) <= max(support) < self.universe.n:
             first = next(node.index for node in walk(self.root) if isinstance(node, Var)
                          and not 0 <= node.index < self.universe.n)
             raise ExprError(f"variable index {first} outside universe")
         object.__setattr__(self, "_support", tuple(sorted(support)))
         object.__setattr__(self, "_negated", negated)
+        object.__setattr__(self, "_leaves", leaves)
+        object.__setattr__(self, "_simplifiable", constant and type(self.root) is not Const)
 
     def support_indices(self) -> tuple[int, ...]:
         return self._support
@@ -469,17 +491,9 @@ def _value(node: Node, values: tuple[bool, ...]) -> bool:
     return any(_value(c, values) for c in node.children)
 
 
-@_nesting_guard("simplify")
-def simplify(e: Expression) -> Expression:
-    """Constant propagation, double-negation elimination and flattening.
-
-    The result is semantically equivalent and contains no constant occurrence
-    unless it is itself a constant.  No distribution is performed.
-    """
-    return Expression(e.universe, _simplify_node(e.root))
-
-
 def _simplify_node(node: Node) -> Node:
+    """Constant propagation, double-negation elimination and flattening,
+    without distribution: ``to_monotone_dnf``'s negation pre-pass."""
     if isinstance(node, (Const, Var)):
         return node
     if isinstance(node, Not):
@@ -510,51 +524,7 @@ def _simplify_node(node: Node) -> Node:
     return And(tuple(flat)) if is_and else Or(tuple(flat))
 
 
-def _restrict_node(node: Node, removed: int, value: bool) -> Node:
-    """``node`` with variable ``removed`` set to ``value`` and every later
-    variable renumbered one lower."""
-    if isinstance(node, Const):
-        return node
-    if isinstance(node, Var):
-        if node.index < removed:
-            return node
-        return Const(value) if node.index == removed else var_node(node.index - 1)
-    if isinstance(node, Not):
-        return Not(_restrict_node(node.child, removed, value))
-    children = tuple(_restrict_node(c, removed, value) for c in node.children)
-    return And(children) if isinstance(node, And) else Or(children)
-
-
-@_nesting_guard("restrict")
-def restrict(e: Expression, name: str, value: bool) -> Expression:
-    """Instantiate ``name`` to ``value``; the universe shrinks by ``name``."""
-    node = _restrict_node(e.root, e.universe.index(name), value)
-    return Expression(e.universe.without(name), _simplify_node(node))
-
-
-def restrict_set(s: ExpressionSet, name: str, value: bool) -> ExpressionSet:
-    """Member-wise restriction; member order is preserved."""
-    members = tuple(restrict(m, name, value) for m in s.members)
-    return ExpressionSet(s.universe.without(name), members)
-
-
 # --- truth tables -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class TruthTable:
-    """Bit i holds the value under the valuation decoded from i, little-endian
-    over ``names`` (names in universe declaration order)."""
-
-    names: tuple[str, ...]
-    bits: int
-
-    @property
-    def size(self) -> int:
-        return 1 << len(self.names)
-
-    def as_bitstring(self) -> str:
-        return "".join(str((self.bits >> i) & 1) for i in range(self.size))
-
 
 @functools.cache
 def table_frame(m: int) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
@@ -575,7 +545,9 @@ def table_frame(m: int) -> tuple[int, tuple[int, ...], int, tuple[int, ...]]:
 
 def within_cap(support: Sequence, cap: int) -> Sequence:
     """``support``, the variables a table is built over; raises
-    ``SupportTooLarge`` when there are more than ``cap`` of them."""
+    ``SupportTooLarge`` when there are more than ``cap`` of them, or more
+    than ``MAX_TABLE_CAP`` whatever the cap."""
+    cap = min(cap, MAX_TABLE_CAP)
     if len(support) > cap:
         raise SupportTooLarge(f"support size {len(support)} exceeds cap {cap}")
     return support
@@ -606,36 +578,6 @@ def _bits(node: Node, positions: dict[int, int], masks: tuple[int, ...], full: i
     if type(node) is Not:
         return full & ~_bits(node.child, positions, masks, full)
     return full if node.value else 0
-
-
-def truth_table(e: Expression, cap: int = DEFAULT_TABLE_CAP) -> TruthTable:
-    """Truth table over the expression's support, sorted by universe order."""
-    support = within_cap(e.support_indices(), cap)
-    positions = {idx: p for p, idx in enumerate(support)}
-    bits = table_bits(e.root, positions, len(support))
-    return TruthTable(tuple(e.universe.names[i] for i in support), bits)
-
-
-def is_constant(e: Expression, cap: int = DEFAULT_TABLE_CAP) -> Optional[bool]:
-    """The constant value of ``e`` if it is constant, else ``None``."""
-    t = truth_table(e, cap)
-    if t.bits == 0:
-        return False
-    if t.bits == (1 << t.size) - 1:
-        return True
-    return None
-
-
-def equivalent(a: Expression, b: Expression, cap: int = DEFAULT_TABLE_CAP) -> bool:
-    """Semantic equality, checked over the union of the two supports."""
-    names = within_cap(sorted(set(a.support()) | set(b.support())), cap)
-    at = {n: p for p, n in enumerate(names)}
-
-    def bits(e: Expression) -> int:
-        positions = {i: at[e.universe.names[i]] for i in e.support_indices()}
-        return table_bits(e.root, positions, len(names))
-
-    return bits(a) == bits(b)
 
 
 # --- monotone DNF -----------------------------------------------------------
@@ -761,34 +703,3 @@ def _terms(node: Node, names: tuple[str, ...]) -> Iterable[frozenset]:
             child_terms = _terms(c, names)
             acc = absorb(a | b for a in acc for b in child_terms)
     return acc
-
-
-def minimal_transversals(terms: Iterable[frozenset]) -> frozenset:
-    """All minimal hitting sets of a hypergraph, by Berge multiplication."""
-    transversals: frozenset = frozenset([frozenset()])
-    for term in terms:
-        if not term:
-            return frozenset()  # the empty edge cannot be hit
-        extended = set()
-        for tr in transversals:
-            if tr & term:
-                extended.add(tr)
-            else:
-                for v in term:
-                    extended.add(tr | {v})
-        transversals = absorb(extended)
-    return transversals
-
-
-def monotone_depth_lower_bound(e: Expression, var_cap: int = 16) -> int:
-    """max(largest prime implicant, largest prime implicate) of a monotone
-    expression; a lower bound on the depth of ``{e}``."""
-    dnf = to_monotone_dnf(e)
-    if not dnf.terms or frozenset() in dnf.terms:
-        return 0
-    if len(dnf.variables()) > var_cap:
-        raise SupportTooLarge(
-            f"{len(dnf.variables())} variables exceed transversal cap {var_cap}")
-    implicant = dnf.max_term_size
-    implicate = max((len(t) for t in minimal_transversals(dnf.terms)), default=0)
-    return max(implicant, implicate)

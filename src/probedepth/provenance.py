@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional, Union
 
-from .expr import MonotoneDnf, Valuation, VariableUniverse, _IDENT_RE, _NAMES_RE, absorb
+from .expr import MonotoneDnf, Valuation, VariableUniverse, _IDENT_RE, _all_identifiers, absorb
 
 ValueType = Union[str, int]
 
@@ -421,9 +421,7 @@ def _tuples(raw) -> tuple[AnnotatedTuple, ...]:
     try:
         values = [t["values"] for t in raw]
         annotations = [t["annotation"] for t in raw]
-        joined = " ".join(annotations)  # one match checks every annotation
-        if (_NAMES_RE.fullmatch(joined) and joined.count(" ") == len(annotations) - 1
-                and set(map(type, values)) == {list}
+        if (_all_identifiers(annotations) and set(map(type, values)) == {list}
                 and set(map(type, itertools.chain.from_iterable(values))) <= {str, int}):
             return tuple(map(AnnotatedTuple, map(tuple, values), annotations))
     except (KeyError, TypeError):

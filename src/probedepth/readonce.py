@@ -1,12 +1,13 @@
-"""Read-once structure detection and monotone read-once factorization.
+"""The read-once evasiveness test and monotone read-once factorization.
 
 Overall read-once, non-simplifiable expression sets are evasive; this module
-provides the syntactic checks behind that sufficient condition and a
+provides that sufficient test, ``evasive_by_read_once``, and a
 factorization procedure that rewrites monotone prime-implicant DNFs into
 read-once form when the recursive common-factor/component split succeeds.
 ``evasive_by_read_once`` is one pass over the members, decided over
-universe positions: one walk of each member's tree counts its variable
-leaves and finds its constants, and a member is read-once as written when
+universe positions: each member's ``Expression`` stores, from the one walk
+that finds its support, its number of ``Var`` leaves and whether a
+constant occurs below its root, and a member is read-once as written when
 its leaves are as many as its support.  A member that fails the check is
 factored, when it has no ``Not``, straight from its DNF terms as sets of
 positions; a factored form holds each of its DNF's variables once and no
@@ -26,53 +27,11 @@ from .expr import (
     ExpressionSet,
     MonotoneDnf,
     Node,
-    Not,
     Or,
-    Var,
     _nesting_guard,
     _terms,
     var_node,
 )
-
-
-def _leaves(root: Node) -> tuple[int, bool]:
-    """One walk of the tree under ``root``: its number of ``Var`` leaves,
-    and whether a constant occurs below the root (it is simplifiable).  An
-    expression is read-once when its leaves are as many as its support."""
-    leaves = 0
-    constant = False
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        kind = type(node)
-        if kind is And or kind is Or:
-            for c in node.children:  # a Var child is counted in place
-                if type(c) is Var:
-                    leaves += 1
-                else:
-                    stack.append(c)
-        elif kind is Var:
-            leaves += 1
-        elif kind is Not:
-            stack.append(node.child)
-        else:
-            constant = True
-    return leaves, constant and type(root) is not Const
-
-
-def is_read_once(e: Expression) -> bool:
-    """Does every variable occur at most once in the syntax tree?"""
-    return _leaves(e.root)[0] == len(e.support_indices())
-
-
-def is_overall_read_once(s: ExpressionSet) -> bool:
-    """Does every variable occur at most once across all members?"""
-    return sum(_leaves(m.root)[0] for m in s.members) == len(s.support_indices())
-
-
-def is_non_simplifiable(e: Expression) -> bool:
-    """A constant, or an expression containing no constant occurrence."""
-    return not _leaves(e.root)[1]
 
 
 def evasive_by_read_once(s: ExpressionSet) -> Optional[bool]:
@@ -89,9 +48,8 @@ def evasive_by_read_once(s: ExpressionSet) -> Optional[bool]:
     seen: set[int] = set()
     occurrences = 0
     for m in s.members:
-        leaves, simplifiable = _leaves(m.root)
-        support = m.support_indices()
-        if simplifiable or leaves > len(support):
+        leaves, support = m._leaves, m.support_indices()
+        if m._simplifiable or leaves > len(support):
             if m._negated:
                 return None
             terms = _position_terms(m.root, s.n)

@@ -1,8 +1,10 @@
 """Shared test helpers: independent oracles and seeded random generators.
 
-The depth oracle here deliberately avoids the library's bitmask search: it
-recurses on restricted expression sets and memoizes on the member truth
-tables, so agreement with the optimized search is meaningful evidence.
+The depth oracle here deliberately avoids the library's bitmask search and
+its tables: it recurses on expression sets restricted by rewriting their
+syntax trees, and memoizes on member truth tables built by evaluation
+(``reference``), so agreement with the optimized search is meaningful
+evidence.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Optional
 
 import pytest
 
+import reference as ref
 from probedepth import expr as ex
 from probedepth import provenance as pv
 from probedepth import strategy
@@ -29,10 +32,10 @@ def naive_depth(s: ExpressionSet, _memo=None) -> int:
     variables."""
     if _memo is None:
         _memo = {}
-    key = tuple((t.names, t.bits) for t in (ex.truth_table(m) for m in s.members))
+    key = tuple(ref.truth_table(m) for m in s.members)
     if key in _memo:
         return _memo[key]
-    if all(ex.is_constant(m) is not None for m in s.members):
+    if all(ref.is_constant(m) is not None for m in s.members):
         _memo[key] = 0
         return 0
     live: list[str] = []
@@ -42,8 +45,8 @@ def naive_depth(s: ExpressionSet, _memo=None) -> int:
                 live.append(name)
     best = None
     for name in live:
-        d = 1 + max(naive_depth(ex.restrict_set(s, name, True), _memo),
-                    naive_depth(ex.restrict_set(s, name, False), _memo))
+        d = 1 + max(naive_depth(ref.restrict_set(s, name, True), _memo),
+                    naive_depth(ref.restrict_set(s, name, False), _memo))
         if best is None or d < best:
             best = d
     _memo[key] = best
@@ -81,10 +84,10 @@ def _live_names(s: ExpressionSet) -> set[str]:
     """Variables some non-constant member depends on, tested semantically."""
     live = set()
     for m in s.members:
-        if ex.is_constant(m) is None:
+        if ref.is_constant(m) is None:
             live.update(name for name in m.support()
-                        if not ex.equivalent(ex.restrict(m, name, True),
-                                             ex.restrict(m, name, False)))
+                        if not ref.equivalent(ref.restrict(m, name, True),
+                                              ref.restrict(m, name, False)))
     return live
 
 
@@ -96,7 +99,7 @@ def naive_greedy_probe(s: ExpressionSet) -> Optional[str]:
     best, best_score = None, None
     for name in s.universe.names:
         if name in live:
-            score = max(len(_live_names(ex.restrict_set(s, name, value)))
+            score = max(len(_live_names(ref.restrict_set(s, name, value)))
                         for value in (True, False))
             if best_score is None or score < best_score:
                 best, best_score = name, score

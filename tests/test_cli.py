@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from conftest import fixture_text, load_schema, nested_read_once_dnf, recursion_limit
-from probedepth import cli, graphdnf, strategy
+from probedepth import cli, families, graphdnf, strategy
+from probedepth import expr as ex
 
 
 def write(tmp_path, name, text):
@@ -103,6 +105,17 @@ class TestDepth:
         code, _, err = run(capsys, "depth", f)
         assert code == 1
         assert "exceeds cap" in err
+
+    def test_cap_past_the_widest_table_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # psi(3) has one member over 46 variables: PROBEDEPTH_CAP=200 would
+        # have greedy build a 2^46-row table
+        psi3 = families.generate(families.FamilySpec("psi", 3))
+        f = write(tmp_path, "psi3.txt", ex.format_expression_set(psi3))
+        monkeypatch.setenv("PROBEDEPTH_CAP", "200")
+        monkeypatch.setattr(strategy, "table_bits", lambda *args: pytest.fail("built a table"))
+        code, out, err = run(capsys, "strategy", f, "--greedy")
+        assert (code, out) == (2, "")
+        assert err == f"error: PROBEDEPTH_CAP must be at most {ex.MAX_TABLE_CAP}, got 200\n"
 
 
 class TestEvasive:
@@ -382,10 +395,8 @@ class TestFamilyAndFactor:
         f = write(tmp_path, "e.txt", "(a&b)|(a&c)\n")
         code, out, _ = run(capsys, "factor", f)
         assert code == 0
-        from probedepth import expr as ex
-        from probedepth import readonce
-        factored = ex.parse_expressions(out)
-        assert readonce.is_read_once(factored.members[0])
+        factored = ex.parse_expressions(out).members[0]
+        assert ref.is_read_once(factored)
 
     def test_factor_failure(self, tmp_path, capsys):
         f = write(tmp_path, "e.txt", "(a&b)|(b&c)|(c&a)\n")
@@ -449,6 +460,7 @@ for _ in range(3000):
 @pytest.mark.parametrize("argv, env, expected", [
     (["depth", "{expr}"], {"PROBEDEPTH_CAP": "abc"}, 2),
     (["depth", "{expr}"], {"PROBEDEPTH_CAP": "-3"}, 2),
+    (["depth", "{expr}"], {"PROBEDEPTH_CAP": "23"}, 2),
     (["depth", "{latin1}"], {}, 2),
     (["prov", "eval", "--db", "{latin1}", "--query", "{query}"], {}, 2),
     (["prov", "eval", "--db", "{db}", "--query", "{latin1}"], {}, 2),
@@ -464,7 +476,8 @@ for _ in range(3000):
     (["prov", "eval", "--db", "{db}", "--query", "{deep_query}"], {}, 1),
     (["prov", "eval", "--db", "{deep_json}", "--query", "{query}"], {}, 1),
     (["probe", "{expr}", "--answers", "{deep_json}"], {}, 1),
-], ids=["cap-not-int", "cap-negative", "expr-not-utf8", "db-not-utf8", "query-not-utf8",
+], ids=["cap-not-int", "cap-negative", "cap-past-widest-table", "expr-not-utf8",
+        "db-not-utf8", "query-not-utf8",
         "answers-not-json", "answers-not-object", "answer-null", "max-nodes-0",
         "max-nodes-negative", "atom-not-object", "on-not-pair",
         "contains-value-not-string", "columns-not-list", "query-nested-too-deep",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from conftest import absorb_pairwise, all_valuations, random_expression
 from probedepth import expr as ex
 from probedepth import readonce, strategy
@@ -124,16 +125,13 @@ class TestParsing:
         assert str(info.value) == message
 
     def test_var_nodes_are_shared(self):
-        # one node per index, from the parser, DNF printing, restriction and
-        # factoring
+        # one node per index, from the parser, DNF printing and factoring
         a = parse_one("x & y | z")
         b = parse_one("vars: p q\nq")
         dnf = ex.to_monotone_dnf(a)
-        restricted = ex.restrict(parse_one("w | x & y"), "w", False)
         factored = readonce.factor_read_once(dnf)
         assert b.root is a.root.children[0].children[1]
         assert dnf.to_expression().root.children[0].children[0] is a.root.children[0].children[0]
-        assert restricted.root.children[1] is a.root.children[0].children[1]
         assert factored.root.children[1] is a.root.children[1]
 
     def test_var_nodes_shared_across_threads(self):
@@ -174,42 +172,43 @@ class TestSemantics:
         assert not ex.evaluate(e, Valuation.from_dict(u, {"a": True, "b": False, "c": True}))
         assert ex.evaluate(e, Valuation.from_dict(u, {"a": False, "b": False, "c": False}))
 
+    # restriction, tables, constancy and equivalence are the tests'
+    # reference definitions, which the oracle is built on
+
     def test_restrict_shrinks_universe(self):
         e = parse_one("vars: x y z\n(x&y)|(y&z)")
-        r = ex.restrict(e, "y", False)
+        r = ref.restrict(e, "y", False)
         assert r.universe.names == ("x", "z")
-        assert ex.is_constant(r) is False
+        assert ref.is_constant(r) is False
 
     def test_restrict_unknown_variable(self):
         with pytest.raises(ex.ExprError):
-            ex.restrict(parse_one("a"), "zzz", True)
+            ref.restrict(parse_one("a"), "zzz", True)
 
     def test_truth_table_bit_order(self):
         # bit i is the value under the little-endian decoding of i
         e = parse_one("vars: a b\na & !b")
-        t = ex.truth_table(e)
-        assert t.names == ("a", "b")
-        assert t.as_bitstring() == "0100"
+        assert ref.truth_table(e) == (("a", "b"), 0b0010)
 
     def test_truth_table_support_only(self):
         e = parse_one("vars: a b c\na | c")
-        assert ex.truth_table(e).names == ("a", "c")
+        assert ref.truth_table(e)[0] == ("a", "c")
 
     def test_support_cap_enforced(self):
         universe = VariableUniverse(tuple(f"x{i}" for i in range(6)))
         e = Expression(universe, Or(tuple(Var(i) for i in range(6))))
-        with pytest.raises(ex.SupportTooLarge):
-            ex.truth_table(e, cap=5)
+        with pytest.raises(ex.SupportTooLarge, match="^support size 6 exceeds cap 5$"):
+            ex.within_cap(e.support_indices(), 5)
 
     def test_is_constant(self):
-        assert ex.is_constant(parse_one("a | !a")) is True
-        assert ex.is_constant(parse_one("a & !a")) is False
-        assert ex.is_constant(parse_one("a & b")) is None
+        assert ref.is_constant(parse_one("a | !a")) is True
+        assert ref.is_constant(parse_one("a & !a")) is False
+        assert ref.is_constant(parse_one("a & b")) is None
 
     def test_equivalent_across_universes(self):
         a = parse_one("vars: x y\nx & y")
         b = parse_one("vars: y x z\n!((!x) | (!y))")
-        assert ex.equivalent(a, b)
+        assert ref.equivalent(a, b)
 
     def test_deeply_nested_expression_support(self):
         e = _deeply_nested()
@@ -218,9 +217,7 @@ class TestSemantics:
 
     @pytest.mark.parametrize("call", [
         lambda e: strategy.optimal_depth(ExpressionSet(e.universe, (e,))),
-        ex.truth_table,
-        ex.simplify,
-        lambda e: ex.restrict(e, "a", True),
+        ref.truth_table,
         lambda e: ex.evaluate(e, Valuation(e.universe, (True, False, True))),
         lambda e: strategy.check_soundness(
             ExpressionSet(e.universe, (e,)),
@@ -228,7 +225,7 @@ class TestSemantics:
             Valuation(e.universe, (True, False, True))),
         str,
         ex.to_monotone_dnf,
-    ], ids=["optimal_depth", "truth_table", "simplify", "restrict", "evaluate",
+    ], ids=["optimal_depth", "truth_table", "evaluate",
             "check_soundness", "str", "to_monotone_dnf"])
     def test_deeply_nested_expression_is_expr_error(self, call):
         with pytest.raises(ex.NestingTooDeep, match="nested too deeply"):
@@ -246,14 +243,14 @@ def _deeply_nested() -> Expression:
 
 # --- property tests ---------------------------------------------------------
 
-def _expressions(max_vars=6):
+def _expressions(max_vars=6, depth=3):
     @st.composite
     def build(draw):
         seed = draw(st.integers(0, 2**32 - 1))
         rng = random.Random(seed)
         n = rng.randint(1, max_vars)
         universe = VariableUniverse(tuple(f"x{i}" for i in range(n)))
-        return Expression(universe, random_expression(rng, universe))
+        return Expression(universe, random_expression(rng, universe, rng.randint(0, depth)))
     return build()
 
 
@@ -265,16 +262,16 @@ def test_restriction_commutes(e, seed):
         return
     x, y = rng.sample(e.universe.names, 2)
     a, b = rng.random() < 0.5, rng.random() < 0.5
-    xy = ex.restrict(ex.restrict(e, x, a), y, b)
-    yx = ex.restrict(ex.restrict(e, y, b), x, a)
-    assert ex.truth_table(xy) == ex.truth_table(yx)
+    xy = ref.restrict(ref.restrict(e, x, a), y, b)
+    yx = ref.restrict(ref.restrict(e, y, b), x, a)
+    assert ref.truth_table(xy) == ref.truth_table(yx)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_expressions())
 def test_simplify_preserves_semantics(e):
-    s = ex.simplify(e)
-    assert ex.equivalent(e, s)
+    s = ref.simplify(e)
+    assert ref.equivalent(e, s)
     if not isinstance(s.root, Const):
         assert not any(isinstance(n, Const) for n in ex.walk(s.root))
 
@@ -286,7 +283,7 @@ def test_parse_print_roundtrip(e):
     reparsed = ex.parse_expressions(ex.format_expression_set(s))
     assert reparsed.universe == s.universe
     for before, after in zip(s.members, reparsed.members):
-        assert ex.truth_table(before) == ex.truth_table(after)
+        assert ref.truth_table(before) == ref.truth_table(after)
         assert after.root == before.root
 
 
@@ -328,15 +325,16 @@ def test_absorb_hub_matches_pairwise(rng):
 def _minimal_true_points(e: Expression) -> frozenset:
     """The terms of the absorbed DNF of a monotone ``e``, read off its truth
     table: the true points with no true point directly below them."""
-    t = ex.truth_table(e)
+    names, bits = ref.truth_table(e)
+    size = 1 << len(names)
 
     def true(row: int) -> bool:
-        return bool(t.bits >> row & 1)
+        return bool(bits >> row & 1)
 
-    below = [[row ^ (1 << i) for i in range(len(t.names)) if row >> i & 1]
-             for row in range(t.size)]
-    return frozenset(frozenset(name for i, name in enumerate(t.names) if row >> i & 1)
-                     for row in range(t.size)
+    below = [[row ^ (1 << i) for i in range(len(names)) if row >> i & 1]
+             for row in range(size)]
+    return frozenset(frozenset(name for i, name in enumerate(names) if row >> i & 1)
+                     for row in range(size)
                      if true(row) and not any(map(true, below[row])))
 
 
@@ -345,7 +343,7 @@ def _minimal_true_points(e: Expression) -> frozenset:
 def test_expansion_matches_simplify_then_expand(e):
     """Negation-free trees expand unsimplified; the terms, or the error, are
     those of the simplified tree, and the terms are the minimal true points."""
-    simple = ex.simplify(e)
+    simple = ref.simplify(e)
     try:
         expected = ex.to_monotone_dnf(simple).terms
     except ex.ExprError as error:
@@ -362,6 +360,23 @@ def test_expansion_matches_simplify_then_expand(e):
 def test_support_is_the_walked_support(e):
     walked = {node.index for node in ex.walk(e.root) if isinstance(node, Var)}
     assert e.support_indices() == tuple(sorted(walked))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expressions(max_vars=4, depth=6))
+def test_stored_counts_are_the_walked_counts(e):
+    # the read-once verdict reads these instead of walking the tree again
+    assert e._leaves == sum(type(n) is Var for n in ex.walk(e.root))
+    assert e._simplifiable is not ref.is_non_simplifiable(e)
+
+
+@pytest.mark.parametrize("text, leaves, simplifiable", [
+    ("0", 0, False), ("1", 0, False), ("!0", 0, True), ("a & 1 | a", 2, True),
+    ("!(a | b) & a", 3, False)])
+def test_stored_counts(text, leaves, simplifiable):
+    # a bare constant is non-simplifiable; a constant below the root is not
+    e = parse_one(text)
+    assert (e._leaves, e._simplifiable) == (leaves, simplifiable)
 
 
 class TestMonotoneDnf:
@@ -418,23 +433,16 @@ class TestMonotoneDnf:
                     break
             d = ex.to_monotone_dnf(e)
             assert not any(a < b for a in d.terms for b in d.terms)
-            assert ex.equivalent(e, d.to_expression())
+            assert ref.equivalent(e, d.to_expression())
 
     def test_minimal_transversals(self):
         terms = frozenset([frozenset("ab"), frozenset("bc")])
-        assert ex.minimal_transversals(terms) == frozenset([
+        assert ref.minimal_transversals(terms) == frozenset([
             frozenset("b"), frozenset("ac")])
 
     def test_lower_bound_example(self):
         # (a&b)|(b&c): largest implicant 2, largest implicate 2
-        assert ex.monotone_depth_lower_bound(parse_one("(a&b)|(b&c)")) == 2
-
-    def test_lower_bound_cap(self):
-        universe = VariableUniverse(tuple(f"x{i}" for i in range(17)))
-        e = Expression(universe, Or(tuple(Var(i) for i in range(17))))
-        with pytest.raises(ex.SupportTooLarge):
-            ex.monotone_depth_lower_bound(e)
-        assert ex.monotone_depth_lower_bound(e, var_cap=17) == 17
+        assert ref.monotone_depth_lower_bound(parse_one("(a&b)|(b&c)")) == 2
 
 
 class TestUniverseAndValuation:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference as ref
 from conftest import (all_valuations, naive_depth, naive_greedy_probe, random_expression,
                       reference_witness, single)
 from probedepth import expr as ex
@@ -63,11 +64,21 @@ class TestExamples:
         for refuse in (lambda: strategy.optimal_depth(s, cap=2),
                        lambda: strategy.decide_depth_at_most(s, 1, cap=2),
                        lambda: strategy.is_evasive(s, cap=2),
-                       lambda: strategy.greedy_strategy(s, cap=2),
-                       lambda: ex.truth_table(s.members[0], cap=2)):
+                       lambda: strategy.greedy_strategy(s, cap=2)):
             with pytest.raises(ex.SupportTooLarge) as refusal:
                 refuse()
             assert str(refusal.value) == "support size 3 exceeds cap 2"
+
+    @pytest.mark.parametrize("search", [strategy.optimal_depth, strategy.greedy_strategy],
+                             ids=["exact", "greedy"])
+    def test_cap_past_the_widest_table_builds_none(self, search, monkeypatch):
+        # psi(3)'s one member has 46 variables: cap 200 must not build a
+        # 2^46-row table, whatever the caller asks for
+        s = families.generate(families.FamilySpec("psi", 3))
+        monkeypatch.setattr(strategy, "table_bits", lambda *args: pytest.fail("built a table"))
+        with pytest.raises(ex.SupportTooLarge) as refusal:
+            search(s, cap=200)
+        assert str(refusal.value) == f"support size 46 exceeds cap {ex.MAX_TABLE_CAP}"
 
     def test_cap_counts_support_not_universe(self):
         # 25 universe variables, but the search tabulates only x0 and x1
@@ -86,6 +97,24 @@ class TestExamples:
 
 
 class TestAgainstNaiveOracle:
+    def test_oracles_use_no_table_code(self, monkeypatch):
+        # the oracles check the search, so they must answer with the
+        # library's table code out of reach
+        sets = [single(text) for text in (
+            "vars: x y z\nx & y\nx | z\n", "!a & (b | 1)\n!(a | 0) | c\n", "a & !a | b & c\n",
+            "vars: a b\n1\n!0 & b\n", "(a&b)|(b&c)|(c&d)\n!(a | !d) | 0\n")]
+        expected = [(strategy.optimal_depth(s).depth, strategy.greedy_strategy(s)) for s in sets]
+
+        def refuse(*args):
+            raise AssertionError("an oracle called the library's table code")
+
+        monkeypatch.setattr(ex, "table_bits", refuse)
+        monkeypatch.setattr(ex, "table_frame", refuse)
+        for s, (depth, greedy) in zip(sets, expected):
+            root = greedy.nodes[greedy.root]
+            assert naive_depth(s) == depth
+            assert naive_greedy_probe(s) == (root.variable if isinstance(root, Probe) else None)
+
     def test_random_instances(self, rng):
         for _ in range(60):
             n = rng.randint(1, 6)
@@ -144,7 +173,7 @@ class TestAgainstNaiveOracle:
                     break
             e = Expression(universe, node)
             s = ExpressionSet(universe, (e,))
-            assert (ex.monotone_depth_lower_bound(e)
+            assert (ref.monotone_depth_lower_bound(e)
                     <= strategy.optimal_depth(s).depth)
 
 
@@ -203,11 +232,11 @@ class TestGreedy:
                 node, expected = d.nodes[i], naive_greedy_probe(restricted)
                 if isinstance(node, Leaf):
                     assert expected is None
-                    assert node.labels == tuple(ex.is_constant(m) for m in restricted.members)
+                    assert node.labels == tuple(ref.is_constant(m) for m in restricted.members)
                 else:
                     assert node.variable == expected
                     for value, child in ((True, node.on_true), (False, node.on_false)):
-                        pending.append((child, ex.restrict_set(restricted, node.variable, value)))
+                        pending.append((child, ref.restrict_set(restricted, node.variable, value)))
 
     def test_cap_applies_per_member(self):
         s = single("vars: a b c d e f\na & (b | c)\nd | (e & f)\n")
@@ -317,7 +346,7 @@ class TestResidualTables:
         for rank, i in enumerate(support):
             name = universe.names[i]
             for value in (True, False):
-                restricted = ex.restrict(e, name, value)
+                restricted = ref.restrict(e, name, value)
                 rest = [restricted.universe.index(universe.names[j]) for j in support if j != i]
                 fixed = strategy._fix(t, len(support), len(support) - 1 - rank, value)
                 assert fixed == self.table(restricted, rest)
@@ -356,7 +385,7 @@ class TestResidualTables:
         held, tables = strategy._compact((1 << n) - 1, (whole,))
         first = (held & -held).bit_length() - 1 if held else n
         for name in universe.names[:first]:
-            e = ex.restrict(e, name, False)
+            e = ref.restrict(e, name, False)
         rest = [e.universe.index(name) for name in universe.names[first:]]
         level = n - first, (self.table(e, rest),)
         assert strategy._spread(held, tables, n) == level
@@ -390,8 +419,8 @@ class TestResidualTables:
         """The names ``e`` depends on and its table over exactly those, the
         first as the top table variable: the others are set to false."""
         for name in e.support():
-            if ex.equivalent(ex.restrict(e, name, True), ex.restrict(e, name, False)):
-                e = ex.restrict(e, name, False)
+            if ref.equivalent(ref.restrict(e, name, True), ref.restrict(e, name, False)):
+                e = ref.restrict(e, name, False)
         return e.support(), TestResidualTables.table(e, e.support_indices())
 
 

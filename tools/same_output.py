@@ -27,7 +27,10 @@ detector get ``evasive`` plain and with ``--json``: one whose later
 component holds the first special root, one with a free variable, and a
 triangle beside a path past the cap (exit 1).  One more forest, with a
 header out of alphabetical order, singleton terms and a free variable, also
-gets ``evasive --method acyclic``.  Malformed files get
+gets ``evasive --method acyclic``.  Monotone files written with negations
+that simplify away (and one whose negation stays) get ``factor`` and
+``evasive`` plain and with ``--json``, and one of them ``prov to-db --k 2``
+and ``prov eval`` on what it wrote.  Malformed files get
 ``depth --json`` and ``evasive``, so that parse errors are compared; among
 them are errors around comments.  A well-formed file with comments, CRLF
 line endings and a ``vars:`` header gets ``depth --json`` and ``strategy
@@ -193,6 +196,18 @@ FORESTS = {"forest-later-root": "vars: a b c q p r s\n(a&b)|(b&c)|(p&q)|(q&r)|(r
 # terms t and e and the free variable f: an order of names in place of
 # positions, or a singleton taken for a free variable, changes the witness.
 MIXED_FOREST = "vars: t r f q a s b c p e\n(a&b)|(b&c)|(p&q)|(q&r)|(r&s)|t|e\n"
+
+# Monotone inputs written with negations that simplify away (``!!a``,
+# ``!(1 & !a)``, ``!0``), and one whose negation stays, so that the negation
+# pre-pass of the DNF expansion is compared; the last is written as a DNF by
+# ``prov to-db``.
+NEGATED = {"negated-double": "!!a & b\n",
+           "negated-constant": "!(1 & !a) | c\n",
+           "negated-zero": "!0 & a\n",
+           "negated-members": "vars: d c b a\n!!(a & b) | c & !0\n!(0 | !d)\n",
+           "negated-absorbed": "a & !1 | b & !!c | !(!a | 0)\n",
+           "negated-left": "!(!a | !b) | c\n",
+           "negated-to-db": "vars: e d c b a\n!!(a & b) | !(1 & !(c & d)) | e & !0\n"}
 
 # ``prov eval`` queries on the shipped fixture database, so that a selection
 # over a join is compared on its rows and on its per-row error: companies
@@ -445,6 +460,15 @@ def main(argv=None) -> int:
         add("forest-mixed", MIXED_FOREST,
             lambda path: [["evasive", path], ["evasive", path, "--json"],
                           ["evasive", path, "--method", "acyclic"]])
+        for name, text in NEGATED.items():
+            add(name, text, lambda path: [["factor", path], ["evasive", path],
+                                          ["evasive", path, "--json"]])
+        written = ("negated.db.json", "negated.query.json")
+        runs += [("negated-to-db: prov to-db --k 2",
+                  ["prov", "to-db", "--dnf", str(work / "negated-to-db.txt"), "--k", "2",
+                   "--out-db", written[0], "--out-query", written[1]], written, {}),
+                 ("negated-to-db: prov eval of to-db",
+                  ["prov", "eval", "--db", written[0], "--query", written[1]], (), {})]
         for name, text in MALFORMED.items():
             add(name, text, lambda path: [["depth", path, "--json"], ["evasive", path]])
         add("commented", COMMENTED,
