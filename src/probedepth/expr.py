@@ -547,6 +547,8 @@ def within_cap(support: Sequence, cap: int) -> Sequence:
     """``support``, the variables a table is built over; raises
     ``SupportTooLarge`` when there are more than ``cap`` of them, or more
     than ``MAX_TABLE_CAP`` whatever the cap."""
+    # cli._cap already rejects PROBEDEPTH_CAP above the bound; this line
+    # holds it for library callers, so neither check is dead code
     cap = min(cap, MAX_TABLE_CAP)
     if len(support) > cap:
         raise SupportTooLarge(f"support size {len(support)} exceeds cap {cap}")

@@ -250,7 +250,7 @@ def _expressions(max_vars=6, depth=3):
         rng = random.Random(seed)
         n = rng.randint(1, max_vars)
         universe = VariableUniverse(tuple(f"x{i}" for i in range(n)))
-        return Expression(universe, random_expression(rng, universe, rng.randint(0, depth)))
+        return Expression(universe, random_expression(rng, universe, depth))
     return build()
 
 
